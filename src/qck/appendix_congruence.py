@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg, strings, weyl
+from .intlinalg import CrossCheckFailed
 from .weyl import NonReducedWord
 
 # note: pairing matrices use the plain symmetrized form (alpha_i, alpha_j) =
@@ -95,7 +96,7 @@ def build_word_matrices(datum, word):
     for s in range(l):
         for t in range(l):
             if B[s][t] % D[s] != 0 or Bt[s][t] % D[s] != 0:
-                raise AssertionError("pairing matrices are not divisible by the symmetrizers")
+                raise CrossCheckFailed("pairing matrices are not divisible by the symmetrizers")
             P[s][t] += B[s][t] // D[s]
             Pt[s][t] += Bt[s][t] // D[s]
 
@@ -148,55 +149,42 @@ def _sign_class_words(word):
     return plus, minus
 
 
+def _stack(n, Xp, Xm, Yp, Ym):
+    """[[Xp, 0, -Yp^T], [0, Xm, Ym^T], [Yp, -Ym, 0]] for the l+ x l+ and
+    l- x l- blocks Xp, Xm and the n x l+ and n x l- blocks Yp, Ym."""
+    lp, lm = len(Xp), len(Xm)
+    H = intlinalg.block_diag(Xp, Xm, intlinalg.zeros(n, n))
+    for s in range(n):
+        for t in range(lp):
+            H[lp + lm + s][t] = Yp[s][t]
+            H[t][lp + lm + s] = -Yp[s][t]
+        for t in range(lm):
+            H[lp + lm + s][lp + t] = -Ym[s][t]
+            H[lp + t][lp + lm + s] = Ym[s][t]
+    return H
+
+
+def _h_tilde(n, mp, mm):
+    return _stack(n, intlinalg.mat_neg(mp.Atilde), mm.Atilde, mp.Ctilde, mm.Ctilde)
+
+
+def _script_h(n, mp, mm):
+    return _stack(n, mp.A, intlinalg.mat_neg(mm.A), mp.C, mm.C)
+
+
 def h_tilde(datum, word):
     """Simple-root form of the reordered commutation matrix:
     [[-At(plus), 0, -Ct(plus)^T], [0, At(minus), Ct(minus)^T],
      [Ct(plus), -Ct(minus), 0]]."""
     plus, minus = _sign_class_words(word)
-    mp = build_word_matrices(datum, plus)
-    mm = build_word_matrices(datum, minus)
-    lp, lm, n = len(plus), len(minus), datum.n
-    size = lp + lm + n
-    H = intlinalg.zeros(size, size)
-    for s in range(lp):
-        for t in range(lp):
-            H[s][t] = -mp.Atilde[s][t]
-    for s in range(lm):
-        for t in range(lm):
-            H[lp + s][lp + t] = mm.Atilde[s][t]
-    for s in range(n):
-        for t in range(lp):
-            H[lp + lm + s][t] = mp.Ctilde[s][t]
-            H[t][lp + lm + s] = -mp.Ctilde[s][t]
-        for t in range(lm):
-            H[lp + lm + s][lp + t] = -mm.Ctilde[s][t]
-            H[lp + t][lp + lm + s] = mm.Ctilde[s][t]
-    return H
+    return _h_tilde(datum.n, build_word_matrices(datum, plus), build_word_matrices(datum, minus))
 
 
 def script_h(datum, word):
     """Beta form: [[A(plus), 0, -C(plus)^T], [0, -A(minus), C(minus)^T],
     [C(plus), -C(minus), 0]]."""
     plus, minus = _sign_class_words(word)
-    mp = build_word_matrices(datum, plus)
-    mm = build_word_matrices(datum, minus)
-    lp, lm, n = len(plus), len(minus), datum.n
-    size = lp + lm + n
-    H = intlinalg.zeros(size, size)
-    for s in range(lp):
-        for t in range(lp):
-            H[s][t] = mp.A[s][t]
-    for s in range(lm):
-        for t in range(lm):
-            H[lp + s][lp + t] = -mm.A[s][t]
-    for s in range(n):
-        for t in range(lp):
-            H[lp + lm + s][t] = mp.C[s][t]
-            H[t][lp + lm + s] = -mp.C[s][t]
-        for t in range(lm):
-            H[lp + lm + s][lp + t] = -mm.C[s][t]
-            H[lp + t][lp + lm + s] = mm.C[s][t]
-    return H
+    return _script_h(datum.n, build_word_matrices(datum, plus), build_word_matrices(datum, minus))
 
 
 def congruence_check(datum, word):
@@ -209,8 +197,8 @@ def congruence_check(datum, word):
     plus, minus = _sign_class_words(word)
     mp = build_word_matrices(datum, plus)
     mm = build_word_matrices(datum, minus)
-    Ht = h_tilde(datum, word)
-    Hs = script_h(datum, word)
+    Ht = _h_tilde(datum.n, mp, mm)
+    Hs = _script_h(datum.n, mp, mm)
     Q = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(datum.n))
     congruent = intlinalg.mat_eq(
         intlinalg.mat_mul(intlinalg.transpose(Q), intlinalg.mat_mul(Ht, Q)), Hs
@@ -225,7 +213,7 @@ def congruence_check(datum, word):
 
     mult_ht = intlinalg.skew_multipliers(Ht)
     mult_hs = intlinalg.skew_multipliers(Hs)
-    torus_H = strings.string_matrices(datum, word).H
+    _, _, _, torus_H = strings._torus_matrices(datum, word)
     mult_torus = intlinalg.skew_multipliers(torus_H)
 
     return {

@@ -189,7 +189,11 @@ def cmd_module(args):
         for item in json.loads(args.vector):
             from .qtorus import coeff_from_json
 
-            vec[tuple(item["n"])] = coeff_from_json(item["coeff"])
+            try:
+                n, coeff = item["n"], item["coeff"]
+            except KeyError as exc:
+                raise ValueError(f"--vector item lacks field {exc.args[0]!r}") from None
+            vec[tuple(n)] = coeff_from_json(coeff)
         out = mod.element_action(elem, vec)
         payload = [
             {"n": list(n), "coeff": _coeff_json(c)} for n, c in sorted(out.items())
@@ -234,47 +238,35 @@ def _coeff_json(c):
 
 def cmd_verify(args):
     datum = _datum(args)
-    if args.word is not None:
+    if args.suite == "lemma":
+        if args.word is None:
+            words = [rw for cls in weyl.all_reduced_words(datum, args.max_len) for rw in cls]
+        else:
+            words = [weyl.parse_word(args.word)]
+            if any(e < 0 for e in words[0]):
+                raise ValueError("the lemma suite takes an unsigned reduced word")
+    elif args.word is not None:
         words = [weyl.parse_word(args.word)]
     else:
         words = weyl.all_double_words(datum, args.max_len)
     results = []
-    ok = True
-    try:
-        for word in words:
-            if args.suite == "congruence":
-                rep = appendix_congruence.congruence_check(datum, word)
-                results.append({"word": weyl.format_word(word), "ok": rep["ok"]})
-                ok &= rep["ok"]
-            elif args.suite == "relations":
-                rep = wiring.verify_relations(datum, word)
-                good = all(flag for _n, flag in rep)
-                results.append({"word": weyl.format_word(word), "ok": good})
-                ok &= good
-            elif args.suite == "psi":
-                good, factors = strings.psi_check(datum, word)
-                results.append(
-                    {"word": weyl.format_word(word), "ok": good, "factors": factors}
-                )
-                ok &= good
-            elif args.suite == "invariants":
-                strings.invariants(datum, word)  # raises CrossCheckFailed on bugs
-                results.append({"word": weyl.format_word(word), "ok": True})
-            else:  # lemma
-                for cls in weyl.all_reduced_words(datum, args.max_len):
-                    for rw in cls:
-                        rep = appendix_congruence.verify_lemma(datum, rw)
-                        results.append(
-                            {"word": weyl.format_word(rw), "ok": rep["ok"]}
-                        )
-                        ok &= rep["ok"]
-                break
-    except CrossCheckFailed as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    for word in words:
+        entry = {"word": weyl.format_word(word)}
+        if args.suite == "congruence":
+            entry["ok"] = appendix_congruence.congruence_check(datum, word)["ok"]
+        elif args.suite == "relations":
+            entry["ok"] = all(flag for _n, flag in wiring.verify_relations(datum, word))
+        elif args.suite == "psi":
+            entry["ok"], entry["factors"] = strings.psi_check(datum, word)
+        elif args.suite == "invariants":
+            strings.invariants(datum, word)  # raises CrossCheckFailed on bugs
+            entry["ok"] = True
+        else:  # lemma
+            entry["ok"] = appendix_congruence.verify_lemma(datum, word)["ok"]
+        results.append(entry)
     npass = sum(1 for r in results if r["ok"])
     _emit(results, f"{args.suite}: {npass}/{len(results)} pass")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if npass == len(results) else EXIT_CHECK_FAILED
 
 
 def build_parser():

@@ -2,18 +2,25 @@
 
 Matrices are lists of lists of Python ints (rows), so every computation is
 arbitrary precision.  Provides Smith normal form with transformation
-matrices, saturated integer kernels, rational rank, column-style Hermite
-form, and the congruence normal form of skew-symmetric integer matrices.
+matrices, saturated integer kernels, rank over Q by fraction-free (Bareiss)
+elimination, unitriangular inverses by forward substitution, column-style
+Hermite form, and the congruence normal form of skew-symmetric integer
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class NotSkewSymmetric(ValueError):
     pass
+
+
+class CrossCheckFailed(RuntimeError):
+    """Internal consistency failure between two independent computations."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +53,8 @@ def mat_mul(A, B):
     rb, cb = shape(B)
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    out = zeros(ra, cb)
-    Bt = transpose(B)
-    for i in range(ra):
-        Ai = A[i]
-        for j in range(cb):
-            Bj = Bt[j]
-            out[i][j] = sum(Ai[k] * Bj[k] for k in range(ca))
-    return out
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def mat_add(A, B):
@@ -102,24 +103,28 @@ def is_skew_symmetric(H):
 
 
 def rank_over_Q(M):
-    """Rank of an integer (or rational) matrix, by exact Gaussian elimination."""
+    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
+
+    After k pivots every remaining entry is a (k+1)-minor of M, and Sylvester's
+    identity makes the division by the previous pivot exact.
+    """
     r, c = shape(M)
-    A = [[Fraction(x) for x in row] for row in M]
+    A = [list(row) for row in M]
     rank = 0
-    row = 0
+    prev = 1
     for col in range(c):
-        piv = next((i for i in range(row, r) if A[i][col] != 0), None)
+        piv = next((i for i in range(rank, r) if A[i][col]), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        for i in range(row + 1, r):
-            if A[i][col] != 0:
-                f = A[i][col] / pv
-                A[i] = [a - f * b for a, b in zip(A[i], A[row])]
-        row += 1
+        A[rank], A[piv] = A[piv], A[rank]
+        top = A[rank]
+        pv = top[col]
+        for i in range(rank + 1, r):
+            f = A[i][col]
+            A[i] = [(pv * a - f * b) // prev for a, b in zip(A[i], top)]
+        prev = pv
         rank += 1
-        if row == r:
+        if rank == r:
             break
     return rank
 
@@ -177,6 +182,22 @@ def invert_rational(M):
                 f = A[i][col]
                 A[i] = [a - f * b for a, b in zip(A[i], A[col])]
     return [row[n:] for row in A]
+
+
+def invert_unitriangular(L):
+    """Inverse of a lower triangular integer matrix with diagonal entries +-1,
+    by forward substitution in integers."""
+    inv = []
+    for s, Ls in enumerate(L):
+        if Ls[s] not in (1, -1) or any(Ls[s + 1:]):
+            raise ValueError("matrix is not lower triangular with diagonal entries +-1")
+        row = [0] * len(L)
+        row[s] = 1
+        for t in range(s):
+            if Ls[t]:
+                row = [a - Ls[t] * b for a, b in zip(row, inv[t])]
+        inv.append([Ls[s] * x for x in row])  # 1/d = d for d = +-1
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +439,10 @@ def skew_normal_form(H):
     # exact verification of the congruence identity
     target = block_diag(*([[[0, m], [-m, 0]] for m in mult] + [zeros(n - s, n - s)])) if n else []
     if n and not mat_eq(mat_mul(transpose(Q), mat_mul(H, Q)), target):
-        raise AssertionError("skew normal form verification failed")
+        raise CrossCheckFailed("skew normal form verification failed")
     for a, b in zip(mult, mult[1:]):
         if b % a != 0:
-            raise AssertionError("skew multipliers do not form a divisibility chain")
+            raise CrossCheckFailed("skew multipliers do not form a divisibility chain")
     return nf
 
 

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import weyl, wiring
+from .intlinalg import CrossCheckFailed
 
 
 class InvalidType(ValueError):
@@ -64,7 +65,8 @@ def is_pivot(u, a, I, k):
                 break
         if good:
             witnesses.append(c)
-    assert len(witnesses) <= 1, "pivot witness is not unique"
+    if len(witnesses) > 1:
+        raise CrossCheckFailed(f"pivot witness is not unique: {witnesses}")
     return witnesses[0] if witnesses else None
 
 
@@ -104,14 +106,17 @@ class PivotCertificate:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            word=weyl.parse_word(data["word"]),
-            order=tuple(data["order"]),
-            claims=tuple(
-                PivotClaim(a_expr=c["a_expr"], elem_expr=c["elem_expr"])
-                for c in data["claims"]
-            ),
-        )
+        try:
+            return cls(
+                word=weyl.parse_word(data["word"]),
+                order=tuple(data["order"]),
+                claims=tuple(
+                    PivotClaim(a_expr=c["a_expr"], elem_expr=c["elem_expr"])
+                    for c in data["claims"]
+                ),
+            )
+        except KeyError as exc:
+            raise ValueError(f"certificate lacks field {exc.args[0]!r}") from None
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2)
@@ -255,7 +260,8 @@ def auto_certificate_disjoint(datum, word):
 
 def _row(pair, word, order, a_exprs, elem_exprs):
     m = len(word)
-    assert len(a_exprs) == len(elem_exprs) == m
+    if len(a_exprs) != m or len(elem_exprs) != m:
+        raise CrossCheckFailed(f"table row {pair}: claim counts do not match the word length")
     return {
         "cell": pair,
         "certificate": PivotCertificate(

@@ -19,15 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg, weyl
+from .intlinalg import CrossCheckFailed
 from .weyl import NonReducedWord
 
 
 class InvalidString(ValueError):
     pass
-
-
-class CrossCheckFailed(RuntimeError):
-    """Internal consistency failure between two independent computations."""
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,8 @@ class StringMatrices:
     PhiTilde: list = field(default=None)  # 2m x (n+m), Z-equivalent generator matrix
 
 
-def string_matrices(datum, word):
-    """Exact structural matrices of the localized algebra for a double word."""
-    word = tuple(word)
-    weyl.split_double_word(datum, word)  # validates; raises NonReducedWord
+def _torus_matrices(datum, word):
+    """(D, Omega, Lambda, H) of a double word, without validating the word."""
     n = datum.n
     m = len(word)
     letters = [abs(e) for e in word]
@@ -170,15 +165,6 @@ def string_matrices(datum, word):
         for s in range(m)
     ]
 
-    # Phi = [[Omega, Lambda], [0, I_m]]  (x-exponents on top, y-exponents below)
-    Phi = intlinalg.zeros(2 * m, n + m)
-    for s in range(m):
-        for t in range(n):
-            Phi[s][t] = Omega[s][t]
-        for t in range(m):
-            Phi[s][n + t] = Lambda[s][t]
-            Phi[m + s][n + t] = 1 if s == t else 0
-
     # H = [[0, Omega^T D], [-D Omega, Lambda^T D - D Lambda]]
     H = intlinalg.zeros(n + m, n + m)
     for i in range(n):
@@ -189,15 +175,31 @@ def string_matrices(datum, word):
     for k in range(m):
         for l in range(m):
             H[n + k][n + l] = Lambda[l][k] * D[l] - D[k] * Lambda[k][l]
+    return D, Omega, Lambda, H
 
-    # OmegaTilde = Lambda^{-1} Omega, exact (Lambda is unimodular triangular)
-    LambdaInvQ = intlinalg.invert_rational(Lambda)
-    LambdaInv = [[int(x) for x in row] for row in LambdaInvQ]
-    if not intlinalg.mat_eq(
-        intlinalg.mat_mul(Lambda, LambdaInv), intlinalg.identity(m) if m else []
-    ):
-        raise AssertionError("Lambda inverse is not integral")
-    OmegaTilde = intlinalg.mat_mul(LambdaInv, Omega) if m else []
+
+def string_matrices(datum, word):
+    """Exact structural matrices of the localized algebra for a double word."""
+    word = tuple(word)
+    weyl.split_double_word(datum, word)  # validates; raises NonReducedWord
+    n = datum.n
+    m = len(word)
+    D, Omega, Lambda, H = _torus_matrices(datum, word)
+
+    # Phi = [[Omega, Lambda], [0, I_m]]  (x-exponents on top, y-exponents below)
+    Phi = intlinalg.zeros(2 * m, n + m)
+    for s in range(m):
+        for t in range(n):
+            Phi[s][t] = Omega[s][t]
+        for t in range(m):
+            Phi[s][n + t] = Lambda[s][t]
+            Phi[m + s][n + t] = 1 if s == t else 0
+
+    # OmegaTilde = Lambda^{-1} Omega, exact (Lambda is unitriangular up to sign)
+    LambdaInv = intlinalg.invert_unitriangular(Lambda)
+    if not intlinalg.mat_eq(intlinalg.mat_mul(Lambda, LambdaInv), intlinalg.identity(m)):
+        raise CrossCheckFailed("Lambda * Lambda^-1 is not the identity")
+    OmegaTilde = intlinalg.mat_mul(LambdaInv, Omega)
 
     # PhiTilde = [[0, I_m], [OmegaTilde, Lambda^{-1}]]
     PhiTilde = intlinalg.zeros(2 * m, n + m)
@@ -291,7 +293,7 @@ def invariants(datum, word):
     if s == n and k != (m - d - s) // 2:
         raise CrossCheckFailed(f"full-support k mismatch: {k} != (m-d-s)/2")
 
-    mult = cprime_multipliers(datum, word)
+    mult = _cprime_multipliers(mats, n)
     if len(mult) != k:
         raise CrossCheckFailed(f"centralizer-complement multipliers {mult} do not match k={k}")
 
@@ -317,10 +319,11 @@ def cprime_multipliers(datum, word):
     generator lattice, of the diagonal sublattice under the skew form; the
     induced form's congruence normal form yields the multipliers.
     """
-    word = tuple(word)
-    mats = string_matrices(datum, word)
-    m = len(word)
-    n = datum.n
+    return _cprime_multipliers(string_matrices(datum, word), datum.n)
+
+
+def _cprime_multipliers(mats, n):
+    m = len(mats.word)
     if m == 0:
         return []
     G = _skew_gram(mats.D)

@@ -26,6 +26,27 @@ def exact_det(M):
     return det
 
 
+def fraction_rank(M):
+    """Rank by Gaussian elimination over Fractions (test oracle for the
+    fraction-free rank)."""
+    r, c = len(M), len(M[0]) if M else 0
+    A = [[Fraction(x) for x in row] for row in M]
+    rank = 0
+    for col in range(c):
+        piv = next((i for i in range(rank, r) if A[i][col] != 0), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        for i in range(rank + 1, r):
+            if A[i][col] != 0:
+                f = A[i][col] / A[rank][col]
+                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        rank += 1
+        if rank == r:
+            break
+    return rank
+
+
 @pytest.fixture(scope="session")
 def A1():
     return weyl.type_a(1)

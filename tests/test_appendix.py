@@ -79,5 +79,33 @@ def test_congruence_random_a3(A3):
         assert rep["ok"], (word, rep)
 
 
+def test_congruence_check_builds_word_matrices_once_per_sign_class(monkeypatch, A3):
+    calls = []
+    real = ac.build_word_matrices
+
+    def counting(datum, word):
+        calls.append(word)
+        return real(datum, word)
+
+    monkeypatch.setattr(ac, "build_word_matrices", counting)
+    monkeypatch.setattr(ac.strings, "string_matrices", None)  # the torus H is built without it
+    for word in ((), (1, -2, 3, -1, 2)):
+        calls.clear()
+        assert ac.congruence_check(A3, word)["ok"]
+        assert sorted(calls) == sorted(ac._sign_class_words(word))
+
+
+def test_public_h_tilde_and_script_h_are_congruent(A3):
+    rng = random.Random(15)
+    for _ in range(20):
+        word = random_double_word(A3, rng, 6)
+        plus, minus = ac._sign_class_words(word)
+        P = intlinalg.block_diag(ac.build_word_matrices(A3, plus).P,
+                                 ac.build_word_matrices(A3, minus).P, intlinalg.identity(3))
+        Ht, Hs = ac.h_tilde(A3, word), ac.script_h(A3, word)
+        assert intlinalg.is_skew_symmetric(Ht) and intlinalg.is_skew_symmetric(Hs)
+        assert intlinalg.mat_mul(intlinalg.transpose(P), intlinalg.mat_mul(Ht, P)) == Hs
+
+
 def test_sign_class_extraction_preserves_order():
     assert ac._sign_class_words((1, -2, 3, -1, 2)) == ((1, 3, 2), (2, 1))

@@ -102,6 +102,14 @@ def test_pivots_check_certificate_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_pivots_check_certificate_without_claims(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"word": "-1,1", "order": [1, 2]}))
+    code, out, err = run(capsys, "pivots", "check", "--rank", "1", "--cert", str(path))
+    assert code == 2
+    assert "'claims'" in err and "Traceback" not in err
+
+
 def test_pivots_auto(capsys):
     code, out, _ = run(capsys, "pivots", "auto", "--rank", "2", "--word", "-1,2")
     assert code == 0
@@ -160,6 +168,15 @@ def test_module_act(capsys):
     assert len(data) == 1 and data[0]["n"] == [-1, -1]
 
 
+def test_module_act_vector_item_without_coeff(capsys):
+    code, out, err = run(
+        capsys, "module", "act", "--rank", "1", "--word", "-1,1", "--expr", "x11",
+        "--vector", '[{"n": [0, 0]}]',
+    )
+    assert code == 2
+    assert "'coeff'" in err and out == ""
+
+
 def test_module_act_with_specialized_params(capsys):
     # y-type action picks up the specialized gamma_1 = -1/2 q^2
     vector = json.dumps([{"n": [1, 0], "coeff": [{"q": 0, "gamma": [], "num": 1, "den": 1}]}])
@@ -185,6 +202,36 @@ def test_internal_cross_check_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "cross-check" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,target,fake",
+    [
+        # a wrong Lambda inverse fails the Lambda * Lambda^-1 = I check
+        (["analyze", "--rank", "2", "--word", "1,2,1,-1,-2"], "invert_unitriangular",
+         lambda L: [[0] * len(L) for _ in L]),
+        # the Q^T H Q check of the skew normal form sees a mismatch
+        (["normal-form", "--kind", "skew", "--file", "{matrix}"], "mat_eq", lambda A, B: False),
+    ],
+)
+def test_failed_self_verification_exits_3(monkeypatch, tmp_path, capsys, argv, target, fake):
+    from qck import intlinalg
+
+    path = tmp_path / "m.json"
+    path.write_text("[[0, 2], [-2, 0]]")
+    monkeypatch.setattr(intlinalg, target, fake)
+    code, out, err = run(capsys, *[a.format(matrix=path) for a in argv])
+    assert code == 3
+    assert "cross-check" in err and out == ""
+
+
+def test_verify_lemma_checks_only_the_given_word(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "lemma", "--rank", "2", "--word", "1,2")
+    assert code == 0
+    assert json.loads(out) == [{"word": "1,2", "ok": True}]
+    assert "1/1 pass" in err
+    code, out, err = run(capsys, "verify", "--suite", "lemma", "--rank", "2", "--word", "1,-2")
+    assert code == 2 and out == ""
 
 
 def test_verify_suites(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import exact_det as _det
+from conftest import fraction_rank
 from qck import intlinalg as la
 
 
@@ -59,6 +60,57 @@ def test_rank_and_kernel_examples():
     kb = la.kernel_basis([[1, 1], [1, 1]])
     assert len(kb) == 1
     assert sorted(abs(x) for x in kb[0]) == [1, 1] and sum(kb[0]) == 0
+
+
+def test_bareiss_rank_matches_fraction_rank():
+    rng = random.Random(41)
+    cases = [[], [[]], [[], []], la.zeros(1, 4), la.zeros(5, 3), la.identity(6),
+             [[2, 4], [3, 6]], [[0, 0, 1], [0, 0, 2], [1, 0, 0]]]
+    for _ in range(150):
+        r, c = rng.randint(1, 4), rng.randint(5, 9)  # wide
+        cases.append(_random_matrix(rng, r, c, -3, 3))
+        cases.append(_random_matrix(rng, c, r, -3, 3))  # tall
+        big = 10 ** rng.randint(10, 40)
+        cases.append(_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -big, big))
+        # low rank: a product through a thin inner dimension, with zero rows mixed in
+        k = rng.randint(1, 3)
+        low = la.mat_mul(_random_matrix(rng, 6, k), _random_matrix(rng, k, 7))
+        low[rng.randrange(6)] = [0] * 7
+        cases.append(low)
+    for M in cases:
+        assert la.rank_over_Q(M) == fraction_rank(M), M
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(42)
+    # a row list cannot hold a 0 x c matrix with c > 0, so a zero inner
+    # dimension comes with an empty B
+    shapes = [(0, 0, 0), (2, 0, 0), (3, 2, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+    for ra, ca, cb in shapes:
+        A = _random_matrix(rng, ra, ca, -9, 9) if ca else [[] for _ in range(ra)]
+        B = _random_matrix(rng, ca, cb, -9, 9)
+        naive = [[0] * cb for _ in range(ra)]
+        for i in range(ra):
+            for j in range(cb):
+                for k in range(ca):
+                    naive[i][j] += A[i][k] * B[k][j]
+        assert la.mat_mul(A, B) == naive
+    with pytest.raises(ValueError):
+        la.mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_invert_unitriangular_matches_invert_rational():
+    rng = random.Random(43)
+    assert la.invert_unitriangular([]) == []
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        L = [[rng.randint(-4, 4) if t < s else rng.choice((1, -1)) if t == s else 0
+              for t in range(n)] for s in range(n)]
+        assert la.invert_unitriangular(L) == la.invert_rational(L)
+    for bad in ([[2]], [[1, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            la.invert_unitriangular(bad)
 
 
 def test_kernel_saturated_and_exact():

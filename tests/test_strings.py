@@ -113,6 +113,35 @@ def test_lambda_unimodular_and_h_skew(A3):
         assert intlinalg.is_skew_symmetric(mats.H)
 
 
+def test_lambda_inverse_matches_fraction_inverse(A3):
+    from conftest import random_double_word
+
+    rng = random.Random(12)
+    for datum in (A3, weyl.type_a(4)):
+        for _ in range(25):
+            word = random_double_word(datum, rng, 10)
+            mats = strings.string_matrices(datum, word)
+            m, n = len(word), datum.n
+            inv = intlinalg.invert_unitriangular(mats.Lambda)
+            assert inv == intlinalg.invert_rational(mats.Lambda)
+            assert [row[n:] for row in mats.PhiTilde[m:]] == inv
+
+
+def test_invariants_builds_string_matrices_once(monkeypatch, A3):
+    calls = []
+    real = strings.string_matrices
+
+    def counting(datum, word):
+        calls.append(word)
+        return real(datum, word)
+
+    monkeypatch.setattr(strings, "string_matrices", counting)
+    for word in ((), (1, 2, -1), (1, 2, 1, 3, -2, -1)):
+        calls.clear()
+        strings.invariants(A3, word)
+        assert calls == [word]
+
+
 def test_h_matches_q_commute_of_generator_strings(A2):
     word = (1, 2, 1, -1, -2)
     mats = strings.string_matrices(A2, word)
