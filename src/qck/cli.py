@@ -136,7 +136,7 @@ def cmd_normal_form(args):
         text = sys.stdin.read()
     text = text.strip()
     if text.startswith("["):
-        M = json.loads(text)
+        M = _int_matrix(json.loads(text))
     else:
         M = intlinalg.parse_matrix_text(text)
     if args.kind == "smith":
@@ -153,6 +153,21 @@ def cmd_normal_form(args):
         payload = {"multipliers": nf.multipliers, "zero_dim": nf.zero_dim, "Q": nf.Q}
         _emit(payload, f"skew: multipliers {nf.multipliers}, radical {nf.zero_dim}")
     return EXIT_OK
+
+
+def _int_matrix(data):
+    """A JSON matrix: a list of equal-length lists of ints (bools excluded)."""
+    if not isinstance(data, list):
+        raise ValueError("matrix must be a JSON list of rows")
+    for r, row in enumerate(data):
+        if not isinstance(row, list):
+            raise ValueError(f"matrix row {r} is {row!r}, not a list")
+        if len(row) != len(data[0]):
+            raise ValueError(f"matrix row {r} has {len(row)} entries, row 0 has {len(data[0])}")
+        for c, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"matrix entry ({r}, {c}) is {x!r}, not an integer")
+    return data
 
 
 def _parse_params(text, m):

@@ -57,11 +57,6 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def mat_add(A, B):
-    r, c = shape(A)
-    return [[A[i][j] + B[i][j] for j in range(c)] for i in range(r)]
-
-
 def mat_neg(A):
     return [[-x for x in row] for row in A]
 

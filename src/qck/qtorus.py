@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add, mul
 
 from . import intlinalg
 from .intlinalg import NotSkewSymmetric
@@ -31,14 +32,6 @@ def coeff_one():
 
 def coeff_qpow(e, mult=1):
     return {(e, ()): mult} if mult else {}
-
-
-def coeff_scalar(value, qexp=0, gamma=()):
-    value = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    gamma = tuple(gamma)
-    if not any(gamma):
-        gamma = ()
-    return {(qexp, gamma): value} if value else {}
 
 
 def coeff_add(c1, c2):
@@ -208,15 +201,13 @@ class QTorusElement:
         """Product with normal ordering: on monomials
         (x^a y^b)(x^a' y^b') = q^{-b^T D a'} x^{a+a'} y^{b+b'}."""
         self._check_compatible(other)
-        D = self.D
+        right = other.terms.items()
         terms = {}
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                shift = -sum(b * d * a for b, d, a in zip(b1, D, a2))
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
+            bD = tuple(map(mul, b1, self.D))
+            for (a2, b2), c2 in right:
+                shift = -sum(map(mul, bD, a2))
+                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
                 c = coeff_shift(coeff_mul(c1, c2), shift)
                 merged = coeff_add(terms.get(key, {}), c)
                 if merged:

@@ -343,11 +343,7 @@ def verify_tensor_relations(datum, word, N, params=None, include_det=True):
 
     mod = TensorModule(datum, word, params=params)
     n1 = datum.n + 1
-    g = {
-        (i, j): wiring.generator_image(datum, word, i, j)
-        for i in range(1, n1 + 1)
-        for j in range(1, n1 + 1)
-    }
+    g = wiring.generator_images(datum, word)
     instances = []
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):

@@ -11,10 +11,18 @@ The image of the generator x_ij is the sum of weights of paths from level i
 to level j; the image of a quantum minor is the sum of weights of
 vertex-disjoint path families (the quantum Lindstrom lemma), with the
 permutation expansion of the minor kept alongside as an independent oracle.
+
+All (n+1)^2 generator images of a word come from one left-to-right transfer
+pass over its columns (the planar-network view of Fomin-Zelevinsky), kept for
+the most recent (datum, word) only: a sweep over one word's minors and
+relations builds them once.  Path enumeration (`enumerate_paths` with
+`path_weight`) stays as the independent oracle for that pass.  The diagrams
+are type A only; every entry point that takes a datum rejects other data.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,6 +62,8 @@ def build_diagram(n, word):
 
 def torus_diagonal(datum, word):
     """Diagonal of D_i~ for the word's tensor torus."""
+    if not datum.is_type_a:
+        raise ValueError("wiring diagrams need a type-A root datum")
     return tuple(datum.d[abs(e) - 1] for e in word)
 
 
@@ -109,19 +119,53 @@ def path_weight(diagram, path, D):
     return QTorusElement.monomial(len(cols), D, tuple(a), tuple(b))
 
 
+@functools.lru_cache(maxsize=1)
+def _transfer(datum, word):
+    """(D, {(i, j): image of x_ij}) from one left-to-right pass over the columns,
+    kept for the most recent (datum, word); callers must not mutate the images.
+
+    A partial weight is a full-length exponent pair whose slots for the columns
+    still to come are 0, so column k only rewrites slot k of the weights ending
+    on its two crossing levels; every other level carries weight 1 through it.
+    Two paths part at some column by moves of different weights, so every
+    weight in an image is one path's, with coefficient 1.
+    """
+    columns = build_diagram(datum.n, word).columns
+    D = torus_diagonal(datum, word)
+    n1 = datum.n + 1
+    zero = (0,) * len(word)
+    # ends[i][level]: weights (a, b) of the paths from level i to `level`
+    ends = {i: {lv: [(zero, zero)] if lv == i else [] for lv in range(1, n1 + 1)}
+            for i in range(1, n1 + 1)}
+    for k, (crossing, sign) in enumerate(columns):
+        for paths in ends.values():
+            step = {crossing: [], crossing + 1: []}
+            for level in (crossing, crossing + 1):
+                for nxt, (x, y) in _column_moves(level, crossing, sign):
+                    step[nxt] += [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:])
+                                  for a, b in paths[level]]
+            paths.update(step)
+    images = {}
+    for i, paths in ends.items():
+        for j, weights in paths.items():
+            images[(i, j)] = elem = QTorusElement(len(word), D)
+            elem.terms = {w: {(0, ()): 1} for w in weights}
+    return D, images
+
+
+def generator_images(datum, word):
+    """{(i, j): image of x_ij} for every pair of levels, as fresh elements."""
+    _D, images = _transfer(datum, tuple(word))
+    return {ij: QTorusElement(e.m, e.D, e.terms) for ij, e in images.items()}
+
+
 def generator_image(datum, word, i, j):
     """Image of x_ij: the sum of path weights from level i to level j."""
-    word = tuple(word)
     n = datum.n
     if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
         raise IndexError(f"generator indices ({i},{j}) out of range 1..{n + 1}")
-    diagram = build_diagram(n, word)
-    D = torus_diagonal(datum, word)
-    m = len(word)
-    out = QTorusElement.zero(m, D)
-    for path in enumerate_paths(diagram, i, j):
-        out = out + path_weight(diagram, path, D)
-    return out
+    e = _transfer(datum, tuple(word))[1][(i, j)]
+    return QTorusElement(e.m, e.D, e.terms)
 
 
 def enumerate_families(diagram, A, B):
@@ -191,12 +235,11 @@ def minor_image_oracle(datum, word, A, B):
     B = sorted(set(B))
     if len(A) != len(B):
         raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
-    D = torus_diagonal(datum, word)
+    for lv in itertools.chain(A, B):
+        if not 1 <= lv <= datum.n + 1:
+            raise IndexError(f"level {lv} out of range")
+    D, gens = _transfer(datum, word)
     m = len(word)
-    gens = {}
-    for i in A:
-        for j in B:
-            gens[(i, j)] = generator_image(datum, word, i, j)
     out = QTorusElement.zero(m, D)
     k = len(A)
     for tau in itertools.permutations(range(k)):
@@ -355,13 +398,8 @@ def verify_relations(datum, word):
     images; returns a list of (description, ok) pairs."""
     word = tuple(word)
     n1 = datum.n + 1
-    D = torus_diagonal(datum, word)
+    D, g = _transfer(datum, word)
     q = coeff_qpow(1)
-    g = {
-        (i, j): generator_image(datum, word, i, j)
-        for i in range(1, n1 + 1)
-        for j in range(1, n1 + 1)
-    }
     report = []
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):
@@ -387,42 +425,6 @@ def verify_relations(datum, word):
     det = quantum_determinant_image(datum, word)
     report.append(("det_q = 1", det == QTorusElement.one(len(word), D)))
     return report
-
-
-def restrict_last_column(datum, word, i, j):
-    """The recursion step for deleting the last column: expresses the image on
-    the full word through images on the truncated word."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    short = word[:-1]
-    e = word[-1]
-    c = abs(e)
-    D = torus_diagonal(datum, word)
-    m = len(word)
-
-    def extend(elem, a_last, b_last):
-        out = QTorusElement.zero(m, D)
-        for (a, b), coeff in elem.terms.items():
-            out = out + QTorusElement.monomial(m, D, a + (a_last,), b + (b_last,), coeff)
-        return out
-
-    if e > 0:
-        # positive letter: paths may enter level c+1 through the diagonal
-        if j == c:
-            return extend(generator_image(datum, short, i, j), 1, 0)
-        if j == c + 1:
-            return extend(generator_image(datum, short, i, j), -1, 0) + extend(
-                generator_image(datum, short, i, j - 1), 0, 1
-            )
-        return extend(generator_image(datum, short, i, j), 0, 0)
-    if j == c + 1:
-        return extend(generator_image(datum, short, i, j), -1, 0)
-    if j == c:
-        return extend(generator_image(datum, short, i, j), 1, 0) + extend(
-            generator_image(datum, short, i, j + 1), 0, 1
-        )
-    return extend(generator_image(datum, short, i, j), 0, 0)
 
 
 # ---------------------------------------------------------------------------

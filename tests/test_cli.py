@@ -137,6 +137,25 @@ def test_normal_form_skew_json_input(tmp_path, capsys):
     assert data["multipliers"] == [2] and data["zero_dim"] == 0
 
 
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        ("[[0,1.5],[-1.5,0]]", "entry (0, 1) is 1.5"),
+        ("[[0,true],[-1,0]]", "entry (0, 1) is True"),
+        ("[1,2]", "row 0 is 1"),
+        ('[[0,"a"],["a",0]]', "entry (0, 1) is 'a'"),
+        ("[[0,1],[-1]]", "row 1 has 1 entries"),
+    ],
+)
+def test_normal_form_rejects_non_integer_json_matrix(tmp_path, capsys, matrix, named):
+    path = tmp_path / "m.json"
+    path.write_text(matrix)
+    for kind in ("smith", "skew"):
+        code, out, err = run(capsys, "normal-form", "--kind", kind, "--file", str(path))
+        assert code == 2 and out == ""
+        assert named in err and "Traceback" not in err
+
+
 def test_module_verify_kinds(capsys):
     code, out, _ = run(
         capsys, "module", "verify", "--kind", "HighestWeight", "--truncate", "10"

@@ -192,18 +192,109 @@ def test_generator_terms_are_weight_strings(A2, A3):
                         assert ws.end(datum) == mu
 
 
-def test_column_locality(A2, A3):
-    rng = random.Random(30)
-    for datum in (A2, A3):
-        for _ in range(8):
-            word = random_double_word(datum, rng, 6)
-            if not word:
-                continue
-            for i in range(1, datum.n + 2):
-                for j in range(1, datum.n + 2):
-                    assert wiring.restrict_last_column(
-                        datum, word, i, j
-                    ) == wiring.generator_image(datum, word, i, j)
+def _path_sum(datum, word, i, j):
+    """Image of x_ij by path enumeration: the oracle for the transfer pass."""
+    diagram = wiring.build_diagram(datum.n, word)
+    D = wiring.torus_diagonal(datum, word)
+    out = QTorusElement.zero(len(word), D)
+    for path in wiring.enumerate_paths(diagram, i, j):
+        out = out + wiring.path_weight(diagram, path, D)
+    return out
+
+
+def test_transfer_pass_matches_path_sums():
+    rng = random.Random(4)
+    for rank in (1, 2, 3, 4):
+        datum = weyl.type_a(rank)
+        levels = range(1, rank + 2)
+        letters = [e for e in range(-rank, rank + 1) if e]
+        for length in range(11):
+            for _ in range(2):
+                word = tuple(rng.choice(letters) for _ in range(length))
+                images = wiring.generator_images(datum, word)
+                assert set(images) == set(itertools.product(levels, levels))
+                for (i, j), img in images.items():
+                    assert img.terms == _path_sum(datum, word, i, j).terms, (word, i, j)
+
+
+def test_images_follow_the_latest_word(A2, A3):
+    first, second = REF_WORD, (2, -1, 1)
+    expected = {w: {(i, j): _path_sum(A2, w, i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+                for w in (first, second)}
+    for word in (first, second, first):
+        assert wiring.generator_images(A2, word) == expected[word]
+        assert wiring.generator_image(A2, word, 1, 2) == expected[word][(1, 2)]
+    # the same word under another datum is another torus
+    assert len(wiring.generator_images(A3, first)) == 16
+    assert wiring.generator_image(A2, first, 3, 3) == expected[first][(3, 3)]
+
+
+def test_returned_images_are_fresh(A2):
+    expected = _path_sum(A2, REF_WORD, 1, 2)
+    for img in (
+        wiring.generator_image(A2, REF_WORD, 1, 2),
+        wiring.generator_images(A2, REF_WORD)[(1, 2)],
+    ):
+        for coeff in img.terms.values():
+            coeff[(0, ())] = 7
+        img.terms.clear()
+    assert wiring.generator_image(A2, REF_WORD, 1, 2) == expected
+    assert wiring.generator_images(A2, REF_WORD)[(1, 2)] == expected
+    assert wiring.expression_image(A2, REF_WORD, "x12") == expected
+    assert wiring.minor_image_oracle(A2, REF_WORD, (1,), (2,)) == expected
+
+
+def test_one_transfer_pass_and_no_path_search_per_word(A3, monkeypatch):
+    paths = []
+
+    def counting(*args):
+        paths.append(args)
+        return enumerate_paths(*args)
+
+    enumerate_paths = wiring.enumerate_paths
+    monkeypatch.setattr(wiring, "enumerate_paths", counting)
+    wiring.generator_images(A3, ())  # the memo now holds another word
+    passes = wiring._transfer.cache_info().misses
+    word = (2, -1, 3, 1, -2, -3)
+    minors = [(A, B) for k in (1, 2) for A in itertools.combinations((1, 2, 3, 4), k)
+              for B in itertools.combinations((1, 2, 3, 4), k)]
+    for A, B in minors:
+        wiring.minor_image(A3, word, A, B)
+    wiring.expression_image(A3, word, "minor(12|23)")
+    assert wiring._transfer.cache_info().misses == passes  # minors need no pass
+    for A, B in minors:
+        wiring.minor_image_oracle(A3, word, A, B)
+    assert all(ok for _name, ok in wiring.verify_relations(A3, word))
+    wiring.expression_image(A3, word, "x12 * x21")
+    assert wiring._transfer.cache_info().misses == passes + 1
+    assert paths == []
+
+
+def test_non_type_a_data_rejected(A2):
+    b2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    word = (1, 2)
+    wiring.generator_images(A2, word)  # the type-A images of the same word
+    for call in (
+        lambda: wiring.torus_diagonal(b2, word),
+        lambda: wiring.generator_image(b2, word, 1, 2),
+        lambda: wiring.generator_images(b2, word),
+        lambda: wiring.minor_image(b2, word, (1,), (2,)),
+        lambda: wiring.minor_image_oracle(b2, word, (1,), (2,)),
+        lambda: wiring.quantum_determinant_image(b2, word),
+        lambda: wiring.expression_image(b2, word, "x12"),
+        lambda: wiring.verify_relations(b2, word),
+    ):
+        with pytest.raises(ValueError, match="type-A"):
+            call()
+
+
+def test_out_of_range_levels_rejected(A2):
+    with pytest.raises(IndexError):
+        wiring.generator_image(A2, REF_WORD, 4, 1)
+    with pytest.raises(IndexError):
+        wiring.minor_image_oracle(A2, REF_WORD, (0,), (1,))
+    with pytest.raises(IndexError):
+        wiring.expression_image(A2, REF_WORD, "x14")
 
 
 def test_expression_grammar(A2):
