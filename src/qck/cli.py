@@ -135,7 +135,7 @@ def cmd_normal_form(args):
     else:
         text = sys.stdin.read()
     text = text.strip()
-    if text.startswith("["):
+    if text.startswith(("[", "{", '"')):
         M = _int_matrix(json.loads(text))
     else:
         M = intlinalg.parse_matrix_text(text)
@@ -158,7 +158,7 @@ def cmd_normal_form(args):
 def _int_matrix(data):
     """A JSON matrix: a list of equal-length lists of ints (bools excluded)."""
     if not isinstance(data, list):
-        raise ValueError("matrix must be a JSON list of rows")
+        raise ValueError(f"a JSON matrix must be a list of rows, not a {type(data).__name__}")
     for r, row in enumerate(data):
         if not isinstance(row, list):
             raise ValueError(f"matrix row {r} is {row!r}, not a list")
@@ -342,7 +342,10 @@ def build_parser():
     m2.add_argument("--kind", choices=slq2_tensor.KINDS, default="Laurent")
     m2.add_argument("--tensor", action="store_true")
     m2.add_argument("--word", default="")
-    m2.add_argument("--truncate", type=int, default=20)
+    m2.add_argument("--truncate", type=int, default=20,
+                    help="rank-1: check indices -N..N; --tensor: every n is checked at "
+                         "once, N sets only the reported ball max|n_k| <= N and the "
+                         "failure search")
     m2.add_argument("--gamma", default="", help="rational:q-exponent")
     m2.add_argument("--eta", default="")
     m2.add_argument("--params", default="")

@@ -355,9 +355,11 @@ def skew_normal_form(H):
     Finds unimodular Q with Q^T H Q = diag(m1*S, ..., ml*S, 0, ..., 0),
     S = [[0,1],[-1,0]], and m1 | m2 | ... | ml positive.
     """
+    n, c = shape(H)
+    if n != c:
+        raise NotSkewSymmetric(f"matrix is {n}x{c}, not square")
     if not is_skew_symmetric(H):
         raise NotSkewSymmetric("matrix is not skew-symmetric")
-    n = shape(H)[0]
     A = copy_matrix(H)
     Q = identity(n)
 

@@ -17,6 +17,7 @@ subtorus, and the 2-generator torus factors of the centralizer complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from . import intlinalg, weyl
 from .intlinalg import CrossCheckFailed
@@ -361,33 +362,23 @@ def psi_matrix(datum, word):
     word = tuple(word)
     w1, w2, _ = weyl.split_double_word(datum, word)
     n = datum.n
-    m = len(word)
     W1 = weyl.weyl_matrix(datum, w1)
     W2 = weyl.weyl_matrix(datum, w2)
     top = [[W1[t][s] for t in range(n)] for s in range(n)]  # (w1(omega_s), alpha_t^vee)
     bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
-    prefix_minus = ()
-    prefix_plus = ()
+    # w(omega_s) for each sign class's prefix w; appending s_i moves only
+    # omega_i: w s_i(omega_i) = w(omega_i) - w(alpha_i)
+    omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
+    imgs = {False: omegas, True: list(omegas)}
     for e in word:
         i = abs(e)
-        if e < 0:
-            prefix_minus = prefix_minus + (i,)
-            imgs = [
-                weyl.apply_word(datum, prefix_minus, weyl.fundamental_weight(datum, s + 1))
-                for s in range(n)
-            ]
-            for s in range(n):
-                top[s].append(weyl.pairing(imgs[s], i))
-                bot[s].append(0)
-        else:
-            prefix_plus = prefix_plus + (i,)
-            imgs = [
-                weyl.apply_word(datum, prefix_plus, weyl.fundamental_weight(datum, s + 1))
-                for s in range(n)
-            ]
-            for s in range(n):
-                top[s].append(0)
-                bot[s].append(weyl.pairing(imgs[s], i))
+        cur = imgs[e > 0]
+        alpha = datum.simple_root(i)  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
+        w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*cur)]
+        cur[i - 1] = tuple(map(sub, cur[i - 1], w_alpha))
+        for s in range(n):
+            top[s].append(weyl.pairing(cur[s], i) if e < 0 else 0)
+            bot[s].append(0 if e < 0 else weyl.pairing(cur[s], i))
     return [top[s] for s in range(n)] + [bot[s] for s in range(n)]
 
 
@@ -411,19 +402,11 @@ def reduced_psi_matrix(datum, word):
     word = tuple(word)
     n = datum.n
     cols = []
-    prefix_minus = ()  # reduced words of the sign-class prefixes
-    prefix_plus = ()
+    # (w^{sgn})^{-1}(omega_s) for each sign class's prefix, one reflection per letter
+    omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
+    imgs = {False: omegas, True: list(omegas)}
     for e in word:
-        if e < 0:
-            prefix_minus = prefix_minus + (-e,)
-            w = prefix_minus
-        else:
-            prefix_plus = prefix_plus + (e,)
-            w = prefix_plus
-        winv = tuple(reversed(w))
-        col = []
-        for s in range(1, n + 1):
-            img = weyl.apply_word(datum, winv, weyl.fundamental_weight(datum, s))
-            col.append(weyl.pairing(img, abs(e)))
-        cols.append(col)
+        i = abs(e)
+        imgs[e > 0] = [weyl.reflect(datum, i, mu) for mu in imgs[e > 0]]
+        cols.append([weyl.pairing(mu, i) for mu in imgs[e > 0]])
     return [[cols[t][s] for t in range(len(word))] for s in range(n)]

@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from qck import weyl
+from qck import slq2_tensor as sq
+from qck import weyl, wiring
+from qck.qtorus import coeff_mul, coeff_qpow
 
 
 def exact_det(M):
@@ -45,6 +48,80 @@ def fraction_rank(M):
         if rank == r:
             break
     return rank
+
+
+def ball_tensor_relations(datum, word, N, params=None, include_det=True):
+    """The tensor relation suite acted out on every basis vector with
+    max |n_k| <= N (test oracle for the formal-Z check of
+    slq2_tensor.verify_tensor_relations)."""
+    mod = sq.TensorModule(datum, word, params=params)
+    n1 = datum.n + 1
+    g = wiring.generator_images(datum, word)
+    instances = []
+    for i in range(1, n1 + 1):
+        for j in range(1, n1 + 1):
+            for l in range(j + 1, n1 + 1):
+                instances.append((f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}",
+                                  [(g[(i, j)], g[(i, l)])], [(g[(i, l)], g[(i, j)])], 1))
+            for k in range(i + 1, n1 + 1):
+                instances.append((f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}",
+                                  [(g[(i, j)], g[(k, j)])], [(g[(k, j)], g[(i, j)])], 1))
+    for i in range(1, n1 + 1):
+        for k in range(i + 1, n1 + 1):
+            for j in range(1, n1 + 1):
+                for l in range(j + 1, n1 + 1):
+                    instances.append((f"x{i}{l} x{k}{j} = x{k}{j} x{i}{l}",
+                                      [(g[(i, l)], g[(k, j)])], [(g[(k, j)], g[(i, l)])], 0))
+
+    failures = []
+    ball = list(itertools.product(range(-N, N + 1), repeat=mod.m))
+    for n in ball:
+        base = mod.basis_vector(n)
+        acted = {}
+
+        def act2(u1, u2):
+            key = (id(u1), id(u2))
+            if key not in acted:
+                acted[key] = mod.element_action(u1, mod.element_action(u2, base))
+            return acted[key]
+
+        for name, lhs_pairs, rhs_pairs, qexp in instances:
+            lhs = {}
+            for u1, u2 in lhs_pairs:
+                lhs = sq._vec_merge(lhs, act2(u1, u2))
+            rhs = {}
+            for u1, u2 in rhs_pairs:
+                rhs = sq._vec_merge(rhs, act2(u1, u2))
+            if qexp:
+                rhs = {key: coeff_mul(c, coeff_qpow(qexp)) for key, c in rhs.items()}
+            if not sq._vec_eq(lhs, rhs):
+                failures.append((name, n))
+        # [x_ij, x_kl] = (q - q^{-1}) x_il x_kj for i<k, j<l
+        for i in range(1, n1 + 1):
+            for k in range(i + 1, n1 + 1):
+                for j in range(1, n1 + 1):
+                    for l in range(j + 1, n1 + 1):
+                        lhs = sq._vec_sub(act2(g[(i, j)], g[(k, l)]),
+                                          act2(g[(k, l)], g[(i, j)]))
+                        mid = act2(g[(i, l)], g[(k, j)])
+                        rhs = sq._vec_sub(
+                            {key: coeff_mul(c, coeff_qpow(1)) for key, c in mid.items()},
+                            {key: coeff_mul(c, coeff_qpow(-1)) for key, c in mid.items()},
+                        )
+                        if not sq._vec_eq(lhs, rhs):
+                            failures.append((f"[x{i}{j}, x{k}{l}] commutator", n))
+        if include_det:
+            det = {}
+            for tau in itertools.permutations(range(n1)):
+                inv = weyl.inversion_count(tau)
+                term = dict(base)
+                for s in range(n1 - 1, -1, -1):
+                    term = mod.element_action(g[(s + 1, tau[s] + 1)], term)
+                term = {key: coeff_mul(c, {(inv, ()): (-1) ** inv}) for key, c in term.items()}
+                det = sq._vec_merge(det, term)
+            if not sq._vec_eq(det, base):
+                failures.append(("det_q = 1", n))
+    return {"ok": not failures, "failures": failures[:20], "checked": len(ball)}
 
 
 @pytest.fixture(scope="session")

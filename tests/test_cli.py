@@ -156,6 +156,24 @@ def test_normal_form_rejects_non_integer_json_matrix(tmp_path, capsys, matrix, n
         assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "matrix, kinds, named",
+    [
+        ("[[]]", ("skew",), "matrix is 1x0, not square"),
+        ("[[0, 1, 2], [-1, 0, 3]]", ("skew",), "matrix is 2x3, not square"),
+        ('{"a":1}', ("smith", "skew"), "a JSON matrix must be a list of rows, not a dict"),
+        ('"x"', ("smith", "skew"), "a JSON matrix must be a list of rows, not a str"),
+    ],
+)
+def test_normal_form_names_the_fault(tmp_path, capsys, matrix, kinds, named):
+    path = tmp_path / "m.json"
+    path.write_text(matrix)
+    for kind in kinds:
+        code, out, err = run(capsys, "normal-form", "--kind", kind, "--file", str(path))
+        assert code == 2 and out == ""
+        assert named in err and "Traceback" not in err
+
+
 def test_module_verify_kinds(capsys):
     code, out, _ = run(
         capsys, "module", "verify", "--kind", "HighestWeight", "--truncate", "10"

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from conftest import random_double_word
+from conftest import ball_tensor_relations, random_double_word
 from qck import slq2_tensor as sq
-from qck import strings, wiring
-from qck.qtorus import coeff_mul, coeff_qpow
+from qck import strings, weyl, wiring
+from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow, coeff_shift
 
 
 def test_typical_action_examples():
@@ -158,6 +158,102 @@ def test_tensor_relations_specialized_parameters(A1, A2):
     assert rep["ok"]
     rep = sq.verify_tensor_relations(A2, (-1, 2), 2, params=[{(-3, ()): 1}, None])
     assert rep["ok"]
+
+
+def test_formal_check_agrees_with_ball_oracle(A1, A2, A3):
+    # every rank-1 and rank-2 double word of length <= 3 at N = 2, plus a
+    # seeded sample of length-4 words in ranks 2 and 3 at N = 1
+    cases = [(datum, word, 2) for datum in (A1, A2) for word in weyl.all_double_words(datum, 3)]
+    rng = random.Random(5)
+    for datum in (A2, A3):
+        words = [w for w in weyl.all_double_words(datum, 4) if len(w) == 4]
+        cases += [(datum, word, 1) for word in rng.sample(words, 2)]
+    for datum, word, N in cases:
+        rep = sq.verify_tensor_relations(datum, word, N)
+        assert rep == ball_tensor_relations(datum, word, N), word
+        assert rep["ok"] and rep["checked"] == (2 * N + 1) ** len(word)
+
+
+def test_formal_check_edge_truncations(A1, A2):
+    specialised = [{(1, ()): 2}, {(0, ()): -1}]
+    for datum, word, N, params in (
+        (A2, (), 2, None), (A2, (), -1, None), (A2, (1,), -1, None),
+        (A1, (-1, 1), 0, specialised), (A2, (-1, 2), 3, [{(-3, ()): 1}, None]),
+    ):
+        rep = sq.verify_tensor_relations(datum, word, N, params=params)
+        assert rep == ball_tensor_relations(datum, word, N, params=params), (word, N)
+
+
+def _corrupt(label, how):
+    """wiring.generator_images with the image of x_label corrupted."""
+    images = wiring.generator_images
+
+    def corrupted(datum, word):
+        g = images(datum, word)
+        u = g[label]
+        if how == "q":  # x11 -> q x11
+            g[label] = QTorusElement(u.m, u.D, {k: coeff_shift(c, 1) for k, c in u.terms.items()})
+        elif how == "y":  # y -> y + y^2 in every monomial
+            terms = dict(u.terms)
+            for (a, b), c in u.terms.items():
+                if any(b):
+                    terms[(a, tuple(2 * x for x in b))] = c
+            g[label] = QTorusElement(u.m, u.D, terms)
+        else:  # u -> u + u (y_2 - q^{-2}), which vanishes on part of the ball
+            z = (0,) * u.m
+            y2 = QTorusElement.monomial(u.m, u.D, z, (0, 1) + z[2:])
+            g[label] = u + u * (y2 + QTorusElement.monomial(u.m, u.D, z, z, {(-2, ()): -1}))
+        return g
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "rank, word, N, label, how, params",
+    [
+        (2, (1, 2, 1, -1), 1, (1, 1), "q", None),
+        (2, (1, 2, 1, -1), 1, (1, 2), "y", None),
+        (2, (-1, 2, 1), 1, (2, 2), "y", None),
+        (3, (-2, 3), 1, (1, 1), "q", None),
+        (1, (-1, 1), 3, (2, 2), "vanishing", [{(0, ()): 1}, {(0, ()): 1}]),
+    ],
+)
+def test_corrupted_images_fail_like_the_oracle(monkeypatch, rank, word, N, label, how, params):
+    datum = weyl.type_a(rank)
+    monkeypatch.setattr(wiring, "generator_images", _corrupt(label, how))
+    rep = sq.verify_tensor_relations(datum, word, N, params=params)
+    assert not rep["ok"] and rep["failures"]
+    assert rep == ball_tensor_relations(datum, word, N, params=params)
+    if how == "vanishing":  # the substitution decides per vector which relations fail
+        per_n = {}
+        for name, n in rep["failures"]:
+            per_n.setdefault(n, set()).add(name)
+        assert len({frozenset(names) for names in per_n.values()}) > 1
+
+
+def test_formal_check_work_does_not_grow_with_N(monkeypatch, A2):
+    calls = []
+    action = sq.TensorModule.element_action
+
+    def counted(self, u, vec):
+        calls.append(1)
+        return action(self, u, vec)
+
+    monkeypatch.setattr(sq.TensorModule, "element_action", counted)
+    counts = []
+    for N in (1, 6):
+        calls.clear()
+        assert sq.verify_tensor_relations(A2, (1, 2, 1, -1), N)["ok"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_tensor_module_rejects_non_type_a():
+    B2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    with pytest.raises(ValueError, match="type-A"):
+        sq.TensorModule(B2, (1, 2))
+    with pytest.raises(ValueError, match="type-A"):
+        sq.verify_tensor_relations(B2, (1, 2), 1)
 
 
 def test_weight_space_examples(A1, A2):

@@ -244,3 +244,37 @@ def test_psi_check_all_s3_pairs(A2):
             word = tuple(-i for i in u1) + u2
             ok, _ = strings.psi_check(A2, word)
             assert ok, word
+
+
+def _psi_matrices_by_apply_word(datum, word):
+    """Both Psi matrices with every prefix image rebuilt by weyl.apply_word
+    (test oracle for the prefix walk of psi_matrix and reduced_psi_matrix)."""
+    w1, w2, _ = weyl.split_double_word(datum, word)
+    n = datum.n
+    W1, W2 = weyl.weyl_matrix(datum, w1), weyl.weyl_matrix(datum, w2)
+    top = [[W1[t][s] for t in range(n)] for s in range(n)]
+    bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
+    prefixes = {-1: (), 1: ()}
+    cols = []
+    for e in word:
+        i, sign = abs(e), (1 if e > 0 else -1)
+        prefixes[sign] += (i,)
+        w = prefixes[sign]
+        omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
+        for s in range(n):
+            pair = weyl.pairing(weyl.apply_word(datum, w, omegas[s]), i)
+            top[s].append(pair if sign < 0 else 0)
+            bot[s].append(0 if sign < 0 else pair)
+        cols.append([weyl.pairing(weyl.apply_word(datum, w[::-1], mu), i) for mu in omegas])
+    reduced = [[cols[t][s] for t in range(len(word))] for s in range(n)]
+    return top + bot, reduced
+
+
+def test_psi_prefix_walk_matches_apply_word(A3):
+    B2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
+    for datum, max_len in ((A3, 5), (B2, 8), (G2, 6)):
+        for word in weyl.all_double_words(datum, max_len):
+            psi, reduced = _psi_matrices_by_apply_word(datum, word)
+            assert strings.psi_matrix(datum, word) == psi, word
+            assert strings.reduced_psi_matrix(datum, word) == reduced, word
