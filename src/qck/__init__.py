@@ -7,9 +7,11 @@ associated integer matrices, and machine-checkable pivot-element
 certificates.
 """
 
+# `cli` is left out: `python -m qck.cli` would otherwise find it imported
+# before runpy runs it, warn, and execute it twice; `from qck import cli`
+# still works
 from . import (  # noqa: F401
     appendix_congruence,
-    cli,
     intlinalg,
     pivots,
     qtorus,

@@ -191,9 +191,13 @@ def congruence_check(datum, word):
     """Verify, exactly: (a) Q^T Ht Q = script-H with Q = diag(P+, P-, I_n),
     (b) rank script-H = l(w1) + l(w2) + rank(w1 - w2), (c) the skew
     congruence multipliers of Ht, script-H, and the torus commutation matrix
-    H(i~) all agree (a complete congruence invariant, stronger than rank)."""
+    H(i~) all agree (a complete congruence invariant, stronger than rank).
+
+    Q is unitriangular, hence unimodular, so once (a) holds Ht has
+    script-H's multipliers; Ht's own normal form is computed only when (a)
+    fails."""
     word = tuple(word)
-    w1, w2, _ = weyl.split_double_word(datum, word)
+    ctx = strings._context(datum, word)
     plus, minus = _sign_class_words(word)
     mp = build_word_matrices(datum, plus)
     mm = build_word_matrices(datum, minus)
@@ -205,16 +209,11 @@ def congruence_check(datum, word):
     )
 
     rank_script = intlinalg.rank_over_Q(Hs)
-    diff = [
-        [a - b for a, b in zip(r1, r2)]
-        for r1, r2 in zip(weyl.weyl_matrix(datum, w1), weyl.weyl_matrix(datum, w2))
-    ]
-    rank_expected = len(w1) + len(w2) + intlinalg.rank_over_Q(diff)
+    rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
 
-    mult_ht = intlinalg.skew_multipliers(Ht)
     mult_hs = intlinalg.skew_multipliers(Hs)
-    _, _, _, torus_H = strings._torus_matrices(datum, word)
-    mult_torus = intlinalg.skew_multipliers(torus_H)
+    mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(Ht)
+    mult_torus = intlinalg.skew_multipliers(ctx.H)
 
     return {
         "word": word,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import appendix_congruence, intlinalg, pivots, slq2_tensor, strings, weyl, wiring
 from .strings import CrossCheckFailed
@@ -183,13 +184,19 @@ def _parse_params(text, m):
         k = int(name[1:]) - 1
         if not 0 <= k < m:
             raise ValueError(f"parameter {name} out of range")
-        num, _, qexp = value.partition(":")
-        from fractions import Fraction
-
-        c = Fraction(num)
-        e = int(qexp) if qexp else 0
-        params[k] = {(e, ()): c if c.denominator != 1 else c.numerator}
+        params[k] = _param(value)
     return params
+
+
+def _param(value):
+    """'rational:q-exponent' as the coefficient c q^e."""
+    num, _, qexp = value.partition(":")
+    try:
+        c = Fraction(num)
+    except ZeroDivisionError:
+        raise ValueError(f"parameter {value!r} has denominator 0") from None
+    e = int(qexp) if qexp else 0
+    return {(e, ()): c if c.denominator != 1 else c.numerator}
 
 
 def cmd_module(args):
@@ -226,23 +233,12 @@ def cmd_module(args):
         return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
     spec = slq2_tensor.TypicalModuleSpec(
         kind=args.kind,
-        gamma=_single_param(args.gamma),
-        eta=_single_param(args.eta),
+        gamma=_param(args.gamma) if args.gamma else None,
+        eta=_param(args.eta) if args.eta else None,
     )
     rep = slq2_tensor.verify_typical_relations(spec, args.truncate)
     _emit(rep, f"{args.kind} relations: {'PASS' if rep['ok'] else 'FAIL'}")
     return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
-
-
-def _single_param(text):
-    if not text:
-        return None
-    from fractions import Fraction
-
-    num, _, qexp = text.partition(":")
-    c = Fraction(num)
-    e = int(qexp) if qexp else 0
-    return {(e, ()): c if c.denominator != 1 else c.numerator}
 
 
 def _coeff_json(c):

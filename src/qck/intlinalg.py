@@ -6,13 +6,21 @@ matrices, saturated integer kernels, rank over Q by fraction-free (Bareiss)
 elimination, unitriangular inverses by forward substitution, column-style
 Hermite form, and the congruence normal form of skew-symmetric integer
 matrices.
+
+Products build each output row as a combination of the rows of the right
+factor, skipping zero coefficients: the matrices here are block-sparse or
+unitriangular.  Both normal forms pick as pivot the first entry of least
+nonzero absolute value and stop looking at the first unit, which no later
+entry can beat.  The skew normal form verifies Q^T H Q on its strict upper
+triangle: H is checked to be skew on entry, so Q^T H Q is skew too and that
+triangle decides the identity exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, sub
 
 
 class NotSkewSymmetric(ValueError):
@@ -48,13 +56,26 @@ def transpose(M):
     return [[M[i][j] for i in range(r)] for j in range(c)]
 
 
+def _combine(coeffs, rows, width):
+    """sum_k coeffs[k] * rows[k][:width], skipping zero coefficients (most
+    of the nonzero ones are units)."""
+    acc = [0] * width
+    for a, row in zip(coeffs, rows):
+        if a == 1:
+            acc = list(map(add, acc, row))
+        elif a == -1:
+            acc = list(map(sub, acc, row))
+        elif a:
+            acc = [x + a * y for x, y in zip(acc, row)]
+    return acc
+
+
 def mat_mul(A, B):
     ra, ca = shape(A)
     rb, cb = shape(B)
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+    return [_combine(row, B, cb) for row in A]
 
 
 def mat_neg(A):
@@ -199,6 +220,22 @@ def invert_unitriangular(L):
 # Smith normal form
 
 
+def _least_nonzero(A, rows, first_col):
+    """(i, j) of the first entry, scanning A[i][first_col(i):] for i in rows,
+    of least nonzero absolute value; None if all are 0.  A unit ends the
+    scan, since no later entry can be strictly smaller."""
+    best, least = None, 0
+    for i in rows:
+        row = A[i]
+        for j in range(first_col(i), len(row)):
+            v = row[j]
+            if v and (best is None or abs(v) < least):
+                best, least = (i, j), abs(v)
+                if least == 1:
+                    return best
+    return best
+
+
 def smith_normal_form(M):
     """(U, D, V) with U M V = D, U, V unimodular, D diagonal, d1 | d2 | ...
 
@@ -232,12 +269,7 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(r, c):
-        # locate a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
+        best = _least_nonzero(D, range(t, r), lambda i: t)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -366,8 +398,7 @@ def skew_normal_form(H):
     def col_add(i, j, f):  # col_i += f*col_j, with the congruent row op
         for row in A:
             row[i] += f * row[j]
-        for k in range(n):
-            A[i][k] += f * A[j][k]
+        A[i] = [a + f * b for a, b in zip(A[i], A[j])]
         for row in Q:
             row[i] += f * row[j]
 
@@ -381,11 +412,7 @@ def skew_normal_form(H):
     s = 0
     while s + 1 < n:
         # minimal nonzero entry in the trailing block
-        best = None
-        for i in range(s, n):
-            for j in range(i + 1, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+        best = _least_nonzero(A, range(s, n), lambda i: i + 1)
         if best is None:
             break
         i0, j0 = best
@@ -433,14 +460,25 @@ def skew_normal_form(H):
 
     mult = [A[i][i + 1] for i in range(0, s, 2)]
     nf = SkewNormalForm(Q=Q, multipliers=mult, zero_dim=n - s)
-    # exact verification of the congruence identity
-    target = block_diag(*([[[0, m], [-m, 0]] for m in mult] + [zeros(n - s, n - s)])) if n else []
-    if n and not mat_eq(mat_mul(transpose(Q), mat_mul(H, Q)), target):
-        raise CrossCheckFailed("skew normal form verification failed")
+    _verify_skew_form(H, nf)
     for a, b in zip(mult, mult[1:]):
         if b % a != 0:
             raise CrossCheckFailed("skew multipliers do not form a divisibility chain")
     return nf
+
+
+def _verify_skew_form(H, nf):
+    """Exact check of Q^T H Q = diag(m1 S, ..., ml S, 0) for a skew H.
+
+    Q^T H Q is skew, so its strict upper triangle decides it.  Column j of
+    that triangle (rows i < j) is row j of (HQ)^T Q cut at column j.
+    """
+    target = block_diag(*[[[0, m], [-m, 0]] for m in nf.multipliers],
+                        zeros(nf.zero_dim, nf.zero_dim))
+    HQ = mat_mul(H, nf.Q)
+    upper = [_combine(col, nf.Q, j) for j, col in enumerate(zip(*HQ))]
+    if not mat_eq(upper, [[target[i][j] for i in range(j)] for j in range(len(H))]):
+        raise CrossCheckFailed("skew normal form verification failed")
 
 
 def skew_multipliers(H):

@@ -16,6 +16,8 @@ subtorus, and the 2-generator torus factors of the centralizer complement.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from operator import mul, sub
 
@@ -179,13 +181,55 @@ def _torus_matrices(datum, word):
     return D, Omega, Lambda, H
 
 
+@dataclass(frozen=True, eq=False)
+class _WordContext:
+    """What invariants, psi_check and congruence_check share for one double
+    word: its split, the Weyl matrices W1 and W2 and rank(W1 - W2), the torus
+    matrices, and (built on first use) the string matrices.  Held in the
+    one-entry memo of `_context`, so nothing in it may be mutated."""
+
+    datum: weyl.RootDatum
+    word: tuple
+    w1: tuple
+    w2: tuple
+    supp: frozenset
+    W1: list
+    W2: list
+    rank_diff: int  # rank over Q of W1 - W2
+    D: tuple
+    Omega: list
+    Lambda: list
+    H: list
+
+    @functools.cached_property
+    def mats(self):
+        return _string_matrices(self)
+
+
+@functools.lru_cache(maxsize=1)
+def _context(datum, word):
+    """The `_WordContext` of a tuple word, kept for the most recent
+    (datum, word); raises NonReducedWord as split_double_word does."""
+    w1, w2, supp = weyl.split_double_word(datum, word)
+    W1 = weyl.weyl_matrix(datum, w1)
+    W2 = weyl.weyl_matrix(datum, w2)
+    rank_diff = intlinalg.rank_over_Q(
+        [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(W1, W2)]
+    )
+    return _WordContext(datum, word, w1, w2, supp, W1, W2, rank_diff,
+                        *_torus_matrices(datum, word))
+
+
 def string_matrices(datum, word):
-    """Exact structural matrices of the localized algebra for a double word."""
-    word = tuple(word)
-    weyl.split_double_word(datum, word)  # validates; raises NonReducedWord
-    n = datum.n
-    m = len(word)
-    D, Omega, Lambda, H = _torus_matrices(datum, word)
+    """Exact structural matrices of the localized algebra for a double word,
+    as a fresh copy."""
+    return copy.deepcopy(_context(datum, tuple(word)).mats)
+
+
+def _string_matrices(ctx):
+    n = ctx.datum.n
+    m = len(ctx.word)
+    D, Omega, Lambda, H = ctx.D, ctx.Omega, ctx.Lambda, ctx.H
 
     # Phi = [[Omega, Lambda], [0, I_m]]  (x-exponents on top, y-exponents below)
     Phi = intlinalg.zeros(2 * m, n + m)
@@ -217,7 +261,7 @@ def string_matrices(datum, word):
     Theta = [[col[i] for col in theta_cols] for i in range(n)]
 
     return StringMatrices(
-        word=word,
+        word=ctx.word,
         D=D,
         Omega=Omega,
         Lambda=Lambda,
@@ -259,8 +303,9 @@ def invariants(datum, word):
     theory proves equal disagreed, i.e. an implementation bug.
     """
     word = tuple(word)
-    w1, w2, supp = weyl.split_double_word(datum, word)
-    mats = string_matrices(datum, word)
+    ctx = _context(datum, word)
+    mats = ctx.mats
+    supp = ctx.supp
     m = len(word)
     n = datum.n
 
@@ -275,7 +320,7 @@ def invariants(datum, word):
     rank_H = intlinalg.rank_over_Q(mats.H)
     d = m + n - rank_H
 
-    dk = weyl.ker_rank(datum, w1, w2)
+    dk = n - ctx.rank_diff  # dim ker(w1 - w2)
     if d != dk:
         raise CrossCheckFailed(f"d = m+n-rank H = {d} but dim ker(w1-w2) = {dk}")
     if rank_H != m + (n - dk):
@@ -320,7 +365,7 @@ def cprime_multipliers(datum, word):
     generator lattice, of the diagonal sublattice under the skew form; the
     induced form's congruence normal form yields the multipliers.
     """
-    return _cprime_multipliers(string_matrices(datum, word), datum.n)
+    return _cprime_multipliers(_context(datum, tuple(word)).mats, datum.n)
 
 
 def _cprime_multipliers(mats, n):
@@ -360,10 +405,9 @@ def psi_matrix(datum, word):
     """The 2n x (n+m) block matrix whose nonzero Smith invariant factors being
     1 certifies that the central generators extend to a lattice basis."""
     word = tuple(word)
-    w1, w2, _ = weyl.split_double_word(datum, word)
+    ctx = _context(datum, word)
     n = datum.n
-    W1 = weyl.weyl_matrix(datum, w1)
-    W2 = weyl.weyl_matrix(datum, w2)
+    W1, W2 = ctx.W1, ctx.W2
     top = [[W1[t][s] for t in range(n)] for s in range(n)]  # (w1(omega_s), alpha_t^vee)
     bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
     # w(omega_s) for each sign class's prefix w; appending s_i moves only

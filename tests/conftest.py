@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from qck import intlinalg
 from qck import slq2_tensor as sq
-from qck import weyl, wiring
+from qck import strings, weyl, wiring
 from qck.qtorus import coeff_mul, coeff_qpow
 
 
@@ -48,6 +50,37 @@ def fraction_rank(M):
         if rank == r:
             break
     return rank
+
+
+def dense_mat_mul(A, B):
+    """Every entry as the dot product of a row of A and a column of B (test
+    oracle for intlinalg.mat_mul, which skips zero entries of A)."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def full_scan_pivot(A, rows, first_col):
+    """The first entry of least nonzero absolute value among A[i][first_col(i):],
+    i in rows, found by scanning every entry (test oracle for
+    intlinalg._least_nonzero, which stops at the first unit)."""
+    best = None
+    for i in rows:
+        for j in range(first_col(i), len(A[i])):
+            if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def full_skew_verification(H, nf):
+    """True iff Q^T H Q equals the normal form, with both products and the
+    comparison done in full (test oracle for the upper-triangle check of
+    intlinalg.skew_normal_form)."""
+    n = len(H)
+    mult = nf.multipliers
+    target = intlinalg.block_diag(*([[[0, m], [-m, 0]] for m in mult]
+                                    + [intlinalg.zeros(nf.zero_dim, nf.zero_dim)]))
+    Q = nf.Q
+    return not n or dense_mat_mul(intlinalg.transpose(Q), dense_mat_mul(H, Q)) == target
 
 
 def ball_tensor_relations(datum, word, N, params=None, include_det=True):
@@ -165,3 +198,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_word_context():
+    """Start each test with an empty per-word memo, so that a layer a test
+    replaces is really called and call counts do not depend on test order."""
+    strings._context.cache_clear()

@@ -109,3 +109,36 @@ def test_public_h_tilde_and_script_h_are_congruent(A3):
 
 def test_sign_class_extraction_preserves_order():
     assert ac._sign_class_words((1, -2, 3, -1, 2)) == ((1, 3, 2), (2, 1))
+
+
+def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep():
+    """The cross-check congruence_check now skips once Q^T Ht Q = script-H
+    holds (Q is unimodular): Ht's own skew normal form, on C5's words."""
+    for rank in (1, 2, 3):
+        datum = weyl.type_a(rank)
+        for word in weyl.all_double_words(datum, 6):
+            plus, minus = ac._sign_class_words(word)
+            mp, mm = ac.build_word_matrices(datum, plus), ac.build_word_matrices(datum, minus)
+            assert (intlinalg.skew_multipliers(ac._h_tilde(rank, mp, mm))
+                    == intlinalg.skew_multipliers(ac._script_h(rank, mp, mm))), (rank, word)
+
+
+@pytest.mark.parametrize("scale,agree", [(2, False), (-1, True)])
+def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, agree):
+    # scale * Ht: Q^T (scale Ht) Q = scale * script-H fails (a); its
+    # multipliers are |scale| times script-H's, so (c) fails only for scale 2
+    real_h_tilde = ac._h_tilde
+    monkeypatch.setattr(ac, "_h_tilde", lambda n, mp, mm: [
+        [scale * x for x in row] for row in real_h_tilde(n, mp, mm)])
+    seen = []
+    real_multipliers = intlinalg.skew_multipliers
+    monkeypatch.setattr(intlinalg, "skew_multipliers",
+                        lambda H: seen.append(H) or real_multipliers(H))
+    word = (1, 2, -1, 3, -2)
+    rep = ac.congruence_check(A3, word)
+    plus, minus = ac._sign_class_words(word)
+    fake_ht = ac._h_tilde(3, ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus))
+    assert fake_ht in seen and len(seen) == 3
+    assert not rep["q_congruence"] and not rep["ok"]
+    assert rep["multipliers_agree"] is agree
+    assert rep["multipliers"] == real_multipliers(ac.script_h(A3, word))

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +316,39 @@ def test_image_golden_files(capsys, expr, golden):
     )
     assert code == 0
     assert out == path.read_text()  # byte-identical: canonical term order
+
+
+def test_module_verify_gamma_parameter(capsys):
+    code, out, err = run(
+        capsys, "module", "verify", "--kind", "Laurent", "--gamma", "1/2:1", "--truncate", "3",
+    )
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "failures": [], "range": [-3, 3]}
+    assert err == "Laurent relations: PASS\n"
+    assert cli._param("1/2:1") == {(1, ()): Fraction(1, 2)}
+    assert cli._param("-3") == {(0, ()): -3}
+
+
+@pytest.mark.parametrize("value", ["x", "1:x", "1/0"])
+def test_module_verify_malformed_gamma_exits_2(capsys, value):
+    code, out, err = run(capsys, "module", "verify", "--kind", "Laurent", "--gamma", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_python_m_qck_cli_runs_without_runpy_warning():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "qck.cli", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "usage: qck" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_module_act_zero_denominator_param_exits_2(capsys):
+    code, out, err = run(
+        capsys, "module", "act", "--rank", "1", "--word", "-1,1", "--expr", "x11",
+        "--vector", '[{"n": [0, 0], "coeff": []}]', "--params", "g1=1/0",
+    )
+    assert code == 2 and out == ""
+    assert "denominator 0" in err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qck import appendix_congruence as ac
 from qck import intlinalg, qtorus, strings, weyl
 from qck.strings import WeightString, constant_string
 
@@ -129,16 +130,17 @@ def test_lambda_inverse_matches_fraction_inverse(A3):
 
 def test_invariants_builds_string_matrices_once(monkeypatch, A3):
     calls = []
-    real = strings.string_matrices
+    real = strings._string_matrices
 
-    def counting(datum, word):
-        calls.append(word)
-        return real(datum, word)
+    def counting(ctx):
+        calls.append(ctx.word)
+        return real(ctx)
 
-    monkeypatch.setattr(strings, "string_matrices", counting)
+    monkeypatch.setattr(strings, "_string_matrices", counting)
     for word in ((), (1, 2, -1), (1, 2, 1, 3, -2, -1)):
         calls.clear()
         strings.invariants(A3, word)
+        strings.invariants(A3, word)  # the second call reads the memo
         assert calls == [word]
 
 
@@ -278,3 +280,44 @@ def test_psi_prefix_walk_matches_apply_word(A3):
             psi, reduced = _psi_matrices_by_apply_word(datum, word)
             assert strings.psi_matrix(datum, word) == psi, word
             assert strings.reduced_psi_matrix(datum, word) == reduced, word
+
+
+def test_one_word_builds_its_context_once(monkeypatch, A3):
+    """invariants, psi_check and congruence_check share one context per word:
+    two Weyl matrices, one set of torus matrices, three skew normal forms
+    (the centralizer's, script-H's and the torus H's)."""
+    counts = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((weyl, "weyl_matrix"), (weyl, "split_double_word"),
+                        (strings, "_torus_matrices"), (intlinalg, "skew_normal_form")):
+        counting(owner, name)
+    word = (1, 2, -1, 3, -2, 1)
+    strings.invariants(A3, word)
+    strings.psi_check(A3, word)
+    ac.congruence_check(A3, word)
+    assert counts == {"weyl_matrix": 2, "split_double_word": 1,
+                      "_torus_matrices": 1, "skew_normal_form": 3}
+
+
+def test_string_matrices_hands_out_a_copy(A3):
+    word = (1, 2, -1, 3, -2, 1)
+
+    def results():
+        return (strings.invariants(A3, word), strings.psi_check(A3, word),
+                ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
+
+    before, first = strings.string_matrices(A3, word), results()
+    mats = strings.string_matrices(A3, word)
+    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "Theta", "PhiTilde"):
+        for row in getattr(mats, name):
+            row[:] = [x + 7 for x in row]
+    assert strings.string_matrices(A3, word) == before
+    assert results() == first
