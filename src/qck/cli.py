@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import appendix_congruence, intlinalg, pivots, slq2_tensor, strings, weyl, wiring
+from .qtorus import accumulate, coeff_from_json, coeff_to_json, json_fields
 from .strings import CrossCheckFailed
 
 EXIT_OK = 0
@@ -207,18 +208,9 @@ def cmd_module(args):
             datum, word, params=_parse_params(args.params, len(word))
         )
         elem = wiring.expression_image(datum, word, args.expr)
-        vec = {}
-        for item in json.loads(args.vector):
-            from .qtorus import coeff_from_json
-
-            try:
-                n, coeff = item["n"], item["coeff"]
-            except KeyError as exc:
-                raise ValueError(f"--vector item lacks field {exc.args[0]!r}") from None
-            vec[tuple(n)] = coeff_from_json(coeff)
-        out = mod.element_action(elem, vec)
+        out = mod.element_action(elem, _vector(mod, json.loads(args.vector)))
         payload = [
-            {"n": list(n), "coeff": _coeff_json(c)} for n, c in sorted(out.items())
+            {"n": list(n), "coeff": coeff_to_json(c)} for n, c in sorted(out.items())
         ]
         _emit(payload, f"action result with {len(out)} basis term(s)")
         return EXIT_OK
@@ -241,10 +233,16 @@ def cmd_module(args):
     return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
 
 
-def _coeff_json(c):
-    from .qtorus import coeff_to_json
-
-    return coeff_to_json(c)
+def _vector(mod, data):
+    """The module vector of --vector, a list of {"n": [...], "coeff": [...]}
+    items; items with equal n add up."""
+    if not isinstance(data, list):
+        raise ValueError(f"--vector is {data!r}, not a list of items")
+    vec = {}
+    for item in data:
+        n, coeff = json_fields(item, "--vector item", n="ints", coeff=list)
+        accumulate(vec, mod.basis_vector(n, coeff_from_json(coeff)).items())
+    return vec
 
 
 def cmd_verify(args):

@@ -19,7 +19,6 @@ triangle decides the identity exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 
 
@@ -86,13 +85,6 @@ def mat_eq(A, B):
     return shape(A) == shape(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def mat_vec(M, v):
-    r, c = shape(M)
-    if c != len(v):
-        raise ValueError("shape mismatch")
-    return [sum(M[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
 def block_diag(*blocks):
     rows = sum(shape(b)[0] for b in blocks)
     cols = sum(shape(b)[1] for b in blocks)
@@ -143,61 +135,6 @@ def rank_over_Q(M):
         if rank == r:
             break
     return rank
-
-
-def solve_rational(A, rhs):
-    """Solve A x = rhs exactly over Q; returns None if inconsistent.
-
-    When the solution is not unique an arbitrary solution (free variables 0)
-    is returned.
-    """
-    r, c = shape(A)
-    M = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(A)]
-    pivots = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for i in range(r):
-            if i != row and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    for i in range(row, r):
-        if M[i][c] != 0:
-            return None
-    x = [Fraction(0)] * c
-    for i, col in enumerate(pivots):
-        x[col] = M[i][c]
-    return x
-
-
-def invert_rational(M):
-    """Exact inverse of a square matrix, entries as Fractions."""
-    n, m = shape(M)
-    if n != m:
-        raise ValueError("not square")
-    A = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[col])]
-    return [row[n:] for row in A]
 
 
 def invert_unitriangular(L):
@@ -499,7 +436,3 @@ def parse_matrix_text(text):
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows in matrix input")
     return rows
-
-
-def format_matrix_text(M):
-    return "\n".join(" ".join(str(x) for x in row) for row in M)

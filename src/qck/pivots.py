@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import weyl, wiring
 from .intlinalg import CrossCheckFailed
+from .qtorus import json_fields
 
 
 class InvalidType(ValueError):
@@ -106,17 +107,15 @@ class PivotCertificate:
 
     @classmethod
     def from_json(cls, data):
-        try:
-            return cls(
-                word=weyl.parse_word(data["word"]),
-                order=tuple(data["order"]),
-                claims=tuple(
-                    PivotClaim(a_expr=c["a_expr"], elem_expr=c["elem_expr"])
-                    for c in data["claims"]
-                ),
-            )
-        except KeyError as exc:
-            raise ValueError(f"certificate lacks field {exc.args[0]!r}") from None
+        """The certificate written by to_json; malformed input raises
+        ValueError naming the field."""
+        word, order, claims = json_fields(data, "certificate", word=str, order="ints", claims=list)
+        return cls(
+            word=weyl.parse_word(word),
+            order=tuple(order),
+            claims=tuple(PivotClaim(*json_fields(c, "certificate claim", a_expr=str, elem_expr=str))
+                         for c in claims),
+        )
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2)

@@ -5,7 +5,14 @@ Z^m, where factor k satisfies x_k y_k = q^{d_k} y_k x_k.  Coefficients are
 Laurent polynomials in q over Q, optionally carrying monomials in formal
 parameters gamma_1, gamma_2, ...; they are stored as dicts mapping
 (q_exponent, gamma_exponent_tuple) to exact rationals (Python ints or
-Fractions).
+Fractions).  Zero coefficients are never stored, neither as a rational in
+a coefficient nor as an empty coefficient in a sum.
+
+Every sparse sum (torus terms, module vectors) is built by `accumulate`.
+The map it fills owns its coefficients: each is copied when it enters the
+map and updated in place afterwards, so start from an existing map m with
+`accumulate({}, m.items())`, never with `dict(m)`, whose coefficients would
+still be shared with m.
 """
 
 from __future__ import annotations
@@ -13,9 +20,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from operator import add, mul
-
-from . import intlinalg
-from .intlinalg import NotSkewSymmetric
 
 
 class ShapeMismatch(ValueError):
@@ -41,6 +45,27 @@ def coeff_add(c1, c2):
         if nv:
             out[key] = nv
         elif key in out:
+            del out[key]
+    return out
+
+
+def accumulate(out, items):
+    """Add the (key, coefficient) pairs of items into the sparse map out and
+    return out; a key whose coefficient sums to zero is dropped.  A
+    coefficient is copied on entry, then merged into in place."""
+    for key, c in items:
+        cur = out.get(key)
+        if cur is None:
+            if c:
+                out[key] = dict(c)
+            continue
+        for k, v in c.items():
+            nv = cur.get(k, 0) + v
+            if nv:
+                cur[k] = nv
+            else:
+                del cur[k]
+        if not cur:
             del out[key]
     return out
 
@@ -74,20 +99,12 @@ def coeff_shift(c, qshift):
     return {(e + qshift, g): v for (e, g), v in c.items()}
 
 
-def coeff_is_zero(c):
-    return not c
-
-
 def coeff_invert(c):
     """Inverse of an invertible coefficient (a single q-gamma monomial)."""
     if len(c) != 1:
         raise ValueError("coefficient is not a monomial, cannot invert")
     ((e, g), v), = c.items()
     return {(-e, tuple(-x for x in g)): Fraction(1, 1) / v}
-
-
-def coeff_eq(c1, c2):
-    return coeff_is_zero(coeff_add(c1, coeff_neg(c2)))
 
 
 def coeff_to_json(c):
@@ -100,18 +117,40 @@ def coeff_to_json(c):
 
 
 def coeff_from_json(data):
+    """The coefficient written by coeff_to_json; malformed input raises
+    ValueError naming the field."""
+    if not isinstance(data, list):
+        raise ValueError(f"a coefficient is a list of terms, not {data!r}")
     c = {}
     for item in data:
-        v = Fraction(item["num"], item["den"])
-        if v.denominator == 1:
-            v = v.numerator
-        gamma = tuple(item["gamma"])
-        if not any(gamma):
-            gamma = ()
-        key = (item["q"], gamma)
+        e, gamma, num, den = json_fields(item, "coefficient term",
+                                         q=int, gamma="ints", num=int, den=int)
+        if not den:
+            raise ValueError("coefficient term field 'den' is 0")
+        v = Fraction(num, den)
         if v:
-            c[key] = v
+            c[(e, tuple(gamma) if any(gamma) else ())] = v if v.denominator != 1 else v.numerator
     return c
+
+
+def json_fields(data, what, **kinds):
+    """The values of the named fields of the JSON object data, in order.  A
+    kind is int, str, list, or "ints" for a list of integers; a missing or
+    mistyped field raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {data!r} is not a JSON object")
+    values = []
+    for name, kind in kinds.items():
+        if name not in data:
+            raise ValueError(f"{what} lacks field {name!r}")
+        x = data[name]
+        if kind == "ints":
+            if not isinstance(x, list) or any(type(y) is not int for y in x):
+                raise ValueError(f"{what} field {name!r} is {x!r}, not a list of integers")
+        elif type(x) is not kind:
+            raise ValueError(f"{what} field {name!r} is {x!r}, not of type {kind.__name__}")
+        values.append(x)
+    return values
 
 
 def coeff_str(c):
@@ -153,8 +192,9 @@ class QTorusElement:
             for (a, b), c in terms.items():
                 if len(a) != m or len(b) != m:
                     raise ShapeMismatch("monomial length != factor count")
-                if not coeff_is_zero(c):
-                    self.terms[(tuple(a), tuple(b))] = dict(c)
+                c = {k: v for k, v in c.items() if v}  # store no zero rational
+                if c:
+                    self.terms[(tuple(a), tuple(b))] = c
 
     # -- constructors -------------------------------------------------------
 
@@ -178,15 +218,8 @@ class QTorusElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = {k: dict(c) for k, c in self.terms.items()}
-        for k, c in other.terms.items():
-            merged = coeff_add(terms.get(k, {}), c)
-            if merged:
-                terms[k] = merged
-            elif k in terms:
-                del terms[k]
         out = QTorusElement(self.m, self.D)
-        out.terms = terms
+        out.terms = accumulate(accumulate({}, self.terms.items()), other.terms.items())
         return out
 
     def __neg__(self):
@@ -202,20 +235,14 @@ class QTorusElement:
         (x^a y^b)(x^a' y^b') = q^{-b^T D a'} x^{a+a'} y^{b+b'}."""
         self._check_compatible(other)
         right = other.terms.items()
-        terms = {}
+        products = []
         for (a1, b1), c1 in self.terms.items():
             bD = tuple(map(mul, b1, self.D))
             for (a2, b2), c2 in right:
-                shift = -sum(map(mul, bD, a2))
-                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
-                c = coeff_shift(coeff_mul(c1, c2), shift)
-                merged = coeff_add(terms.get(key, {}), c)
-                if merged:
-                    terms[key] = merged
-                elif key in terms:
-                    del terms[key]
+                products.append(((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                                 coeff_shift(coeff_mul(c1, c2), -sum(map(mul, bD, a2)))))
         out = QTorusElement(self.m, self.D)
-        out.terms = terms
+        out.terms = accumulate({}, products)
         return out
 
     def scale(self, coeff):
@@ -225,9 +252,6 @@ class QTorusElement:
             if nc:
                 out.terms[k] = nc
         return out
-
-    def qpow_times(self, e):
-        return self.scale(coeff_qpow(e))
 
     def __pow__(self, k):
         if k < 0:
@@ -247,11 +271,8 @@ class QTorusElement:
     def __eq__(self, other):
         if not isinstance(other, QTorusElement):
             return NotImplemented
-        if self.m != other.m or self.D != other.D:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(coeff_eq(self.terms[k], other.terms[k]) for k in self.terms)
+        # no zero coefficient is stored, so equal elements have equal term maps
+        return self.m == other.m and self.D == other.D and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("QTorusElement is unhashable")
@@ -336,34 +357,3 @@ class QTorusElement:
             pre = "" if cs == "1" else f"({cs})*"
             parts.append(pre + "(" + " | ".join(mono) + ")")
         return " + ".join(parts)
-
-
-def is_unit(u):
-    """((a, b), coeff) when u is a unit (one term, invertible coefficient),
-    else None.  Alias for QTorusElement.as_unit."""
-    return u.as_unit()
-
-
-def q_commute_index(mono_u, mono_v, D):
-    """Exponent e with u v = q^e v u for monomials u = x^a y^b, v = x^a' y^b':
-    e = a^T D b' - a'^T D b."""
-    a, b = mono_u
-    a2, b2 = mono_v
-    return sum(x * d * y for x, d, y in zip(a, D, b2)) - sum(
-        x * d * y for x, d, y in zip(a2, D, b)
-    )
-
-
-def center_basis(H):
-    """Z-basis of the exponent lattice of the center: {v : H v = 0}."""
-    if not intlinalg.is_skew_symmetric(H):
-        raise NotSkewSymmetric("commutation matrix is not skew-symmetric")
-    return intlinalg.kernel_basis(H)
-
-
-def torus_decomposition(H):
-    """(multipliers, center_dim) of the quantum torus with commutation matrix
-    H: the torus splits as a tensor product of 2-generator tori L_{q^{m_i}}(2)
-    and a central Laurent-polynomial algebra of rank size - rank(H)."""
-    nf = intlinalg.skew_normal_form(H)
-    return list(nf.multipliers), nf.zero_dim

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
-from . import strings, weyl, wiring
+from . import weyl, wiring
 from .qtorus import (
+    accumulate,
     coeff_add,
     coeff_invert,
-    coeff_is_zero,
     coeff_mul,
     coeff_neg,
     coeff_qpow,
     coeff_shift,
+    coeff_str,
 )
 
 KINDS = ("Mminus", "Mplus", "Laurent", "HighestWeight", "LowestWeight")
@@ -40,15 +41,17 @@ class IndexOutOfDomain(IndexError):
     pass
 
 
-def _formal(index, nparams):
-    g = [0] * nparams
-    g[index] = 1
-    return {(0, tuple(g)): 1}
+def _check_param(name, p):
+    """A specialised parameter is one nonzero rational times a q-power, the
+    kind of coefficient coeff_invert inverts."""
+    if p is not None and (len(p) != 1 or any(g != () or not v for (_e, g), v in p.items())):
+        raise ValueError(f"parameter {name} = {coeff_str(p)} is not a nonzero rational "
+                         "times a power of q")
 
 
-def _formal_inv(index, nparams):
+def _formal(index, nparams, power=1):
     g = [0] * nparams
-    g[index] = -1
+    g[index] = power
     return {(0, tuple(g)): 1}
 
 
@@ -64,6 +67,8 @@ class TypicalModuleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown module kind {self.kind!r}")
+        _check_param("gamma", self.gamma)
+        _check_param("eta", self.eta)
 
     def gamma_coeff(self):
         return self.gamma if self.gamma is not None else _formal(0, 2)
@@ -74,12 +79,12 @@ class TypicalModuleSpec:
     def gamma_inv_coeff(self):
         if self.gamma is not None:
             return coeff_invert(self.gamma)
-        return _formal_inv(0, 2)
+        return _formal(0, 2, -1)
 
     def eta_inv_coeff(self):
         if self.eta is not None:
             return coeff_invert(self.eta)
-        return _formal_inv(1, 2)
+        return _formal(1, 2, -1)
 
     def index_domain(self):
         """(lo, hi) bounds with None for unbounded."""
@@ -133,7 +138,7 @@ def typical_action(spec, generator, i, d=1):
         if kind == "Laurent":
             ge = coeff_mul(spec.gamma_coeff(), spec.eta_coeff())
             c = coeff_add(coeff_qpow(0), coeff_mul(ge, qd(2 * i - 1)))
-            return [(i - 1, c)] if not coeff_is_zero(c) else []
+            return [(i - 1, c)] if c else []
         return [(i - 1, coeff_qpow(0))]
 
     if generator == "x22":
@@ -167,15 +172,8 @@ def typical_action(spec, generator, i, d=1):
 
 def apply_generator(spec, generator, vec, d=1):
     """Linear extension of typical_action to module vectors {index: coeff}."""
-    out = {}
-    for i, c in vec.items():
-        for j, ac in typical_action(spec, generator, i, d=d):
-            merged = coeff_add(out.get(j, {}), coeff_mul(c, ac))
-            if merged:
-                out[j] = merged
-            elif j in out:
-                del out[j]
-    return out
+    return accumulate({}, [(j, coeff_mul(c, ac)) for i, c in vec.items()
+                           for j, ac in typical_action(spec, generator, i, d=d)])
 
 
 def apply_word_of_generators(spec, gens, vec, d=1):
@@ -237,14 +235,7 @@ def verify_typical_relations(spec, N, d=1):
 
 
 def _vec_sub(v1, v2):
-    out = dict(v1)
-    for k, c in v2.items():
-        merged = coeff_add(out.get(k, {}), coeff_neg(c))
-        if merged:
-            out[k] = merged
-        elif k in out:
-            del out[k]
-    return out
+    return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])
 
 
 def _vec_eq(v1, v2):
@@ -269,6 +260,8 @@ class TensorModule:
             params = [None] * self.m
         if len(params) != self.m:
             raise ValueError("need one parameter per tensor factor")
+        for k, p in enumerate(params):
+            _check_param(f"g{k + 1}", p)
         self.params = list(params)
 
     def _gamma_power(self, b):
@@ -281,12 +274,9 @@ class TensorModule:
             if self.params[k] is None:
                 g[k] = bk
             else:
-                base = self.params[k]
-                pw = coeff_qpow(0)
-                c = base if bk > 0 else coeff_invert(base)
+                c = self.params[k] if bk > 0 else coeff_invert(self.params[k])
                 for _ in range(abs(bk)):
-                    pw = coeff_mul(pw, c)
-                extra = coeff_mul(extra, pw)
+                    extra = coeff_mul(extra, c)
         if any(g):
             extra = coeff_mul(extra, {(0, tuple(g)): 1})
         return extra
@@ -297,39 +287,30 @@ class TensorModule:
         if len(a) != self.m or len(b) != self.m:
             raise ValueError("monomial length != factor count")
         gcoeff = self._gamma_power(b)
-        D = self.D
-        out = {}
-        for n, c in vec.items():
-            qexp = sum(bk * dk * nk for bk, dk, nk in zip(b, D, n))
-            scal = coeff_mul(coeff_mul(c, gcoeff), coeff_qpow(qexp))
-            key = tuple(nk - ak for nk, ak in zip(n, a))
-            merged = coeff_add(out.get(key, {}), scal)
-            if merged:
-                out[key] = merged
-            elif key in out:
-                del out[key]
-        return out
+        bD = tuple(map(mul, b, self.D))
+        return accumulate({}, [(tuple(map(sub, n, a)),
+                                coeff_mul(coeff_mul(c, gcoeff), coeff_qpow(sum(map(mul, bD, n)))))
+                               for n, c in vec.items()])
 
     def element_action(self, u, vec):
         """Linear extension over the terms of a torus element."""
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
         out = {}
-        for (a, b), c in u.terms.items():
-            part = self.monomial_action((a, b), vec)
-            for key, pc in part.items():
-                merged = coeff_add(out.get(key, {}), coeff_mul(pc, c))
-                if merged:
-                    out[key] = merged
-                elif key in out:
-                    del out[key]
+        for mono, c in u.terms.items():
+            accumulate(out, [(key, coeff_mul(pc, c))
+                             for key, pc in self.monomial_action(mono, vec).items()])
         return out
 
-    def basis_vector(self, n):
+    def basis_vector(self, n, coeff=None):
+        """coeff e_n, by default e_n; a formal coeff carries m gamma exponents."""
         n = tuple(n)
         if len(n) != self.m:
-            raise ValueError("index length != factor count")
-        return {n: coeff_qpow(0)}
+            raise ValueError(f"index {list(n)} has length {len(n)}, the word has {self.m} letters")
+        coeff = coeff_qpow(0) if coeff is None else coeff
+        if any(g and len(g) != self.m for _e, g in coeff):
+            raise ValueError(f"coefficient {coeff_str(coeff)} needs {self.m} gamma exponents")
+        return accumulate({}, [(n, coeff)])
 
 
 def verify_tensor_relations(datum, word, N, params=None, include_det=True):
@@ -388,8 +369,8 @@ def verify_tensor_relations(datum, word, N, params=None, include_det=True):
         for tau in itertools.permutations(range(n1)):
             inv = weyl.inversion_count(tau)
             term = act(*((s + 1, t + 1) for s, t in enumerate(tau)))
-            det = _vec_merge(det, {key: coeff_mul(c, {(inv, ()): (-1) ** inv})
-                                   for key, c in term.items()})
+            accumulate(det, [(key, coeff_mul(c, {(inv, ()): (-1) ** inv}))
+                             for key, c in term.items()])
         diffs.append(("det_q = 1", _vec_sub(det, acted[()])))
 
     bad = [(name, diff) for name, diff in diffs if diff]
@@ -412,45 +393,3 @@ def _nonzero_at(diff, n, D):
         if any(out.values()):
             return True
     return False
-
-
-def _vec_merge(v1, v2):
-    out = dict(v1)
-    for k, c in v2.items():
-        merged = coeff_add(out.get(k, {}), c)
-        if merged:
-            out[k] = merged
-        elif k in out:
-            del out[k]
-    return out
-
-
-def weight_space_of(datum, word, n):
-    """The diagonal-subtorus weight of the basis vector e_n: the unique m with
-    OmegaTilde^T D n = Theta m."""
-    word = tuple(word)
-    n = tuple(n)
-    mats = strings.string_matrices(datum, word)
-    if len(n) != len(word):
-        raise ValueError("index length != word length")
-    m = len(word)
-    rhs = [
-        sum(mats.OmegaTilde[k][i] * mats.D[k] * n[k] for k in range(m))
-        for i in range(datum.n)
-    ]
-    s = len(mats.Theta[0]) if mats.Theta and mats.Theta[0] else 0
-    if s == 0:
-        if any(rhs):
-            raise RuntimeError("weight equation unsolvable with empty Theta")
-        return ()
-    from . import intlinalg
-
-    sol = intlinalg.solve_rational(mats.Theta, rhs)
-    if sol is None:
-        raise RuntimeError("weight equation unsolvable; Theta basis is broken")
-    out = []
-    for v in sol:
-        if v.denominator != 1:
-            raise RuntimeError("weight solution is not integral; Theta basis is broken")
-        out.append(int(v))
-    return tuple(out)

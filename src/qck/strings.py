@@ -74,58 +74,6 @@ def exponents(datum, ws: WeightString):
     return tuple(a), tuple(b)
 
 
-def string_monomial(datum, ws, m=None, D=None):
-    """I(mu) = x^a y^b as a QTorusElement."""
-    from .qtorus import QTorusElement
-
-    a, b = exponents(datum, ws)
-    word = ws.word
-    if D is None:
-        D = tuple(datum.d[abs(e) - 1] for e in word)
-    return QTorusElement.monomial(len(word), D, a, b)
-
-
-def monomial_to_string(datum, word, nu, a, b):
-    """The unique string with start nu and steps b whose a-vector matches, or
-    None when the given exponents are inconsistent with any string."""
-    word = tuple(word)
-    if len(a) != len(word) or len(b) != len(word):
-        return None
-    if any(j < 0 for j in b):
-        return None
-    ws = WeightString(word=word, start=tuple(nu), steps=tuple(b))
-    got_a, _ = exponents(datum, ws)
-    if got_a != tuple(a):
-        return None
-    return ws
-
-
-def enumerate_strings(datum, word, nu, mu, max_total_step):
-    """All weight strings from nu to mu of the word's type with total step
-    sum <= max_total_step, in lexicographic step order."""
-    word = tuple(word)
-    nu = tuple(nu)
-    mu = tuple(mu)
-    out = []
-
-    def rec(k, current, budget, steps):
-        if k == len(word):
-            if current == mu:
-                out.append(WeightString(word=word, start=nu, steps=tuple(steps)))
-            return
-        e = word[k]
-        sgn = 1 if e > 0 else -1
-        alpha = datum.simple_root(abs(e))
-        for j in range(budget + 1):
-            nxt = tuple(c - j * sgn * a for c, a in zip(current, alpha))
-            steps.append(j)
-            rec(k + 1, nxt, budget - j, steps)
-            steps.pop()
-
-    rec(0, nu, max_total_step, [])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural matrices
 
@@ -271,17 +219,6 @@ def _string_matrices(ctx):
         Theta=Theta,
         PhiTilde=PhiTilde,
     )
-
-
-def generator_strings(datum, word):
-    """The constant strings at fundamental weights and the step strings whose
-    exponent vectors are the columns of Phi."""
-    word = tuple(word)
-    out = [constant_string(word, weyl.fundamental_weight(datum, i)) for i in range(1, datum.n + 1)]
-    for k in range(len(word)):
-        steps = tuple(1 if t == k else 0 for t in range(len(word)))
-        out.append(WeightString(word=word, start=weyl.zero_weight(datum), steps=steps))
-    return out
 
 
 @dataclass

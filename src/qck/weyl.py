@@ -9,9 +9,6 @@ Weyl factor and positive entries for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from . import intlinalg
 
 
 class NonReducedWord(ValueError):
@@ -70,10 +67,6 @@ def type_a(n):
         for i in range(n)
     )
     return RootDatum(n=n, cartan=cartan, d=(1,) * n)
-
-
-def zero_weight(datum):
-    return (0,) * datum.n
 
 
 def fundamental_weight(datum, i):
@@ -179,35 +172,6 @@ def split_double_word(datum, word):
         raise NonReducedWord(f"positive letters {w2} are not reduced (w2 factor)")
     supp = frozenset(abs(e) for e in word)
     return w1, w2, supp
-
-
-def ker_rank(datum, w1_word, w2_word):
-    """dim ker(w1 - w2) on the weight lattice, over Q."""
-    m1 = weyl_matrix(datum, w1_word)
-    m2 = weyl_matrix(datum, w2_word)
-    diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
-    return datum.n - intlinalg.rank_over_Q(diff)
-
-
-def natural_weight(datum, j):
-    """Weight of the j-th basis vector of the natural module in type A_n:
-    omega_j - omega_{j-1}, with omega_0 = omega_{n+1} = 0."""
-    n = datum.n
-    if not 1 <= j <= n + 1:
-        raise IndexError(f"natural-module index {j} out of range 1..{n + 1}")
-    mu = [0] * n
-    if j <= n:
-        mu[j - 1] += 1
-    if j >= 2:
-        mu[j - 2] -= 1
-    return tuple(mu)
-
-
-def weight_gram(datum):
-    """Gram matrix (omega_i, omega_j) of the fundamental weights, rational."""
-    cinv = intlinalg.invert_rational([list(r) for r in datum.cartan])
-    n = datum.n
-    return [[Fraction(datum.d[i]) * cinv[i][j] for j in range(n)] for i in range(n)]
 
 
 def parse_word(text):

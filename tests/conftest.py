@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 import pytest
 
 from qck import intlinalg
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
-from qck.qtorus import coeff_mul, coeff_qpow
+from qck.qtorus import accumulate, coeff_mul, coeff_qpow
+from qck.strings import WeightString, constant_string
 
 
 def exact_det(M):
@@ -50,6 +51,101 @@ def fraction_rank(M):
         if rank == r:
             break
     return rank
+
+
+def _row_reduce(M, ncols):
+    """Gauss-Jordan elimination over Fractions on the first ncols columns of
+    M, in place; returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        M[row] = [x / M[row][col] for x in M[row]]
+        for i in range(len(M)):
+            if i != row and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[row])]
+        pivots.append(col)
+    return pivots
+
+
+def solve_rational(A, rhs):
+    """A solution over Q of A x = rhs (free variables 0), or None when there
+    is none (test oracle for integrality of the Hermite column basis)."""
+    c = len(A[0]) if A else 0
+    M = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(A, rhs)]
+    pivots = _row_reduce(M, c)
+    if any(row[c] != 0 for row in M[len(pivots):]):
+        return None
+    x = [Fraction(0)] * c
+    for row, col in zip(M, pivots):
+        x[col] = row[c]
+    return x
+
+
+def invert_rational(M):
+    """Exact inverse of a nonsingular square matrix, entries as Fractions
+    (test oracle for intlinalg.invert_unitriangular)."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    if len(_row_reduce(A, n)) != n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in A]
+
+
+def ker_rank(datum, w1_word, w2_word):
+    """dim ker(w1 - w2) on the weight lattice, from the Weyl matrices of the
+    two words (test oracle for the per-word rank_diff)."""
+    m1 = weyl.weyl_matrix(datum, w1_word)
+    m2 = weyl.weyl_matrix(datum, w2_word)
+    return datum.n - fraction_rank([list(map(sub, r1, r2)) for r1, r2 in zip(m1, m2)])
+
+
+def q_commute_index(mono_u, mono_v, D):
+    """Exponent e with u v = q^e v u for monomials u = x^a y^b, v = x^a' y^b':
+    e = a^T D b' - a'^T D b (test oracle for the matrix H)."""
+    (a, b), (a2, b2) = mono_u, mono_v
+    return (sum(x * d * y for x, d, y in zip(a, D, b2))
+            - sum(x * d * y for x, d, y in zip(a2, D, b)))
+
+
+def generator_strings(datum, word):
+    """The constant strings at the fundamental weights, then the step
+    strings; their exponent vectors are the columns of Phi."""
+    word = tuple(word)
+    out = [constant_string(word, weyl.fundamental_weight(datum, i))
+           for i in range(1, datum.n + 1)]
+    for k in range(len(word)):
+        steps = tuple(int(t == k) for t in range(len(word)))
+        out.append(WeightString(word=word, start=(0,) * datum.n, steps=steps))
+    return out
+
+
+def natural_weight(datum, j):
+    """Weight of the j-th basis vector of the natural module in type A_n:
+    omega_j - omega_{j-1}, with omega_0 = omega_{n+1} = 0."""
+    if not 1 <= j <= datum.n + 1:
+        raise IndexError(f"natural-module index {j} out of range 1..{datum.n + 1}")
+    mu = [0] * datum.n
+    if j <= datum.n:
+        mu[j - 1] += 1
+    if j >= 2:
+        mu[j - 2] -= 1
+    return tuple(mu)
+
+
+def monomial_to_string(datum, word, nu, a, b):
+    """The string with start nu and steps b, when its a-vector is a, else
+    None: a certificate that x^a y^b is a weight-string monomial."""
+    word = tuple(word)
+    if len(a) != len(word) or len(b) != len(word) or any(j < 0 for j in b):
+        return None
+    ws = WeightString(word=word, start=tuple(nu), steps=tuple(b))
+    return ws if strings.exponents(datum, ws)[0] == tuple(a) else None
 
 
 def dense_mat_mul(A, B):
@@ -121,10 +217,10 @@ def ball_tensor_relations(datum, word, N, params=None, include_det=True):
         for name, lhs_pairs, rhs_pairs, qexp in instances:
             lhs = {}
             for u1, u2 in lhs_pairs:
-                lhs = sq._vec_merge(lhs, act2(u1, u2))
+                accumulate(lhs, act2(u1, u2).items())
             rhs = {}
             for u1, u2 in rhs_pairs:
-                rhs = sq._vec_merge(rhs, act2(u1, u2))
+                accumulate(rhs, act2(u1, u2).items())
             if qexp:
                 rhs = {key: coeff_mul(c, coeff_qpow(qexp)) for key, c in rhs.items()}
             if not sq._vec_eq(lhs, rhs):
@@ -151,7 +247,7 @@ def ball_tensor_relations(datum, word, N, params=None, include_det=True):
                 for s in range(n1 - 1, -1, -1):
                     term = mod.element_action(g[(s + 1, tau[s] + 1)], term)
                 term = {key: coeff_mul(c, {(inv, ()): (-1) ** inv}) for key, c in term.items()}
-                det = sq._vec_merge(det, term)
+                accumulate(det, term.items())
             if not sq._vec_eq(det, base):
                 failures.append(("det_q = 1", n))
     return {"ok": not failures, "failures": failures[:20], "checked": len(ball)}

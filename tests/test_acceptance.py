@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_double_word
+from conftest import ker_rank, random_double_word
 from qck import appendix_congruence as ac
 from qck import cli, intlinalg, pivots, slq2_tensor as sq, strings, weyl, wiring
 from qck.qtorus import QTorusElement
@@ -170,7 +170,7 @@ def test_criterion_4_rank_identities():
                 rank_phi = intlinalg.rank_over_Q(mats.Phi) if m else 0
                 assert rank_phi == inv.n_dim
                 assert inv.n_dim == m + len(set(abs(e) for e in word))
-                assert inv.d == weyl.ker_rank(A2, u1, u2)
+                assert inv.d == ker_rank(A2, u1, u2)
                 assert inv.k >= 0
                 checked += 1
         assert checked == 36
@@ -185,7 +185,7 @@ def test_criterion_4_rank_identities():
             word = tuple(-i for i in u1) + u2
             inv = strings.invariants(A3, word)
             assert inv.n_dim == len(word) + len(set(abs(e) for e in word))
-            assert inv.d == weyl.ker_rank(A3, u1, u2)
+            assert inv.d == ker_rank(A3, u1, u2)
             assert inv.k >= 0
 
 
@@ -301,5 +301,5 @@ def test_criterion_10_simplicity_consistency():
             if inv.s == inv.m:
                 assert inv.k == 0 and inv.multipliers == [], word
             w1, w2, _ = weyl.split_double_word(A3, word)
-            assert inv.d == weyl.ker_rank(A3, w1, w2), word
+            assert inv.d == ker_rank(A3, w1, w2), word
             assert len(inv.multipliers) == inv.k, word

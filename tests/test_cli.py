@@ -352,3 +352,65 @@ def test_module_act_zero_denominator_param_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "denominator 0" in err
+
+
+MODULE_ACT = ("module", "act", "--rank", "1", "--word", "-1,1", "--expr", "x11")
+ONE = '[{"q":0,"gamma":[],"num":1,"den":1}]'
+
+
+@pytest.mark.parametrize("vector, named", [
+    ('[{"n":5,"coeff":[]}]', "'n'"),
+    ('{"n":[0,0]}', "--vector"),
+    ('[5]', "--vector item"),
+    ('[{"n":[0,0],"coeff":[{"q":0}]}]', "'gamma'"),
+    ('[{"n":[0,0],"coeff":[{"q":0,"gamma":[],"num":1,"den":0}]}]', "'den'"),
+    ('[{"n":[0,0],"coeff":[{"q":0,"gamma":[],"num":"1","den":1}]}]', "'num'"),
+    ('[{"n":[0,0],"coeff":{"q":0}}]', "'coeff'"),
+])
+def test_module_act_malformed_vector_exits_2(capsys, vector, named):
+    code, out, err = run(capsys, *MODULE_ACT, "--vector", vector)
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["[0]", "[0,0,0]"])
+def test_module_act_index_of_wrong_length_exits_2(capsys, n):
+    code, out, err = run(capsys, *MODULE_ACT, "--vector", f'[{{"n":{n},"coeff":{ONE}}}]')
+    assert code == 2 and out == ""
+    assert "has length" in err
+
+
+def test_module_act_adds_items_with_equal_index(capsys):
+    two = f'{{"n":[0,0],"coeff":{ONE}}}'
+    code, out, _ = run(capsys, *MODULE_ACT, "--vector", f"[{two},{two}]")
+    assert code == 0
+    assert json.loads(out) == [{"n": [-1, -1], "coeff": [{"q": 0, "gamma": [], "num": 2, "den": 1}]}]
+
+
+@pytest.mark.parametrize("cert, named", [
+    ({"word": 5, "order": [1, 2], "claims": []}, "'word'"),
+    ({"word": "-1,1", "order": 5, "claims": []}, "'order'"),
+    ({"word": "-1,1", "order": [1, "2"], "claims": []}, "'order'"),
+    ({"word": "-1,1", "order": [1, 2], "claims": [5]}, "claim"),
+    ({"word": "-1,1", "order": [1, 2], "claims": [{"a_expr": 1, "elem_expr": "x22"}]}, "'a_expr'"),
+    ([1, 2], "certificate"),
+])
+def test_pivots_check_malformed_certificate_exits_2(tmp_path, capsys, cert, named):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "pivots", "check", "--rank", "1", "--cert", str(path))
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("module", "verify", "--kind", "HighestWeight", "--eta", "0"),
+    ("module", "verify", "--kind", "Laurent", "--gamma", "0"),
+    ("module", "verify", "--kind", "LowestWeight", "--gamma", "0:3"),
+    ("module", "verify", "--tensor", "--rank", "1", "--word", "-1,1", "--params", "g1=0"),
+    MODULE_ACT + ("--vector", "[]", "--params", "g2=0:1"),
+])
+def test_zero_module_parameter_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nonzero rational times a power of q" in err

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qck import qtorus
+from conftest import q_commute_index
+from qck import intlinalg, qtorus
 from qck.qtorus import QTorusElement, ShapeMismatch, coeff_qpow
 
 
@@ -87,8 +88,8 @@ def test_shape_mismatch():
     ],
 )
 def test_q_commute_index_examples(u, v, D, expected):
-    assert qtorus.q_commute_index(u, v, D) == expected
-    assert qtorus.q_commute_index(v, u, D) == -expected
+    assert q_commute_index(u, v, D) == expected
+    assert q_commute_index(v, u, D) == -expected
 
 
 def test_q_commute_index_matches_multiply():
@@ -102,7 +103,7 @@ def test_q_commute_index_matches_multiply():
         b2 = tuple(rng.randint(-3, 3) for _ in range(m))
         u = mono(m, D, a, b)
         v = mono(m, D, a2, b2)
-        e = qtorus.q_commute_index((a, b), (a2, b2), D)
+        e = q_commute_index((a, b), (a2, b2), D)
         assert u * v == (v * u).scale(coeff_qpow(e))
 
 
@@ -110,7 +111,6 @@ def test_is_unit_examples():
     D = (1, 1)
     u = mono(2, D, (1, 0), (0, 2), qexp=3, c=2)
     unit = u.as_unit()
-    assert unit == qtorus.is_unit(u)
     assert unit is not None
     (a, b), c = unit
     assert a == (1, 0) and b == (0, 2) and c == {(3, ()): 2}
@@ -153,21 +153,26 @@ def test_powers():
 
 
 def test_center_basis_examples():
-    assert sorted(qtorus.center_basis([[0, 0], [0, 0]])) == [[0, 1], [1, 0]]
-    assert qtorus.center_basis([[0, 1], [-1, 0]]) == []
+    # the exponent lattice of the center of the torus with commutation
+    # matrix H is the kernel of H
+    assert sorted(intlinalg.kernel_basis([[0, 0], [0, 0]])) == [[0, 1], [1, 0]]
+    assert intlinalg.kernel_basis([[0, 1], [-1, 0]]) == []
     H = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-    basis = qtorus.center_basis(H)
+    basis = intlinalg.kernel_basis(H)
     assert len(basis) == 1 and [abs(x) for x in basis[0]] == [0, 0, 1]
-    with pytest.raises(qtorus.NotSkewSymmetric):
-        qtorus.center_basis([[1, 0], [0, 1]])
 
 
 def test_torus_decomposition_examples():
-    assert qtorus.torus_decomposition([[0, 1], [-1, 0]]) == ([1], 0)
-    assert qtorus.torus_decomposition([[0] * 3 for _ in range(3)]) == ([], 3)
+    # the skew normal form splits the torus into 2-generator tori L_{q^m}(2),
+    # one per multiplier m, and a central Laurent algebra of rank zero_dim
+    def split(H):
+        nf = intlinalg.skew_normal_form(H)
+        return nf.multipliers, nf.zero_dim
+
+    assert split([[0, 1], [-1, 0]]) == ([1], 0)
+    assert split([[0] * 3 for _ in range(3)]) == ([], 3)
     # H for the rank-one word (-1, 1), built from its string matrices
-    H = [[0, 1, 1], [-1, 0, 2], [-1, -2, 0]]
-    mult, center = qtorus.torus_decomposition(H)
+    mult, center = split([[0, 1, 1], [-1, 0, 2], [-1, -2, 0]])
     assert len(mult) == 1 and center == 1
 
 
@@ -190,3 +195,79 @@ def test_gamma_coefficients_multiply():
     assert qtorus.coeff_mul(c1, c2) == {(0, ()): 1}
     c3 = qtorus.coeff_mul({(2, (1, 2)): 2}, {(1, (0, 1)): Fraction(1, 2)})
     assert c3 == {(3, (1, 3)): 1}
+
+
+def _assert_normal(u):
+    """No empty coefficient and no zero rational is stored."""
+    assert all(c and all(c.values()) for c in u.terms.values())
+
+
+def _cancelling_element(rng, m, D):
+    """A sum of terms drawn from few monomials and opposite coefficients, so
+    that sums and products of such elements cancel often."""
+    el = QTorusElement.zero(m, D)
+    for _ in range(rng.randint(1, 5)):
+        a = tuple(rng.randint(0, 1) for _ in range(m))
+        b = tuple(rng.randint(-1, 0) for _ in range(m))
+        el = el + mono(m, D, a, b, rng.randint(-1, 1), rng.choice((1, -1, 2, Fraction(-1, 2))))
+    return el
+
+
+def test_accumulate_merges_and_drops_cancelled_keys():
+    out = qtorus.accumulate({}, [("u", {(0, ()): 1}), ("v", {(1, ()): 2})])
+    assert qtorus.accumulate(out, [("u", {(0, ()): -1}), ("v", {(0, ()): 3})]) is out
+    assert out == {"v": {(1, ()): 2, (0, ()): 3}}
+    assert qtorus.accumulate(out, [("v", {(1, ()): -2, (0, ()): -3}), ("w", {})]) == {}
+
+
+def test_constructor_stores_no_zero_rational():
+    zero = QTorusElement(1, (1,), {((0,), (0,)): {(0, ()): 0}})
+    assert zero.is_zero() and zero == QTorusElement.zero(1, (1,))
+    u = QTorusElement(1, (1,), {((0,), (0,)): {(1, ()): 1, (0, ()): 0}})
+    assert u.terms == {((0,), (0,)): {(1, ()): 1}}
+    assert u + QTorusElement(1, (1,), {((0,), (0,)): {(2, ()): 0}}) == u
+
+
+def test_ring_laws_on_cancelling_elements():
+    rng = random.Random(2024)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        D = tuple(rng.randint(1, 2) for _ in range(m))
+        u, v, w = (_cancelling_element(rng, m, D) for _ in range(3))
+        zero = QTorusElement.zero(m, D)
+        for x in (u + v, u * v, u - u, (u + v) * w, u * (v - w)):
+            _assert_normal(x)
+        assert (u + v) + w == u + (v + w)
+        assert (u * v) * w == u * (v * w)
+        assert u * (v + w) == u * v + u * w
+        assert (u + v) * w == u * w + v * w
+        assert u + (-u) == zero and (u + (-u)).terms == {}
+        a = tuple(rng.randint(-2, 2) for _ in range(m))
+        b = tuple(rng.randint(-2, 2) for _ in range(m))
+        unit = mono(m, D, a, b, rng.randint(-3, 3), rng.choice((3, Fraction(-2, 5))))
+        assert unit * unit.inverse() == QTorusElement.one(m, D)
+
+
+def _scribble(*maps):
+    """Write a new entry into every coefficient of the given sparse maps."""
+    for terms in maps:
+        for c in terms.values():
+            c[(99, ())] = 7
+
+
+def test_sums_and_products_own_their_coefficients():
+    import copy
+
+    D = (1, 2)
+    for op in (QTorusElement.__add__, QTorusElement.__mul__):
+        rng = random.Random(5)
+        u, v = _cancelling_element(rng, 2, D), _cancelling_element(rng, 2, D)
+        result = op(u, v)
+        before = copy.deepcopy(result.terms)
+        _scribble(u.terms, v.terms)
+        assert result.terms == before
+        rng = random.Random(5)
+        u, v = _cancelling_element(rng, 2, D), _cancelling_element(rng, 2, D)
+        u0, v0 = copy.deepcopy(u.terms), copy.deepcopy(v.terms)
+        _scribble(op(u, v).terms)
+        assert (u.terms, v.terms) == (u0, v0)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ball_tensor_relations, random_double_word
 from qck import slq2_tensor as sq
-from qck import strings, weyl, wiring
+from qck import weyl, wiring
 from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow, coeff_shift
 
 
@@ -256,32 +256,71 @@ def test_tensor_module_rejects_non_type_a():
         sq.verify_tensor_relations(B2, (1, 2), 1)
 
 
-def test_weight_space_examples(A1, A2):
-    assert sq.weight_space_of(A1, (-1, 1), (3, 4)) == (7,)
-    assert sq.weight_space_of(A1, (-1, 1), (0, 0)) == (0,)
-    # acting by x^a shifts the weight by the solution of Theta m = OmegaTilde^T D a
-    word = (1, 2, 1, -1, -2)
-    n = (1, -2, 0, 3, 1)
-    a = (1, 0, -1, 2, 0)
-    base = sq.weight_space_of(A2, word, n)
-    shifted = sq.weight_space_of(A2, word, tuple(x - y for x, y in zip(n, a)))
-    delta = sq.weight_space_of(A2, word, tuple(-y for y in a))
-    assert tuple(s - b for s, b in zip(shifted, base)) == delta
+def _scribble(*vectors):
+    """Write a new entry into every coefficient of the given vectors."""
+    for vec in vectors:
+        for c in vec.values():
+            c[(99, ())] = 7
 
 
-def test_weight_space_groups_basis_vectors(A2):
-    # vectors with equal weight are exactly those with equal projection
-    word = (1, 2, 1, -1)
-    mats = strings.string_matrices(A2, word)
-    import itertools
+def _owns_its_coefficients(op, make_operands):
+    """op's result shares no coefficient with its operands, either way."""
+    import copy
 
-    seen = {}
-    for n in itertools.product((-1, 0, 1), repeat=4):
-        m = sq.weight_space_of(A2, word, n)
-        proj = tuple(
-            sum(mats.OmegaTilde[k][i] * mats.D[k] * n[k] for k in range(4))
-            for i in range(2)
-        )
-        seen.setdefault(m, set()).add(proj)
-    for projs in seen.values():
-        assert len(projs) == 1
+    operands = make_operands()
+    result = op(*operands)
+    assert result
+    before = copy.deepcopy(result)
+    _scribble(*operands)
+    assert result == before
+    operands = make_operands()
+    saved = copy.deepcopy(operands)
+    _scribble(op(*operands))
+    assert operands == saved
+
+
+def test_module_vectors_own_their_coefficients(A1):
+    mod = sq.TensorModule(A1, (-1, 1))
+    g = wiring.generator_images(A1, (-1, 1))
+    spec = sq.TypicalModuleSpec(kind="Laurent")
+
+    def vectors():
+        return ({0: {(0, ()): 1}, 1: {(1, (1, 0)): 2}}, {1: {(0, ()): 3}, 2: {(2, ()): -1}})
+
+    def module_vector():
+        return ({(0, 0): {(0, ()): 1}, (1, -1): {(1, (1, 0)): 2}},)
+
+    _owns_its_coefficients(sq._vec_sub, vectors)
+    _owns_its_coefficients(lambda v: sq.apply_generator(spec, "x21", v),
+                           lambda: vectors()[:1])
+    _owns_its_coefficients(lambda v: mod.element_action(g[(1, 1)], v), module_vector)
+    _owns_its_coefficients(lambda v: mod.element_action(g[(2, 2)], v), module_vector)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="HighestWeight", eta={(0, ()): 0}),
+    dict(kind="Laurent", gamma={(2, ()): 0}),
+    dict(kind="Mminus", gamma={(0, ()): 1, (1, ()): 1}),
+    dict(kind="Mplus", eta={(0, (1, 0)): 1}),
+])
+def test_typical_module_rejects_a_parameter_that_is_not_a_nonzero_q_monomial(spec):
+    with pytest.raises(ValueError, match="nonzero rational times a power of q"):
+        sq.TypicalModuleSpec(**spec)
+
+
+def test_tensor_module_rejects_a_zero_parameter(A1):
+    with pytest.raises(ValueError, match="parameter g2"):
+        sq.TensorModule(A1, (-1, 1), params=[None, {(0, ()): 0}])
+    with pytest.raises(ValueError, match="parameter g1"):
+        sq.verify_tensor_relations(A1, (-1, 1), 1, params=[{(1, ()): 0}, None])
+
+
+def test_basis_vector_checks_index_and_gamma_lengths(A1):
+    mod = sq.TensorModule(A1, (-1, 1))
+    assert mod.basis_vector((1, 2), {(1, (0, 1)): 2}) == {(1, 2): {(1, (0, 1)): 2}}
+    assert mod.basis_vector((1, 2), {}) == {}
+    for n in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="length"):
+            mod.basis_vector(n)
+    with pytest.raises(ValueError, match="2 gamma exponents"):
+        mod.basis_vector((0, 0), {(0, (1,)): 1})

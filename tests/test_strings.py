@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import generator_strings, invert_rational, monomial_to_string, q_commute_index
 from qck import appendix_congruence as ac
-from qck import intlinalg, qtorus, strings, weyl
+from qck import intlinalg, strings, weyl
 from qck.strings import WeightString, constant_string
 
 
@@ -19,20 +20,17 @@ def test_exponents_single_step(A1):
 
 
 def test_string_monomial_element(A1):
-    from qck.qtorus import QTorusElement
-
+    # I(mu) = x^a y^b: the rank-one step string is y, the constant string x1 x2
     ws = WeightString(word=(1,), start=(1,), steps=(1,))
-    assert strings.string_monomial(A1, ws) == QTorusElement.monomial(1, (1,), (0,), (1,))
+    assert strings.exponents(A1, ws) == ((0,), (1,))
     const = constant_string((-1, 1), (1,))
-    assert strings.string_monomial(A1, const) == QTorusElement.monomial(
-        2, (1, 1), (1, 1), (0, 0)
-    )
+    assert strings.exponents(A1, const) == ((1, 1), (0, 0))
 
 
 def test_exponents_generator_strings_match_phi(A2):
     word = (1, 2, 1, -1, -2)
     mats = strings.string_matrices(A2, word)
-    gens = strings.generator_strings(A2, word)
+    gens = generator_strings(A2, word)
     n, m = A2.n, len(word)
     for idx, ws in enumerate(gens):
         a, b = strings.exponents(A2, ws)
@@ -57,29 +55,11 @@ def test_invalid_strings_rejected():
 
 
 def test_monomial_to_string_roundtrip(A1):
-    ws = strings.monomial_to_string(A1, (-1, 1), (1,), (1, 1), (0, 0))
+    ws = monomial_to_string(A1, (-1, 1), (1,), (1, 1), (0, 0))
     assert ws == constant_string((-1, 1), (1,))
-    assert strings.monomial_to_string(A1, (-1, 1), (1,), (0, 0), (0, 0)) is None
-    got = strings.monomial_to_string(A1, (1,), (1,), (0,), (1,))
+    assert monomial_to_string(A1, (-1, 1), (1,), (0, 0), (0, 0)) is None
+    got = monomial_to_string(A1, (1,), (1,), (0,), (1,))
     assert got == WeightString(word=(1,), start=(1,), steps=(1,))
-
-
-def test_enumerate_strings_rank_one(A1):
-    lst = strings.enumerate_strings(A1, (-1, 1), (1,), (1,), 4)
-    assert [s.steps for s in lst] == [(0, 0), (1, 1), (2, 2)]
-
-
-def test_enumerate_strings_disjoint_support_constant_only(A3):
-    word = (-1, 2, -3)
-    mu = (1, 1, 1)
-    for bound in (0, 3, 6):
-        lst = strings.enumerate_strings(A3, word, mu, mu, bound)
-        assert lst == [constant_string(word, mu)]
-
-
-def test_enumerate_strings_out_of_span(A2):
-    # nu - mu not in the root span of the support letters
-    assert strings.enumerate_strings(A2, (1,), (1, 0), (0, 0), 6) == []
 
 
 def test_string_matrices_rank_one(A1):
@@ -124,7 +104,7 @@ def test_lambda_inverse_matches_fraction_inverse(A3):
             mats = strings.string_matrices(datum, word)
             m, n = len(word), datum.n
             inv = intlinalg.invert_unitriangular(mats.Lambda)
-            assert inv == intlinalg.invert_rational(mats.Lambda)
+            assert inv == invert_rational(mats.Lambda)
             assert [row[n:] for row in mats.PhiTilde[m:]] == inv
 
 
@@ -147,11 +127,11 @@ def test_invariants_builds_string_matrices_once(monkeypatch, A3):
 def test_h_matches_q_commute_of_generator_strings(A2):
     word = (1, 2, 1, -1, -2)
     mats = strings.string_matrices(A2, word)
-    gens = strings.generator_strings(A2, word)
+    gens = generator_strings(A2, word)
     monos = [strings.exponents(A2, ws) for ws in gens]
     for i, mi in enumerate(monos):
         for j, mj in enumerate(monos):
-            assert mats.H[i][j] == qtorus.q_commute_index(mi, mj, mats.D)
+            assert mats.H[i][j] == q_commute_index(mi, mj, mats.D)
 
 
 @pytest.mark.parametrize(

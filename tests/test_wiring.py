@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import random_double_word
-from qck import strings, weyl, wiring
+from conftest import monomial_to_string, natural_weight, random_double_word
+from qck import weyl, wiring
 from qck.qtorus import QTorusElement
 
 REF_WORD = (1, 2, 1, -1, -2)
@@ -184,10 +184,10 @@ def test_generator_terms_are_weight_strings(A2, A3):
             for i in range(1, datum.n + 2):
                 for j in range(1, datum.n + 2):
                     img = wiring.generator_image(datum, word, i, j)
-                    nu = weyl.natural_weight(datum, i)
-                    mu = weyl.natural_weight(datum, j)
+                    nu = natural_weight(datum, i)
+                    mu = natural_weight(datum, j)
                     for (a, b) in img.terms:
-                        ws = strings.monomial_to_string(datum, word, nu, a, b)
+                        ws = monomial_to_string(datum, word, nu, a, b)
                         assert ws is not None
                         assert ws.end(datum) == mu
 
