@@ -46,19 +46,6 @@ class ReducedWordMatrices:
     Ptilde: list
 
 
-def _beta_roots(datum, word):
-    """beta_k = s_{j_1}...s_{j_{k-1}}(alpha_{j_k}) in alpha-basis coordinates."""
-    betas = []
-    for k in range(len(word)):
-        coords = [1 if t == word[k] - 1 else 0 for t in range(datum.n)]
-        for idx in range(k - 1, -1, -1):
-            i = word[idx]
-            pair = sum(datum.cartan[i - 1][t] * coords[t] for t in range(datum.n))
-            coords[i - 1] -= pair
-        betas.append(tuple(coords))
-    return betas
-
-
 def _root_inner(datum, c1, c2):
     """(beta, beta') from alpha-coordinates via the symmetrized Cartan form."""
     n = datum.n
@@ -75,7 +62,7 @@ def build_word_matrices(datum, word):
         raise NonReducedWord(f"{word} is not reduced")
     l = len(word)
     n = datum.n
-    betas = _beta_roots(datum, word)
+    betas = weyl.beta_roots(datum, word)
 
     B = intlinalg.zeros(l, l)
     Bt = intlinalg.zeros(l, l)
@@ -165,26 +152,16 @@ def _stack(n, Xp, Xm, Yp, Ym):
 
 
 def _h_tilde(n, mp, mm):
+    """Simple-root form of the reordered commutation matrix:
+    [[-At(plus), 0, -Ct(plus)^T], [0, At(minus), Ct(minus)^T],
+     [Ct(plus), -Ct(minus), 0]]."""
     return _stack(n, intlinalg.mat_neg(mp.Atilde), mm.Atilde, mp.Ctilde, mm.Ctilde)
 
 
 def _script_h(n, mp, mm):
-    return _stack(n, mp.A, intlinalg.mat_neg(mm.A), mp.C, mm.C)
-
-
-def h_tilde(datum, word):
-    """Simple-root form of the reordered commutation matrix:
-    [[-At(plus), 0, -Ct(plus)^T], [0, At(minus), Ct(minus)^T],
-     [Ct(plus), -Ct(minus), 0]]."""
-    plus, minus = _sign_class_words(word)
-    return _h_tilde(datum.n, build_word_matrices(datum, plus), build_word_matrices(datum, minus))
-
-
-def script_h(datum, word):
     """Beta form: [[A(plus), 0, -C(plus)^T], [0, -A(minus), C(minus)^T],
     [C(plus), -C(minus), 0]]."""
-    plus, minus = _sign_class_words(word)
-    return _script_h(datum.n, build_word_matrices(datum, plus), build_word_matrices(datum, minus))
+    return _stack(n, mp.A, intlinalg.mat_neg(mm.A), mp.C, mm.C)
 
 
 def congruence_check(datum, word):

@@ -84,18 +84,13 @@ def cmd_diagram(args):
 def cmd_image(args):
     datum = _datum(args)
     word = _word(args)
-    if args.minor:
-        rows, cols = args.minor.split("|")
-        elem = wiring.minor_image(
-            datum, word, [int(c) for c in rows], [int(c) for c in cols]
-        )
-        label = f"minor({args.minor})"
-    elif args.expr:
-        elem = wiring.expression_image(datum, word, args.expr)
-        label = args.expr
-    else:
+    if ")" in (args.minor or ""):  # would close minor( early and let an expression follow
+        raise ValueError(f"--minor {args.minor!r} is not rows|cols, like 12|12")
+    label = f"minor({args.minor})" if args.minor else args.expr
+    if not label:
         print("image needs --expr or --minor", file=sys.stderr)
         return EXIT_USAGE
+    elem = wiring.expression_image(datum, word, label)
     _emit(elem.to_json(), f"{label}: {len(elem.terms)} term(s)")
     return EXIT_OK
 
@@ -233,6 +228,17 @@ def cmd_module(args):
     return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
 
 
+def _nonnegative(text):
+    """argparse type of the bounds --truncate and --max-len."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _vector(mod, data):
     """The module vector of --vector, a list of {"n": [...], "coeff": [...]}
     items; items with equal n add up."""
@@ -336,7 +342,7 @@ def build_parser():
     m2.add_argument("--kind", choices=slq2_tensor.KINDS, default="Laurent")
     m2.add_argument("--tensor", action="store_true")
     m2.add_argument("--word", default="")
-    m2.add_argument("--truncate", type=int, default=20,
+    m2.add_argument("--truncate", type=_nonnegative, default=20,
                     help="rank-1: check indices -N..N; --tensor: every n is checked at "
                          "once, N sets only the reported ball max|n_k| <= N and the "
                          "failure search")
@@ -350,7 +356,7 @@ def build_parser():
                    required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--word")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_nonnegative, default=4)
     p.set_defaults(func=cmd_verify)
 
     return parser

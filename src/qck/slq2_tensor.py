@@ -28,7 +28,6 @@ from .qtorus import (
     coeff_mul,
     coeff_neg,
     coeff_qpow,
-    coeff_shift,
     coeff_str,
 )
 
@@ -176,14 +175,23 @@ def apply_generator(spec, generator, vec, d=1):
                            for j, ac in typical_action(spec, generator, i, d=d)])
 
 
-def apply_word_of_generators(spec, gens, vec, d=1):
-    for gen in reversed(gens):
-        vec = apply_generator(spec, gen, vec, d=d)
-    return vec
+def _word_action(start, apply):
+    """act(word): the vector x_{l_1} ... x_{l_r} start, letters applied right
+    to left by apply(label, vec) and memoised on every suffix."""
+    acted = {(): start}
+
+    def act(word):
+        for r in range(len(word) - 1, -1, -1):
+            if word[r:] not in acted:
+                acted[word[r:]] = apply(word[r], acted[word[r + 1:]])
+        return acted[word]
+
+    return act
 
 
 def verify_typical_relations(spec, N, d=1):
-    """Check the rank-1 relations exactly on e_i over the truncated domain.
+    """Check the rank-1 relations exactly on e_i over the truncated domain:
+    the n1 = 2 relation table of wiring, with q read as q^d.
 
     For the Laurent kind with specialized parameters this also checks the
     nonvanishing of the x11 coefficients 1 + gamma eta q^{2i-1}, whose
@@ -193,53 +201,16 @@ def verify_typical_relations(spec, N, d=1):
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
     failures = []
-    relations = [
-        ("x11 x12 = q x12 x11", ("x11", "x12"), ("x12", "x11"), d, None),
-        ("x11 x21 = q x21 x11", ("x11", "x21"), ("x21", "x11"), d, None),
-        ("x12 x22 = q x22 x12", ("x12", "x22"), ("x22", "x12"), d, None),
-        ("x21 x22 = q x22 x21", ("x21", "x22"), ("x22", "x21"), d, None),
-        ("x12 x21 = x21 x12", ("x12", "x21"), ("x21", "x12"), 0, None),
-    ]
     for i in range(lo, hi + 1):
-        e_i = {i: coeff_qpow(0)}
-        for name, left, right, qexp, _ in relations:
-            lhs = apply_word_of_generators(spec, left, e_i, d=d)
-            rhs = apply_word_of_generators(spec, right, e_i, d=d)
-            rhs = {j: coeff_mul(c, coeff_qpow(qexp)) for j, c in rhs.items()}
-            if not _vec_eq(lhs, rhs):
-                failures.append((name, i))
-        # x11 x22 - x22 x11 = (q - q^{-1}) x12 x21
-        lhs = _vec_sub(
-            apply_word_of_generators(spec, ("x11", "x22"), e_i, d=d),
-            apply_word_of_generators(spec, ("x22", "x11"), e_i, d=d),
-        )
-        mid = apply_word_of_generators(spec, ("x12", "x21"), e_i, d=d)
-        rhs = _vec_sub(
-            {j: coeff_mul(c, coeff_qpow(d)) for j, c in mid.items()},
-            {j: coeff_mul(c, coeff_qpow(-d)) for j, c in mid.items()},
-        )
-        if not _vec_eq(lhs, rhs):
-            failures.append(("x11 x22 - x22 x11 = (q-1/q) x12 x21", i))
-        # x11 x22 - q x12 x21 = 1
-        lhs = _vec_sub(
-            apply_word_of_generators(spec, ("x11", "x22"), e_i, d=d),
-            {j: coeff_mul(c, coeff_qpow(d)) for j, c in mid.items()},
-        )
-        if not _vec_eq(lhs, e_i):
-            failures.append(("x11 x22 - q x12 x21 = 1", i))
+        act = _word_action({i: coeff_qpow(0)},
+                           lambda ij, vec: apply_generator(spec, "x%d%d" % ij, vec, d=d))
+        failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
+                     if wiring.relation_difference(lhs, rhs, act, d=d)]
         if spec.kind == "Laurent":
             bad = spec.illegal_laurent_index(d=d, bound=N)
             if bad is not None and bad == i:
                 failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
     return {"ok": not failures, "failures": failures, "range": (lo, hi)}
-
-
-def _vec_sub(v1, v2):
-    return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])
-
-
-def _vec_eq(v1, v2):
-    return not _vec_sub(v1, v2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +284,7 @@ class TensorModule:
         return accumulate({}, [(n, coeff)])
 
 
-def verify_tensor_relations(datum, word, N, params=None, include_det=True):
+def verify_tensor_relations(datum, word, N, params=None):
     """Check the quantum-matrix relations through the module action on every
     basis vector e_n at once; exact coefficient equality throughout.
 
@@ -326,7 +297,7 @@ def verify_tensor_relations(datum, word, N, params=None, include_det=True):
     which finds exactly the failures of acting on each ball vector.
     `checked` counts the (2N+1)^m ball vectors either way."""
     mod = TensorModule(datum, word, params=params)
-    m, n1 = mod.m, datum.n + 1
+    m = mod.m
 
     def slot(k):
         return tuple(int(t == k) for t in range(2 * m))
@@ -336,42 +307,9 @@ def verify_tensor_relations(datum, word, N, params=None, include_det=True):
         for k, p in enumerate(mod.params)
     ]
     g = wiring.generator_images(datum, word)
-    acted = {(): mod.basis_vector((0,) * m)}
-
-    def act(*labels):  # x_{l_1} ... x_{l_r} e_0, memoised on every suffix
-        for r in range(len(labels) - 1, -1, -1):
-            if labels[r:] not in acted:
-                acted[labels[r:]] = mod.element_action(g[labels[r]], acted[labels[r + 1:]])
-        return acted[labels]
-
-    def rel(u, v, e):  # u v - q^e v u on e_0
-        return _vec_sub(act(u, v), {key: coeff_shift(c, e) for key, c in act(v, u).items()})
-
-    diffs = []
-    for i in range(1, n1 + 1):
-        for j in range(1, n1 + 1):
-            for l in range(j + 1, n1 + 1):
-                diffs.append((f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}", rel((i, j), (i, l), 1)))
-            for k in range(i + 1, n1 + 1):
-                diffs.append((f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}", rel((i, j), (k, j), 1)))
-    quads = [(i, j, k, l) for i in range(1, n1 + 1) for k in range(i + 1, n1 + 1)
-             for j in range(1, n1 + 1) for l in range(j + 1, n1 + 1)]
-    for i, j, k, l in quads:
-        diffs.append((f"x{i}{l} x{k}{j} = x{k}{j} x{i}{l}", rel((i, l), (k, j), 0)))
-    # [x_ij, x_kl] = (q - q^{-1}) x_il x_kj for i<k, j<l
-    for i, j, k, l in quads:
-        mid = act((i, l), (k, j))
-        qmid = _vec_sub({key: coeff_shift(c, 1) for key, c in mid.items()},
-                        {key: coeff_shift(c, -1) for key, c in mid.items()})
-        diffs.append((f"[x{i}{j}, x{k}{l}] commutator", _vec_sub(rel((i, j), (k, l), 0), qmid)))
-    if include_det:
-        det = {}
-        for tau in itertools.permutations(range(n1)):
-            inv = weyl.inversion_count(tau)
-            term = act(*((s + 1, t + 1) for s, t in enumerate(tau)))
-            accumulate(det, [(key, coeff_mul(c, {(inv, ()): (-1) ** inv}))
-                             for key, c in term.items()])
-        diffs.append(("det_q = 1", _vec_sub(det, acted[()])))
+    act = _word_action(mod.basis_vector((0,) * m), lambda ij, vec: mod.element_action(g[ij], vec))
+    diffs = [(name, wiring.relation_difference(lhs, rhs, act))
+             for name, lhs, rhs in wiring.quantum_matrix_relations(datum.n + 1)]
 
     bad = [(name, diff) for name, diff in diffs if diff]
     ball = itertools.product(range(-N, N + 1), repeat=m) if bad else ()

@@ -12,6 +12,8 @@ The generator strings (constant strings at fundamental weights, and the
 step strings) assemble into integer matrices whose ranks and congruence
 invariants describe the localized algebra: its dimension, center, diagonal
 subtorus, and the 2-generator torus factors of the centralizer complement.
+The matrices are built here directly; the strings themselves, with their
+exponent map, are the tests' oracle for them.
 """
 
 from __future__ import annotations
@@ -24,54 +26,6 @@ from operator import mul, sub
 from . import intlinalg, weyl
 from .intlinalg import CrossCheckFailed
 from .weyl import NonReducedWord
-
-
-class InvalidString(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class WeightString:
-    word: tuple
-    start: tuple
-    steps: tuple
-
-    def __post_init__(self):
-        if len(self.steps) != len(self.word):
-            raise InvalidString("step count != word length")
-        if any(j < 0 for j in self.steps):
-            raise InvalidString("steps must be nonnegative")
-
-    def weights(self, datum):
-        """The full tuple (mu_0, ..., mu_m)."""
-        mus = [tuple(self.start)]
-        for e, j in zip(self.word, self.steps):
-            sgn = 1 if e > 0 else -1
-            alpha = datum.simple_root(abs(e))
-            mus.append(tuple(m - j * sgn * a for m, a in zip(mus[-1], alpha)))
-        return mus
-
-    def end(self, datum):
-        return self.weights(datum)[-1]
-
-
-def constant_string(word, mu):
-    return WeightString(word=tuple(word), start=tuple(mu), steps=(0,) * len(word))
-
-
-def exponents(datum, ws: WeightString):
-    """The (a, b) exponent vectors of the monomial I(mu) attached to a string."""
-    mus = ws.weights(datum)
-    a = []
-    b = []
-    for k, e in enumerate(ws.word):
-        i = abs(e)
-        num = weyl.pairing(mus[k], i) + weyl.pairing(mus[k + 1], i)
-        if num % 2 != 0:
-            raise InvalidString("half-integral exponent; string is inconsistent")
-        a.append(num // 2)
-        b.append(ws.steps[k])
-    return tuple(a), tuple(b)
 
 
 # ---------------------------------------------------------------------------

@@ -104,20 +104,25 @@ def weyl_matrix(datum, word):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _root_coords_reflect(datum, i, coords):
-    # s_i acting on root-lattice coordinates (alpha-basis)
-    pair = sum(datum.cartan[i - 1][j] * coords[j] for j in range(datum.n))
-    out = list(coords)
-    out[i - 1] -= pair
-    return tuple(out)
+def beta_roots(datum, word):
+    """beta_k = s_{j_1}...s_{j_{k-1}}(alpha_{j_k}) in alpha-basis coordinates."""
+    betas = []
+    for k in range(len(word)):
+        coords = [1 if t == word[k] - 1 else 0 for t in range(datum.n)]
+        for idx in range(k - 1, -1, -1):
+            i = word[idx]
+            pair = sum(datum.cartan[i - 1][t] * coords[t] for t in range(datum.n))
+            coords[i - 1] -= pair
+        betas.append(tuple(coords))
+    return betas
 
 
 def is_reduced(datum, word):
     """True iff the word is a reduced expression for its Weyl product.
 
     Type A uses inversion counting on the underlying permutation; general
-    Cartan data use the positive-root descent criterion (the word is reduced
-    iff no prefix sends the next simple root negative).
+    Cartan data use the positive-root criterion: the word is reduced iff
+    every beta_k of beta_roots is a positive root.
     """
     word = tuple(word)
     for i in word:
@@ -125,14 +130,7 @@ def is_reduced(datum, word):
     if datum.is_type_a:
         perm = word_to_permutation(datum, word)
         return inversion_count(perm) == len(word)
-    # track beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}); reduced iff all positive
-    for k in range(len(word)):
-        coords = tuple(1 if j == word[k] - 1 else 0 for j in range(datum.n))
-        for t in range(k - 1, -1, -1):
-            coords = _root_coords_reflect(datum, word[t], coords)
-        if all(c <= 0 for c in coords):
-            return False
-    return True
+    return all(any(c > 0 for c in beta) for beta in beta_roots(datum, word))
 
 
 def word_to_permutation(datum, word):

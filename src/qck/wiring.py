@@ -18,16 +18,20 @@ the most recent (datum, word) only: a sweep over one word's minors and
 relations builds them once.  Path enumeration (`enumerate_paths` with
 `path_weight`) stays as the independent oracle for that pass.  The diagrams
 are type A only; every entry point that takes a datum rejects other data.
+
+The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
+which the torus suite here and the module suites of slq2_tensor evaluate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import weyl
-from .qtorus import QTorusElement, coeff_qpow
+from .qtorus import QTorusElement, accumulate, coeff_qpow
 
 
 class SizeMismatch(ValueError):
@@ -227,6 +231,17 @@ def minor_image(datum, word, A, B):
     return out
 
 
+def minor_expansion(A, B):
+    """The permutation expansion of the quantum minor with rows A and columns
+    B, as (coefficient, word) pairs: (-q)^{l(tau)} and the word
+    x_{a_1 b_tau(1)} ... x_{a_k b_tau(k)} of generator labels."""
+    out = []
+    for tau in itertools.permutations(range(len(A))):
+        inv = weyl.inversion_count(tau)
+        out.append((coeff_qpow(inv, (-1) ** inv), tuple((a, B[t]) for a, t in zip(A, tau))))
+    return out
+
+
 def minor_image_oracle(datum, word, A, B):
     """Permutation expansion sum_tau (-q)^{l(tau)} prod_s pi(x_{a_s, b_tau(s)}):
     the independent check for minor_image."""
@@ -241,12 +256,10 @@ def minor_image_oracle(datum, word, A, B):
     D, gens = _transfer(datum, word)
     m = len(word)
     out = QTorusElement.zero(m, D)
-    k = len(A)
-    for tau in itertools.permutations(range(k)):
-        inv = weyl.inversion_count(tau)
-        term = QTorusElement.one(m, D).scale(coeff_qpow(inv, (-1) ** inv))
-        for s in range(k):
-            term = term * gens[(A[s], B[tau[s]])]
+    for c, labels in minor_expansion(A, B):
+        term = QTorusElement.one(m, D).scale(c)
+        for label in labels:
+            term = term * gens[label]
             if term.is_zero():
                 break
         out = out + term
@@ -393,38 +406,65 @@ def expression_image(datum, word, expr):
 # homomorphism verification
 
 
+@functools.lru_cache(maxsize=None)
+def quantum_matrix_relations(n1):
+    """The defining relations of C_q[SL_{n1}] as (name, lhs, rhs) triples.
+
+    Each side is a list of (coefficient, word) terms, a word being a tuple of
+    generator labels (i, j) read left to right.  The order is: x_ij x_il =
+    q x_il x_ij (j < l) and x_ij x_kj = q x_kj x_ij (i < k), then for i < k,
+    j < l every x_il x_kj = x_kj x_il, then every commutator [x_ij, x_kl] =
+    (q - q^{-1}) x_il x_kj, and det_q = 1 last.  Callers must not mutate it.
+    """
+    one, q = coeff_qpow(0), coeff_qpow(1)
+    minus_one, minus_qinv = coeff_qpow(0, -1), coeff_qpow(-1, -1)
+    levels = range(1, n1 + 1)
+    rels = []
+    for i in levels:
+        for j in levels:
+            rels += [(f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}",
+                      [(one, ((i, j), (i, l)))], [(q, ((i, l), (i, j)))]) for l in levels if l > j]
+            rels += [(f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}",
+                      [(one, ((i, j), (k, j)))], [(q, ((k, j), (i, j)))]) for k in levels if k > i]
+    quads = [(i, j, k, l) for i in levels for k in levels if k > i
+             for j in levels for l in levels if l > j]
+    rels += [(f"x{i}{l} x{k}{j} = x{k}{j} x{i}{l}",
+              [(one, ((i, l), (k, j)))], [(one, ((k, j), (i, l)))]) for i, j, k, l in quads]
+    rels += [(f"[x{i}{j}, x{k}{l}] commutator",
+              [(one, ((i, j), (k, l))), (minus_one, ((k, l), (i, j)))],
+              [(q, ((i, l), (k, j))), (minus_qinv, ((i, l), (k, j)))])
+             for i, j, k, l in quads]
+    rels.append(("det_q = 1", minor_expansion(tuple(levels), tuple(levels)), [(one, ())]))
+    return tuple(rels)
+
+
+def relation_difference(lhs, rhs, act, d=1):
+    """lhs - rhs of one relation as a sparse map {key: coefficient}, where
+    act(word) is the sparse map of a word and q is read as q^d."""
+    out = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for c, word in side:
+            ((e, _), v), = c.items()  # each table coefficient is one monomial +-q^e
+            e, v = d * e, sign * v
+            accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
+                             for key, cx in act(word).items()])
+    return out
+
+
 def verify_relations(datum, word):
     """Check the quantum-matrix relations and det_q = 1 on the generator
-    images; returns a list of (description, ok) pairs."""
+    images; returns a list of (description, ok) pairs.  det_q is evaluated
+    by the full minor's one path family, not by its permutation expansion."""
     word = tuple(word)
-    n1 = datum.n + 1
     D, g = _transfer(datum, word)
-    q = coeff_qpow(1)
-    report = []
-    for i in range(1, n1 + 1):
-        for j in range(1, n1 + 1):
-            for l in range(j + 1, n1 + 1):
-                ok = g[(i, j)] * g[(i, l)] == (g[(i, l)] * g[(i, j)]).scale(q)
-                report.append((f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}", ok))
-            for k in range(i + 1, n1 + 1):
-                ok = g[(i, j)] * g[(k, j)] == (g[(k, j)] * g[(i, j)]).scale(q)
-                report.append((f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}", ok))
-    for i in range(1, n1 + 1):
-        for k in range(i + 1, n1 + 1):
-            for j in range(1, n1 + 1):
-                for l in range(j + 1, n1 + 1):
-                    ok = g[(i, l)] * g[(k, j)] == g[(k, j)] * g[(i, l)]
-                    report.append((f"x{i}{l} x{k}{j} = x{k}{j} x{i}{l}", ok))
-                    lhs = g[(i, j)] * g[(k, l)] - g[(k, l)] * g[(i, j)]
-                    rhs = (g[(i, l)] * g[(k, j)]).scale(coeff_qpow(1)) - (
-                        g[(i, l)] * g[(k, j)]
-                    ).scale(coeff_qpow(-1))
-                    report.append(
-                        (f"[x{i}{j}, x{k}{l}] = (q-1/q) x{i}{l} x{k}{j}", lhs == rhs)
-                    )
+
+    def act(labels):
+        return functools.reduce(operator.mul, map(g.__getitem__, labels)).terms
+
+    *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
+    report = [(name, not relation_difference(lhs, rhs, act)) for name, lhs, rhs in rels]
     det = quantum_determinant_image(datum, word)
-    report.append(("det_q = 1", det == QTorusElement.one(len(word), D)))
-    return report
+    return report + [(det_name, det == QTorusElement.one(len(word), D))]
 
 
 # ---------------------------------------------------------------------------

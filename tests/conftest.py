@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
@@ -7,8 +8,7 @@ import pytest
 from qck import intlinalg
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
-from qck.qtorus import accumulate, coeff_mul, coeff_qpow
-from qck.strings import WeightString, constant_string
+from qck.qtorus import accumulate, coeff_mul, coeff_neg, coeff_qpow
 
 
 def exact_det(M):
@@ -113,6 +113,56 @@ def q_commute_index(mono_u, mono_v, D):
             - sum(x * d * y for x, d, y in zip(a2, D, b)))
 
 
+class InvalidString(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class WeightString:
+    """A weight string of type word starting at start: mu_k = mu_{k-1} -
+    steps_k * sgn(word_k) * alpha_{|word_k|} (test oracle for the columns of
+    Phi and the entries of H, which strings builds directly)."""
+
+    word: tuple
+    start: tuple
+    steps: tuple
+
+    def __post_init__(self):
+        if len(self.steps) != len(self.word):
+            raise InvalidString("step count != word length")
+        if any(j < 0 for j in self.steps):
+            raise InvalidString("steps must be nonnegative")
+
+    def weights(self, datum):
+        """The full tuple (mu_0, ..., mu_m)."""
+        mus = [tuple(self.start)]
+        for e, j in zip(self.word, self.steps):
+            sgn = 1 if e > 0 else -1
+            alpha = datum.simple_root(abs(e))
+            mus.append(tuple(m - j * sgn * a for m, a in zip(mus[-1], alpha)))
+        return mus
+
+    def end(self, datum):
+        return self.weights(datum)[-1]
+
+
+def exponents(datum, ws):
+    """The (a, b) exponent vectors of the monomial I(mu) attached to a string:
+    a_k = (mu_{k-1} + mu_k, alpha^vee) / 2 and b_k = steps_k."""
+    mus = ws.weights(datum)
+    a = []
+    for k, e in enumerate(ws.word):
+        num = weyl.pairing(mus[k], abs(e)) + weyl.pairing(mus[k + 1], abs(e))
+        if num % 2 != 0:
+            raise InvalidString("half-integral exponent; string is inconsistent")
+        a.append(num // 2)
+    return tuple(a), tuple(ws.steps)
+
+
+def constant_string(word, mu):
+    return WeightString(word=tuple(word), start=tuple(mu), steps=(0,) * len(word))
+
+
 def generator_strings(datum, word):
     """The constant strings at the fundamental weights, then the step
     strings; their exponent vectors are the columns of Phi."""
@@ -145,7 +195,7 @@ def monomial_to_string(datum, word, nu, a, b):
     if len(a) != len(word) or len(b) != len(word) or any(j < 0 for j in b):
         return None
     ws = WeightString(word=word, start=tuple(nu), steps=tuple(b))
-    return ws if strings.exponents(datum, ws)[0] == tuple(a) else None
+    return ws if exponents(datum, ws)[0] == tuple(a) else None
 
 
 def dense_mat_mul(A, B):
@@ -179,7 +229,16 @@ def full_skew_verification(H, nf):
     return not n or dense_mat_mul(intlinalg.transpose(Q), dense_mat_mul(H, Q)) == target
 
 
-def ball_tensor_relations(datum, word, N, params=None, include_det=True):
+def vec_sub(v1, v2):
+    """v1 - v2 for module vectors {index: coefficient}."""
+    return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])
+
+
+def vec_eq(v1, v2):
+    return not vec_sub(v1, v2)
+
+
+def ball_tensor_relations(datum, word, N, params=None):
     """The tensor relation suite acted out on every basis vector with
     max |n_k| <= N (test oracle for the formal-Z check of
     slq2_tensor.verify_tensor_relations)."""
@@ -223,33 +282,32 @@ def ball_tensor_relations(datum, word, N, params=None, include_det=True):
                 accumulate(rhs, act2(u1, u2).items())
             if qexp:
                 rhs = {key: coeff_mul(c, coeff_qpow(qexp)) for key, c in rhs.items()}
-            if not sq._vec_eq(lhs, rhs):
+            if not vec_eq(lhs, rhs):
                 failures.append((name, n))
         # [x_ij, x_kl] = (q - q^{-1}) x_il x_kj for i<k, j<l
         for i in range(1, n1 + 1):
             for k in range(i + 1, n1 + 1):
                 for j in range(1, n1 + 1):
                     for l in range(j + 1, n1 + 1):
-                        lhs = sq._vec_sub(act2(g[(i, j)], g[(k, l)]),
+                        lhs = vec_sub(act2(g[(i, j)], g[(k, l)]),
                                           act2(g[(k, l)], g[(i, j)]))
                         mid = act2(g[(i, l)], g[(k, j)])
-                        rhs = sq._vec_sub(
+                        rhs = vec_sub(
                             {key: coeff_mul(c, coeff_qpow(1)) for key, c in mid.items()},
                             {key: coeff_mul(c, coeff_qpow(-1)) for key, c in mid.items()},
                         )
-                        if not sq._vec_eq(lhs, rhs):
+                        if not vec_eq(lhs, rhs):
                             failures.append((f"[x{i}{j}, x{k}{l}] commutator", n))
-        if include_det:
-            det = {}
-            for tau in itertools.permutations(range(n1)):
-                inv = weyl.inversion_count(tau)
-                term = dict(base)
-                for s in range(n1 - 1, -1, -1):
-                    term = mod.element_action(g[(s + 1, tau[s] + 1)], term)
-                term = {key: coeff_mul(c, {(inv, ()): (-1) ** inv}) for key, c in term.items()}
-                accumulate(det, term.items())
-            if not sq._vec_eq(det, base):
-                failures.append(("det_q = 1", n))
+        det = {}
+        for tau in itertools.permutations(range(n1)):
+            inv = weyl.inversion_count(tau)
+            term = dict(base)
+            for s in range(n1 - 1, -1, -1):
+                term = mod.element_action(g[(s + 1, tau[s] + 1)], term)
+            term = {key: coeff_mul(c, {(inv, ()): (-1) ** inv}) for key, c in term.items()}
+            accumulate(det, term.items())
+        if not vec_eq(det, base):
+            failures.append(("det_q = 1", n))
     return {"ok": not failures, "failures": failures[:20], "checked": len(ball)}
 
 

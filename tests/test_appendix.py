@@ -100,9 +100,9 @@ def test_public_h_tilde_and_script_h_are_congruent(A3):
     for _ in range(20):
         word = random_double_word(A3, rng, 6)
         plus, minus = ac._sign_class_words(word)
-        P = intlinalg.block_diag(ac.build_word_matrices(A3, plus).P,
-                                 ac.build_word_matrices(A3, minus).P, intlinalg.identity(3))
-        Ht, Hs = ac.h_tilde(A3, word), ac.script_h(A3, word)
+        mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
+        P = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(3))
+        Ht, Hs = ac._h_tilde(3, mp, mm), ac._script_h(3, mp, mm)
         assert intlinalg.is_skew_symmetric(Ht) and intlinalg.is_skew_symmetric(Hs)
         assert intlinalg.mat_mul(intlinalg.transpose(P), intlinalg.mat_mul(Ht, P)) == Hs
 
@@ -137,8 +137,8 @@ def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, ag
     word = (1, 2, -1, 3, -2)
     rep = ac.congruence_check(A3, word)
     plus, minus = ac._sign_class_words(word)
-    fake_ht = ac._h_tilde(3, ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus))
-    assert fake_ht in seen and len(seen) == 3
+    mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
+    assert ac._h_tilde(3, mp, mm) in seen and len(seen) == 3
     assert not rep["q_congruence"] and not rep["ok"]
     assert rep["multipliers_agree"] is agree
-    assert rep["multipliers"] == real_multipliers(ac.script_h(A3, word))
+    assert rep["multipliers"] == real_multipliers(ac._script_h(3, mp, mm))

@@ -51,6 +51,20 @@ def test_image_minor_flag(capsys):
     assert code == 0
     elem = QTorusElement.from_json(json.loads(out))
     assert len(elem.terms) == 3
+    assert out == (Path(__file__).parent / "golden" / "ref_word_minor1212.json").read_text()
+
+
+@pytest.mark.parametrize("minor, named", [
+    ("12", "expected |"),
+    ("11|12", "repeated level"),
+    ("12|1", "equal row and column counts"),
+    ("12|1a", "unexpected character"),
+    ("1|1)*x11*minor(2|2", "is not rows|cols"),
+])
+def test_image_minor_errors_name_the_fault(capsys, minor, named):
+    code, out, err = run(capsys, "image", "--rank", "2", "--word", "1,2", "--minor", minor)
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
 
 
 def test_diagram_ascii_columns(capsys):
@@ -291,6 +305,19 @@ def test_verify_suites(capsys):
         capsys, "verify", "--suite", "relations", "--rank", "2", "--max-len", "2"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("module", "verify", "--kind", "Mminus", "--truncate", "-3"),
+    ("module", "verify", "--tensor", "--word", "-1,1", "--truncate", "-2"),
+    ("verify", "--suite", "relations", "--rank", "2", "--max-len", "-1"),
+])
+def test_negative_bound_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "is not a nonnegative integer" in err
 
 
 def test_usage_exit_code():

@@ -44,6 +44,26 @@ def test_typical_relations_scaled_q(d):
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("generator, factor, failing", [
+    # x11 -> q x11 breaks the two relations with x11 on one side only
+    ("x11", lambda i: 1, lambda i: ["[x11, x22] commutator", "det_q = 1"]),
+    # x12 e_i = eta q^{2i} e_i breaks both q-commutations of x12 with x11
+    # and x22; the commutator and det_q see x12 only on e_i, so hold at i = 0
+    ("x12", lambda i: i, lambda i: ["x11 x12 = q x12 x11", "x12 x22 = q x22 x12"]
+     + (["[x11, x22] commutator", "det_q = 1"] if i else [])),
+])
+def test_corrupted_rank1_action_fails_the_named_relations(monkeypatch, generator, factor, failing):
+    action = sq.typical_action
+
+    def corrupted(spec, gen, i, d=1):
+        out = action(spec, gen, i, d=d)
+        return [(j, coeff_shift(c, factor(i))) for j, c in out] if gen == generator else out
+
+    monkeypatch.setattr(sq, "typical_action", corrupted)
+    rep = sq.verify_typical_relations(sq.TypicalModuleSpec(kind="Laurent"), 2)
+    assert rep["failures"] == [(name, i) for i in range(-2, 3) for name in failing(i)]
+
+
 def test_laurent_illegal_specialization_detected():
     # gamma * eta = -q, the k = 0 excluded value: flagged at index 0
     bad = sq.TypicalModuleSpec(kind="Laurent", gamma={(1, ()): -1}, eta={(0, ()): 1})
@@ -290,7 +310,10 @@ def test_module_vectors_own_their_coefficients(A1):
     def module_vector():
         return ({(0, 0): {(0, ()): 1}, (1, -1): {(1, (1, 0)): 2}},)
 
-    _owns_its_coefficients(sq._vec_sub, vectors)
+    one, q = coeff_qpow(0), coeff_qpow(1)
+    _owns_its_coefficients(  # v1 - q v2, acting on the two vectors by lookup
+        lambda v1, v2: wiring.relation_difference([(one, "a")], [(q, "b")], {"a": v1, "b": v2}.get),
+        vectors)
     _owns_its_coefficients(lambda v: sq.apply_generator(spec, "x21", v),
                            lambda: vectors()[:1])
     _owns_its_coefficients(lambda v: mod.element_action(g[(1, 1)], v), module_vector)

@@ -2,29 +2,37 @@ import random
 
 import pytest
 
-from conftest import generator_strings, invert_rational, monomial_to_string, q_commute_index
+from conftest import (
+    InvalidString,
+    WeightString,
+    constant_string,
+    exponents,
+    generator_strings,
+    invert_rational,
+    monomial_to_string,
+    q_commute_index,
+)
 from qck import appendix_congruence as ac
 from qck import intlinalg, strings, weyl
-from qck.strings import WeightString, constant_string
 
 
 def test_exponents_constant_string(A1):
     ws = constant_string((-1, 1), (1,))
-    assert strings.exponents(A1, ws) == ((1, 1), (0, 0))
+    assert exponents(A1, ws) == ((1, 1), (0, 0))
 
 
 def test_exponents_single_step(A1):
     ws = WeightString(word=(1,), start=(1,), steps=(1,))
     # matches the rank-one image of x_12 being y
-    assert strings.exponents(A1, ws) == ((0,), (1,))
+    assert exponents(A1, ws) == ((0,), (1,))
 
 
 def test_string_monomial_element(A1):
     # I(mu) = x^a y^b: the rank-one step string is y, the constant string x1 x2
     ws = WeightString(word=(1,), start=(1,), steps=(1,))
-    assert strings.exponents(A1, ws) == ((0,), (1,))
+    assert exponents(A1, ws) == ((0,), (1,))
     const = constant_string((-1, 1), (1,))
-    assert strings.exponents(A1, const) == ((1, 1), (0, 0))
+    assert exponents(A1, const) == ((1, 1), (0, 0))
 
 
 def test_exponents_generator_strings_match_phi(A2):
@@ -33,7 +41,7 @@ def test_exponents_generator_strings_match_phi(A2):
     gens = generator_strings(A2, word)
     n, m = A2.n, len(word)
     for idx, ws in enumerate(gens):
-        a, b = strings.exponents(A2, ws)
+        a, b = exponents(A2, ws)
         col = [mats.Phi[r][idx] for r in range(2 * m)]
         assert list(a) + list(b) == col
 
@@ -48,9 +56,9 @@ def test_string_weights_and_end(A2):
 
 
 def test_invalid_strings_rejected():
-    with pytest.raises(strings.InvalidString):
+    with pytest.raises(InvalidString):
         WeightString(word=(1, 2), start=(0, 0), steps=(1,))
-    with pytest.raises(strings.InvalidString):
+    with pytest.raises(InvalidString):
         WeightString(word=(1,), start=(0, 0), steps=(-1,))
 
 
@@ -128,7 +136,7 @@ def test_h_matches_q_commute_of_generator_strings(A2):
     word = (1, 2, 1, -1, -2)
     mats = strings.string_matrices(A2, word)
     gens = generator_strings(A2, word)
-    monos = [strings.exponents(A2, ws) for ws in gens]
+    monos = [exponents(A2, ws) for ws in gens]
     for i, mi in enumerate(monos):
         for j, mj in enumerate(monos):
             assert mats.H[i][j] == q_commute_index(mi, mj, mats.D)

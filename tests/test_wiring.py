@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import monomial_to_string, natural_weight, random_double_word
 from qck import weyl, wiring
-from qck.qtorus import QTorusElement
+from qck.qtorus import QTorusElement, coeff_qpow
 
 REF_WORD = (1, 2, 1, -1, -2)
 REF_D = (1, 1, 1, 1, 1)
@@ -172,6 +173,54 @@ def test_verify_relations_samples():
             word = random_double_word(datum, rng, 5)
             report = wiring.verify_relations(datum, word)
             assert all(ok for _name, ok in report), word
+
+
+@pytest.mark.parametrize("n1", [2, 3, 4])
+def test_relation_table_counts_names_and_labels(n1):
+    rels = wiring.quantum_matrix_relations(n1)
+    kinds = {}
+    for name, lhs, rhs in rels[:-1]:
+        u, v = lhs[0][1]
+        kind = ("row" if u[0] == v[0] else "column" if u[1] == v[1]
+                else "commutator" if len(lhs) == 2 else "commute")
+        kinds[kind] = kinds.get(kind, 0) + 1
+    pairs = n1 * (n1 - 1) // 2
+    assert kinds == {"row": n1 * pairs, "column": n1 * pairs,
+                     "commute": pairs ** 2, "commutator": pairs ** 2}
+    assert len({name for name, _lhs, _rhs in rels}) == len(rels)
+    name, lhs, rhs = rels[-1]
+    assert name == "det_q = 1" and rhs == [(coeff_qpow(0), ())]
+    assert len(lhs) == math.factorial(n1)
+    assert sorted(tuple(j for _i, j in word) for _c, word in lhs) == sorted(
+        itertools.permutations(range(1, n1 + 1)))
+    for c, word in lhs:  # (-q)^{l(tau)} x_{1 tau(1)} ... x_{n1 tau(n1)}
+        inv = weyl.inversion_count([j for _i, j in word])
+        assert [i for i, _j in word] == list(range(1, n1 + 1)) and c == coeff_qpow(inv, (-1) ** inv)
+    labels = [label for _name, lhs, rhs in rels for _c, word in lhs + rhs for label in word]
+    assert all(1 <= i <= n1 and 1 <= j <= n1 for i, j in labels)
+
+
+@pytest.mark.parametrize("label, failing", [
+    ((1, 1), ["[x11, x22] commutator", "[x11, x23] commutator",
+              "[x11, x32] commutator", "[x11, x33] commutator"]),
+    ((1, 2), ["[x11, x22] commutator", "[x12, x23] commutator",
+              "[x11, x32] commutator", "[x12, x33] commutator"]),
+])
+def test_image_scaled_by_q_fails_the_commutators_it_enters_once(monkeypatch, A2, label, failing):
+    # x_label -> q x_label breaks exactly the commutators with x_label on one
+    # side; on w0 x w0 no image is 0, so no such relation holds by vanishing
+    word = (1, 2, 1, -1, -2, -1)
+    assert not any(u.is_zero() for u in wiring.generator_images(A2, word).values())
+    transfer = wiring._transfer
+
+    def corrupted(datum, word):
+        D, g = transfer(datum, word)
+        return D, {**g, label: g[label].scale(coeff_qpow(1))}
+
+    monkeypatch.setattr(wiring, "_transfer", corrupted)
+    report = wiring.verify_relations(A2, word)
+    assert [name for name, ok in report if not ok] == failing
+    assert report[-1] == ("det_q = 1", True)  # det_q is the path family, not the images
 
 
 def test_generator_terms_are_weight_strings(A2, A3):
