@@ -7,20 +7,8 @@ associated integer matrices, and machine-checkable pivot-element
 certificates.
 """
 
-# `cli` is left out: `python -m qck.cli` would otherwise find it imported
-# before runpy runs it, warn, and execute it twice; `from qck import cli`
-# still works
-from . import (  # noqa: F401
-    appendix_congruence,
-    intlinalg,
-    pivots,
-    qtorus,
-    slq2_tensor,
-    strings,
-    weyl,
-    wiring,
-)
-
+# no submodule is imported here: `import qck` stays cheap, `python -m qck.cli`
+# runs cli.py once, and `from qck import wiring` imports wiring and what it uses
 __all__ = [
     "weyl",
     "intlinalg",

@@ -162,7 +162,8 @@ class CertificateReport:
 
 
 def check_certificate(datum, cert):
-    """Evaluate every claim of a certificate; parse or unit failures surface
+    """Evaluate every claim of a certificate; a claim that does not parse,
+    names a level out of range, or is not a unit where one is needed fails
     in the claim report rather than aborting the whole run."""
     weyl.split_double_word(datum, cert.word)
     reports = []
@@ -189,7 +190,7 @@ def check_certificate(datum, cert):
             rep.passed = witness is not None
             if witness is None:
                 rep.error = "no pivot witness"
-        except (wiring.ParseError, ExpressionNotUnit, InvalidType) as exc:
+        except (ValueError, IndexError) as exc:  # CrossCheckFailed is neither
             rep.error = str(exc)
         reports.append(rep)
     return CertificateReport(

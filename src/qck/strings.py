@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul, sub
 
 from . import intlinalg, weyl
@@ -41,8 +41,7 @@ class StringMatrices:
     Phi: list  # 2m x (n+m), columns = exponent vectors of the generators
     H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
     OmegaTilde: list  # m x n, Lambda^{-1} Omega
-    Theta: list = field(default=None)  # n x s, basis of the column span of OmegaTilde^T D
-    PhiTilde: list = field(default=None)  # 2m x (n+m), Z-equivalent generator matrix
+    PhiTilde: list  # 2m x (n+m), Z-equivalent generator matrix
 
 
 def _torus_matrices(datum, word):
@@ -157,11 +156,6 @@ def _string_matrices(ctx):
         for t in range(m):
             PhiTilde[m + s][n + t] = LambdaInv[s][t]
 
-    # Theta: basis of the lattice spanned by the columns of OmegaTilde^T D
-    OtD = [[OmegaTilde[k][i] * D[k] for k in range(m)] for i in range(n)]
-    theta_cols = intlinalg.hermite_column_basis(OtD)
-    Theta = [[col[i] for col in theta_cols] for i in range(n)]
-
     return StringMatrices(
         word=ctx.word,
         D=D,
@@ -170,7 +164,6 @@ def _string_matrices(ctx):
         Phi=Phi,
         H=H,
         OmegaTilde=OmegaTilde,
-        Theta=Theta,
         PhiTilde=PhiTilde,
     )
 

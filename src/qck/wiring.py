@@ -7,17 +7,16 @@ negative letters.  Within the crossing column, staying on level |e| weighs
 x, staying on level |e|+1 weighs x^{-1}, taking the diagonal weighs y, and
 every other level weighs 1; column k writes its weight into tensor factor k.
 
-The image of the generator x_ij is the sum of weights of paths from level i
-to level j; the image of a quantum minor is the sum of weights of
-vertex-disjoint path families (the quantum Lindstrom lemma), with the
-permutation expansion of the minor kept alongside as an independent oracle.
-
-All (n+1)^2 generator images of a word come from one left-to-right transfer
-pass over its columns (the planar-network view of Fomin-Zelevinsky), kept for
-the most recent (datum, word) only: a sweep over one word's minors and
-relations builds them once.  Path enumeration (`enumerate_paths` with
-`path_weight`) stays as the independent oracle for that pass.  The diagrams
-are type A only; every entry point that takes a datum rejects other data.
+The image of a quantum minor with rows A and columns B is the sum of weights
+of vertex-disjoint path families from A to B (the quantum Lindstrom lemma);
+the generator x_ij is the 1x1 minor ({i}|{j}).  One left-to-right transfer
+pass over the columns from a start set A gives the images for every B at
+once (the planar-network view of Fomin-Zelevinsky).  The passes are kept for
+the most recent (datum, word) only, each run on first use: a single query
+runs one pass, and a sweep over one word's minors and relations runs each
+start set once.  The permutation expansion of a minor in the generator
+images is kept alongside as an independent oracle.  The diagrams are type A
+only; every entry point that takes a datum rejects other data.
 
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
 which the torus suite here and the module suites of slq2_tensor evaluate.
@@ -87,80 +86,79 @@ def _column_moves(level, crossing, sign):
     return moves
 
 
-def enumerate_paths(diagram, start, end):
-    """All paths from level `start` to level `end`, as (m+1)-tuples of levels."""
-    cols = diagram.columns
-    out = []
-
-    def rec(k, level, trace):
-        if k == len(cols):
-            if level == end:
-                out.append(tuple(trace))
-            return
-        for nxt, _w in _column_moves(level, *cols[k]):
-            trace.append(nxt)
-            rec(k + 1, nxt, trace)
-            trace.pop()
-
-    rec(0, start, [start])
-    return out
-
-
-def path_weight(diagram, path, D):
-    """I(p): the monomial with factor k given by the edge used in column k."""
-    cols = diagram.columns
-    a = []
-    b = []
-    for k, (crossing, sign) in enumerate(cols):
-        lv, nxt = path[k], path[k + 1]
-        for cand, w in _column_moves(lv, crossing, sign):
-            if cand == nxt:
-                a.append(w[0])
-                b.append(w[1])
-                break
-        else:
-            raise ValueError("path is not traversable in this diagram")
-    return QTorusElement.monomial(len(cols), D, tuple(a), tuple(b))
+def _levels(datum, A, B):
+    """A and B as sorted tuples of distinct levels, of one size, in 1..n+1."""
+    A, B = tuple(sorted(set(A))), tuple(sorted(set(B)))
+    if len(A) != len(B):
+        raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
+    for lv in A + B:
+        if not 1 <= lv <= datum.n + 1:
+            raise IndexError(f"level {lv} out of range")
+    return A, B
 
 
 @functools.lru_cache(maxsize=1)
-def _transfer(datum, word):
-    """(D, {(i, j): image of x_ij}) from one left-to-right pass over the columns,
-    kept for the most recent (datum, word); callers must not mutate the images.
+def _word_images(datum, word):
+    """(D, columns, {A: images}) of the most recent (datum, word), the images
+    of each start set A filled in on first use by _transfer."""
+    return torus_diagonal(datum, word), build_diagram(datum.n, word).columns, {}
 
-    A partial weight is a full-length exponent pair whose slots for the columns
-    still to come are 0, so column k only rewrites slot k of the weights ending
-    on its two crossing levels; every other level carries weight 1 through it.
-    Two paths part at some column by moves of different weights, so every
-    weight in an image is one path's, with coefficient 1.
+
+def _transfer(datum, word, A):
+    """{B: image of minor(A|B)} for every B with |B| = |A|, from one
+    left-to-right pass over the columns from the sorted start set A, kept for
+    the most recent (datum, word); callers must not mutate the images.
+
+    The state is the sorted tuple of levels a family occupies: paths cannot
+    swap, and vertex-disjoint means the levels stay distinct.  A partial
+    weight is a full-length exponent pair whose slots for the columns still
+    to come are 0, so column k only rewrites slot k.  Within one column two
+    paths' weights can only be x and x^{-1}, as a path taking the diagonal
+    leaves both crossing levels to itself; so a family weighs the sum of its
+    paths' exponent pairs, with coefficient 1.
     """
-    columns = build_diagram(datum.n, word).columns
-    D = torus_diagonal(datum, word)
-    n1 = datum.n + 1
+    D, columns, images = _word_images(datum, word)
+    if A in images:
+        return images[A]
     zero = (0,) * len(word)
-    # ends[i][level]: weights (a, b) of the paths from level i to `level`
-    ends = {i: {lv: [(zero, zero)] if lv == i else [] for lv in range(1, n1 + 1)}
-            for i in range(1, n1 + 1)}
+    ends = {A: [(zero, zero)]}  # levels -> weights (a, b) of the families ending there
     for k, (crossing, sign) in enumerate(columns):
-        for paths in ends.values():
-            step = {crossing: [], crossing + 1: []}
-            for level in (crossing, crossing + 1):
-                for nxt, (x, y) in _column_moves(level, crossing, sign):
-                    step[nxt] += [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:])
-                                  for a, b in paths[level]]
-            paths.update(step)
-    images = {}
-    for i, paths in ends.items():
-        for j, weights in paths.items():
-            images[(i, j)] = elem = QTorusElement(len(word), D)
-            elem.terms = {w: {(0, ()): 1} for w in weights}
-    return D, images
+        step = {}
+        for levels, weights in ends.items():
+            for moves in itertools.product(*(_column_moves(lv, crossing, sign) for lv in levels)):
+                nxt = tuple(lv for lv, _w in moves)
+                if len(set(nxt)) < len(nxt):
+                    continue  # two paths would meet
+                x = sum(w[0] for _lv, w in moves)
+                y = sum(w[1] for _lv, w in moves)
+                step.setdefault(nxt, []).extend(
+                    [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:]) for a, b in weights]
+                    if x or y else weights)
+        ends = step
+    one = coeff_qpow(0)
+    images[A] = {}
+    for B in itertools.combinations(range(1, datum.n + 2), len(A)):
+        images[A][B] = elem = QTorusElement(len(word), D)
+        elem.terms = accumulate({}, zip(ends.get(B, ()), itertools.repeat(one)))
+    return images[A]
+
+
+def _image(datum, word, A, B):
+    """A fresh copy of the image of minor(A|B), for sorted level tuples."""
+    e = _transfer(datum, tuple(word), A)[B]
+    return QTorusElement(e.m, e.D, e.terms)
+
+
+def _generators(datum, word):
+    """{(i, j): image of x_ij} from the memo; callers must not mutate them."""
+    levels = range(1, datum.n + 2)
+    return {(i, j): _transfer(datum, word, (i,))[(j,)] for i in levels for j in levels}
 
 
 def generator_images(datum, word):
     """{(i, j): image of x_ij} for every pair of levels, as fresh elements."""
-    _D, images = _transfer(datum, tuple(word))
-    return {ij: QTorusElement(e.m, e.D, e.terms) for ij, e in images.items()}
+    gens = _generators(datum, tuple(word))
+    return {ij: QTorusElement(e.m, e.D, e.terms) for ij, e in gens.items()}
 
 
 def generator_image(datum, word, i, j):
@@ -168,67 +166,13 @@ def generator_image(datum, word, i, j):
     n = datum.n
     if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
         raise IndexError(f"generator indices ({i},{j}) out of range 1..{n + 1}")
-    e = _transfer(datum, tuple(word))[1][(i, j)]
-    return QTorusElement(e.m, e.D, e.terms)
-
-
-def enumerate_families(diagram, A, B):
-    """All vertex-disjoint path families from levels A to levels B.
-
-    Paths are ordered by start level; a family is a tuple of level-trace
-    tuples.  Vertex disjointness is equivalent to the traces being pairwise
-    distinct at every column boundary.
-    """
-    A = sorted(set(A))
-    B = sorted(set(B))
-    if len(A) != len(B):
-        raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
-    for lv in itertools.chain(A, B):
-        if not 1 <= lv <= diagram.levels:
-            raise IndexError(f"level {lv} out of range")
-    cols = diagram.columns
-    out = []
-    target = tuple(B)
-
-    def rec(k, levels, traces):
-        if k == len(cols):
-            if tuple(sorted(levels)) == target:
-                out.append(tuple(tuple(tr) for tr in traces))
-            return
-        options = [_column_moves(lv, *cols[k]) for lv in levels]
-        for choice in itertools.product(*options):
-            nxt = tuple(c[0] for c in choice)
-            if len(set(nxt)) != len(nxt):
-                continue
-            for tr, lv in zip(traces, nxt):
-                tr.append(lv)
-            rec(k + 1, nxt, traces)
-            for tr in traces:
-                tr.pop()
-
-    rec(0, tuple(A), [[lv] for lv in A])
-    return out
-
-
-def family_weight(diagram, family, D):
-    """I(P) = product of the path weights, taken in start-level order."""
-    m = len(diagram.word)
-    out = QTorusElement.one(m, D)
-    for path in family:
-        out = out * path_weight(diagram, path, D)
-    return out
+    return _image(datum, word, (i,), (j,))
 
 
 def minor_image(datum, word, A, B):
-    """Image of the quantum minor with rows A and columns B, via the sum over
-    vertex-disjoint path families."""
-    word = tuple(word)
-    diagram = build_diagram(datum.n, word)
-    D = torus_diagonal(datum, word)
-    out = QTorusElement.zero(len(word), D)
-    for family in enumerate_families(diagram, A, B):
-        out = out + family_weight(diagram, family, D)
-    return out
+    """Image of the quantum minor with rows A and columns B: the sum of the
+    weights of the vertex-disjoint path families from A to B."""
+    return _image(datum, word, *_levels(datum, A, B))
 
 
 def minor_expansion(A, B):
@@ -246,15 +190,10 @@ def minor_image_oracle(datum, word, A, B):
     """Permutation expansion sum_tau (-q)^{l(tau)} prod_s pi(x_{a_s, b_tau(s)}):
     the independent check for minor_image."""
     word = tuple(word)
-    A = sorted(set(A))
-    B = sorted(set(B))
-    if len(A) != len(B):
-        raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
-    for lv in itertools.chain(A, B):
-        if not 1 <= lv <= datum.n + 1:
-            raise IndexError(f"level {lv} out of range")
-    D, gens = _transfer(datum, word)
+    A, B = _levels(datum, A, B)
+    gens = _generators(datum, word)
     m = len(word)
+    D = torus_diagonal(datum, word)
     out = QTorusElement.zero(m, D)
     for c, labels in minor_expansion(A, B):
         term = QTorusElement.one(m, D).scale(c)
@@ -410,14 +349,15 @@ def expression_image(datum, word, expr):
 def quantum_matrix_relations(n1):
     """The defining relations of C_q[SL_{n1}] as (name, lhs, rhs) triples.
 
-    Each side is a list of (coefficient, word) terms, a word being a tuple of
-    generator labels (i, j) read left to right.  The order is: x_ij x_il =
+    Each side is a list of (coefficient, word) terms, a coefficient being a
+    Laurent polynomial in q and a word a tuple of generator labels (i, j) read
+    left to right.  The order is: x_ij x_il =
     q x_il x_ij (j < l) and x_ij x_kj = q x_kj x_ij (i < k), then for i < k,
     j < l every x_il x_kj = x_kj x_il, then every commutator [x_ij, x_kl] =
     (q - q^{-1}) x_il x_kj, and det_q = 1 last.  Callers must not mutate it.
     """
-    one, q = coeff_qpow(0), coeff_qpow(1)
-    minus_one, minus_qinv = coeff_qpow(0, -1), coeff_qpow(-1, -1)
+    one, q, minus_one = coeff_qpow(0), coeff_qpow(1), coeff_qpow(0, -1)
+    q_minus_qinv = {(1, ()): 1, (-1, ()): -1}
     levels = range(1, n1 + 1)
     rels = []
     for i in levels:
@@ -432,7 +372,7 @@ def quantum_matrix_relations(n1):
               [(one, ((i, l), (k, j)))], [(one, ((k, j), (i, l)))]) for i, j, k, l in quads]
     rels += [(f"[x{i}{j}, x{k}{l}] commutator",
               [(one, ((i, j), (k, l))), (minus_one, ((k, l), (i, j)))],
-              [(q, ((i, l), (k, j))), (minus_qinv, ((i, l), (k, j)))])
+              [(q_minus_qinv, ((i, l), (k, j)))])
              for i, j, k, l in quads]
     rels.append(("det_q = 1", minor_expansion(tuple(levels), tuple(levels)), [(one, ())]))
     return tuple(rels)
@@ -444,10 +384,11 @@ def relation_difference(lhs, rhs, act, d=1):
     out = {}
     for sign, side in ((1, lhs), (-1, rhs)):
         for c, word in side:
-            ((e, _), v), = c.items()  # each table coefficient is one monomial +-q^e
-            e, v = d * e, sign * v
-            accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
-                             for key, cx in act(word).items()])
+            acted = act(word).items()
+            for (e, _), v in c.items():  # table coefficients are Laurent polynomials in q
+                e, v = d * e, sign * v
+                accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
+                                 for key, cx in acted])
     return out
 
 
@@ -456,7 +397,7 @@ def verify_relations(datum, word):
     images; returns a list of (description, ok) pairs.  det_q is evaluated
     by the full minor's one path family, not by its permutation expansion."""
     word = tuple(word)
-    D, g = _transfer(datum, word)
+    g = _generators(datum, word)
 
     def act(labels):
         return functools.reduce(operator.mul, map(g.__getitem__, labels)).terms
@@ -464,7 +405,7 @@ def verify_relations(datum, word):
     *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
     report = [(name, not relation_difference(lhs, rhs, act)) for name, lhs, rhs in rels]
     det = quantum_determinant_image(datum, word)
-    return report + [(det_name, det == QTorusElement.one(len(word), D))]
+    return report + [(det_name, det == QTorusElement.one(len(word), det.D))]
 
 
 # ---------------------------------------------------------------------------

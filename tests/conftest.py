@@ -8,7 +8,7 @@ import pytest
 from qck import intlinalg
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
-from qck.qtorus import accumulate, coeff_mul, coeff_neg, coeff_qpow
+from qck.qtorus import QTorusElement, accumulate, coeff_mul, coeff_neg, coeff_qpow
 
 
 def exact_det(M):
@@ -229,6 +229,59 @@ def full_skew_verification(H, nf):
     return not n or dense_mat_mul(intlinalg.transpose(Q), dense_mat_mul(H, Q)) == target
 
 
+def enumerate_families(diagram, A, B):
+    """All vertex-disjoint path families from levels A to levels B, each a
+    tuple of level traces in start-level order; vertex disjointness is the
+    traces being pairwise distinct at every column boundary (the explicit
+    Lindstrom oracle for the transfer pass of wiring)."""
+    cols = diagram.columns
+    out = []
+    target = tuple(sorted(set(B)))
+
+    def rec(k, levels, traces):
+        if k == len(cols):
+            if tuple(sorted(levels)) == target:
+                out.append(tuple(tuple(tr) for tr in traces))
+            return
+        options = [wiring._column_moves(lv, *cols[k]) for lv in levels]
+        for choice in itertools.product(*options):
+            nxt = tuple(c[0] for c in choice)
+            if len(set(nxt)) != len(nxt):
+                continue
+            for tr, lv in zip(traces, nxt):
+                tr.append(lv)
+            rec(k + 1, nxt, traces)
+            for tr in traces:
+                tr.pop()
+
+    A = sorted(set(A))
+    rec(0, tuple(A), [[lv] for lv in A])
+    return out
+
+
+def family_weight(diagram, family, D):
+    """I(P): the torus product, in start-level order, of the path monomials,
+    factor k of a path given by the edge it takes in column k."""
+    m = len(diagram.word)
+    out = QTorusElement.one(m, D)
+    for path in family:
+        a, b = zip(*(dict(wiring._column_moves(path[k], *col))[path[k + 1]]
+                     for k, col in enumerate(diagram.columns))) if m else ((), ())
+        out = out * QTorusElement.monomial(m, D, a, b)
+    return out
+
+
+def family_sum(datum, word, A, B):
+    """Image of minor(A|B) as the sum of family weights; x_ij is A = (i,),
+    B = (j,)."""
+    diagram = wiring.build_diagram(datum.n, word)
+    D = wiring.torus_diagonal(datum, word)
+    out = QTorusElement.zero(len(word), D)
+    for family in enumerate_families(diagram, A, B):
+        out = out + family_weight(diagram, family, D)
+    return out
+
+
 def vec_sub(v1, v2):
     """v1 - v2 for module vectors {index: coefficient}."""
     return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])
@@ -359,3 +412,4 @@ def _fresh_word_context():
     """Start each test with an empty per-word memo, so that a layer a test
     replaces is really called and call counts do not depend on test order."""
     strings._context.cache_clear()
+    wiring._word_images.cache_clear()

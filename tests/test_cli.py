@@ -129,6 +129,37 @@ def test_pivots_check_certificate_without_claims(tmp_path, capsys):
     assert "'claims'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("a_expr, elem_expr, named", [
+    ("x44", "x22", "out of range"),
+    ("x11", "minor(14|14)", "out of range"),
+    ("x13^-1", "x22", "non-unit"),
+    ("minor(12|1)", "x22", "equal row and column counts"),
+])
+def test_pivots_check_reports_a_bad_claim_and_exits_1(tmp_path, capsys, a_expr, elem_expr, named):
+    claims = [{"a_expr": a_expr, "elem_expr": elem_expr}, {"a_expr": "x11", "elem_expr": "x22"}]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"word": "-1,1", "order": [1, 2], "claims": claims}))
+    code, out, err = run(capsys, "pivots", "check", "--rank", "2", "--cert", str(path))
+    assert code == 1 and err == "certificate: FAIL\n"
+    first, second = json.loads(out)["claims"]
+    assert not first["passed"] and named in first["error"]
+    assert second["passed"]
+
+
+def test_pivots_check_cross_check_failure_exits_3(monkeypatch, tmp_path, capsys):
+    from qck import pivots
+
+    def boom(*args):
+        raise pivots.CrossCheckFailed("forced")
+
+    monkeypatch.setattr(pivots, "is_pivot", boom)
+    cert = pivots.TABLE1[0]["certificate"]
+    path = tmp_path / "cert.json"
+    path.write_text(cert.dumps())
+    code, out, err = run(capsys, "pivots", "check", "--rank", "2", "--cert", str(path))
+    assert code == 3 and out == "" and "cross-check" in err
+
+
 def test_pivots_auto(capsys):
     code, out, _ = run(capsys, "pivots", "auto", "--rank", "2", "--word", "-1,2")
     assert code == 0

@@ -91,6 +91,24 @@ def test_failing_certificate_reports(A2):
     assert "zero x-exponent" in report.claims[1].error
 
 
+@pytest.mark.parametrize("a_expr, elem_expr, named", [
+    ("x44", "x22", "out of range"),
+    ("x11", "minor(14|14)", "out of range"),
+    ("x13^-1", "x22", "negative power of a non-unit"),
+    ("minor(12|1)", "x22", "equal row and column counts"),
+])
+def test_claim_errors_are_reported_not_raised(A2, a_expr, elem_expr, named):
+    cert = pivots.PivotCertificate(
+        word=(-1, 1),
+        order=(1, 2),
+        claims=(pivots.PivotClaim(a_expr, elem_expr), pivots.PivotClaim("x11", "x22")),
+    )
+    report = pivots.check_certificate(A2, cert)
+    assert not report.passed
+    assert not report.claims[0].passed and named in report.claims[0].error
+    assert report.claims[1].passed  # the claims after a failing one are still checked
+
+
 def test_certificate_json_roundtrip():
     cert = pivots.TABLE1[3]["certificate"]
     again = pivots.PivotCertificate.from_json(json.loads(cert.dumps()))

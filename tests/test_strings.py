@@ -304,7 +304,7 @@ def test_string_matrices_hands_out_a_copy(A3):
 
     before, first = strings.string_matrices(A3, word), results()
     mats = strings.string_matrices(A3, word)
-    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "Theta", "PhiTilde"):
+    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "PhiTilde"):
         for row in getattr(mats, name):
             row[:] = [x + 7 for x in row]
     assert strings.string_matrices(A3, word) == before

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import monomial_to_string, natural_weight, random_double_word
+from conftest import (enumerate_families, family_sum, family_weight, monomial_to_string,
+                      natural_weight, random_double_word)
 from qck import weyl, wiring
 from qck.qtorus import QTorusElement, coeff_qpow
 
@@ -95,7 +96,7 @@ def test_identity_family_and_determinant(A3):
     for _ in range(10):
         word = random_double_word(A3, rng, 6)
         diagram = wiring.build_diagram(3, word)
-        fams = wiring.enumerate_families(diagram, full, full)
+        fams = enumerate_families(diagram, full, full)
         assert len(fams) == 1
         det = wiring.quantum_determinant_image(A3, word)
         assert det == QTorusElement.one(len(word), wiring.torus_diagonal(A3, word))
@@ -103,14 +104,19 @@ def test_identity_family_and_determinant(A3):
 
 def test_no_families_on_empty_diagram(A1):
     diagram = wiring.build_diagram(1, ())
-    assert wiring.enumerate_families(diagram, (1,), (2,)) == []
-    with pytest.raises(wiring.SizeMismatch):
-        wiring.enumerate_families(diagram, (1,), (1, 2))
+    assert enumerate_families(diagram, (1,), (2,)) == []
+    assert wiring.minor_image(A1, (), (1,), (2,)).is_zero()
+    assert wiring.minor_image(A1, (), (), ()) == QTorusElement.one(0, ())
+    for minor in (wiring.minor_image, wiring.minor_image_oracle):
+        with pytest.raises(wiring.SizeMismatch):
+            minor(A1, (), (1,), (1, 2))
+        with pytest.raises(IndexError):
+            minor(A1, (1,), (1, 3), (1, 2))
 
 
 def test_figure_family_present():
     diagram = wiring.build_diagram(3, (-2, 1, -3, 3, 2, -1, -2, 1, -1))
-    fams = wiring.enumerate_families(diagram, (1, 3), (1, 3))
+    fams = enumerate_families(diagram, (1, 3), (1, 3))
     displayed = {
         (3, 2, 2, 2, 2, 3, 3, 3, 3, 3),
         (1, 1, 1, 1, 1, 1, 1, 1, 2, 1),
@@ -125,14 +131,30 @@ def test_family_weight_order_independent(A3):
         diagram = wiring.build_diagram(3, word)
         D = wiring.torus_diagonal(A3, word)
         for A, B in (((1, 2), (1, 2)), ((1, 3), (2, 4)), ((2, 3, 4), (1, 2, 3))):
-            for fam in wiring.enumerate_families(diagram, A, B):
-                weights = [wiring.path_weight(diagram, p, D) for p in fam]
-                ref = wiring.family_weight(diagram, fam, D)
+            for fam in enumerate_families(diagram, A, B):
+                weights = [family_weight(diagram, (p,), D) for p in fam]
+                ref = family_weight(diagram, fam, D)
                 for perm in itertools.permutations(weights):
                     prod = QTorusElement.one(len(word), D)
                     for w in perm:
                         prod = prod * w
                     assert prod == ref
+
+
+def test_minor_images_match_the_family_oracle():
+    # every minor, the 1x1 generators and the 0x0 minor included
+    rng = random.Random(9)
+    cases = [(datum, word) for datum in (weyl.type_a(1), weyl.type_a(2))
+             for word in weyl.all_double_words(datum, 5)]
+    cases += [(datum, random_double_word(datum, rng, 7))
+              for datum in (weyl.type_a(3), weyl.type_a(4)) for _ in range(3)]
+    for datum, word in cases:
+        levels = range(1, datum.n + 2)
+        for k in range(datum.n + 2):
+            for A in itertools.combinations(levels, k):
+                for B in itertools.combinations(levels, k):
+                    assert wiring.minor_image(datum, word, A, B) == family_sum(datum, word, A, B), (
+                        word, A, B)
 
 
 def test_oracle_equivalence_exhaustive_small(A2):
@@ -211,13 +233,13 @@ def test_image_scaled_by_q_fails_the_commutators_it_enters_once(monkeypatch, A2,
     # side; on w0 x w0 no image is 0, so no such relation holds by vanishing
     word = (1, 2, 1, -1, -2, -1)
     assert not any(u.is_zero() for u in wiring.generator_images(A2, word).values())
-    transfer = wiring._transfer
+    generators = wiring._generators
 
     def corrupted(datum, word):
-        D, g = transfer(datum, word)
-        return D, {**g, label: g[label].scale(coeff_qpow(1))}
+        g = generators(datum, word)
+        return {**g, label: g[label].scale(coeff_qpow(1))}
 
-    monkeypatch.setattr(wiring, "_transfer", corrupted)
+    monkeypatch.setattr(wiring, "_generators", corrupted)
     report = wiring.verify_relations(A2, word)
     assert [name for name, ok in report if not ok] == failing
     assert report[-1] == ("det_q = 1", True)  # det_q is the path family, not the images
@@ -241,16 +263,6 @@ def test_generator_terms_are_weight_strings(A2, A3):
                         assert ws.end(datum) == mu
 
 
-def _path_sum(datum, word, i, j):
-    """Image of x_ij by path enumeration: the oracle for the transfer pass."""
-    diagram = wiring.build_diagram(datum.n, word)
-    D = wiring.torus_diagonal(datum, word)
-    out = QTorusElement.zero(len(word), D)
-    for path in wiring.enumerate_paths(diagram, i, j):
-        out = out + wiring.path_weight(diagram, path, D)
-    return out
-
-
 def test_transfer_pass_matches_path_sums():
     rng = random.Random(4)
     for rank in (1, 2, 3, 4):
@@ -263,12 +275,12 @@ def test_transfer_pass_matches_path_sums():
                 images = wiring.generator_images(datum, word)
                 assert set(images) == set(itertools.product(levels, levels))
                 for (i, j), img in images.items():
-                    assert img.terms == _path_sum(datum, word, i, j).terms, (word, i, j)
+                    assert img.terms == family_sum(datum, word, (i,), (j,)).terms, (word, i, j)
 
 
 def test_images_follow_the_latest_word(A2, A3):
     first, second = REF_WORD, (2, -1, 1)
-    expected = {w: {(i, j): _path_sum(A2, w, i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+    expected = {w: {(i, j): family_sum(A2, w, (i,), (j,)) for i in (1, 2, 3) for j in (1, 2, 3)}
                 for w in (first, second)}
     for word in (first, second, first):
         assert wiring.generator_images(A2, word) == expected[word]
@@ -279,7 +291,7 @@ def test_images_follow_the_latest_word(A2, A3):
 
 
 def test_returned_images_are_fresh(A2):
-    expected = _path_sum(A2, REF_WORD, 1, 2)
+    expected = family_sum(A2, REF_WORD, (1,), (2,))
     for img in (
         wiring.generator_image(A2, REF_WORD, 1, 2),
         wiring.generator_images(A2, REF_WORD)[(1, 2)],
@@ -293,30 +305,33 @@ def test_returned_images_are_fresh(A2):
     assert wiring.minor_image_oracle(A2, REF_WORD, (1,), (2,)) == expected
 
 
-def test_one_transfer_pass_and_no_path_search_per_word(A3, monkeypatch):
-    paths = []
+def test_one_pass_per_start_set_and_none_on_a_second_sweep(A3, monkeypatch):
+    word = (2, -1, 3, 1, -2, -3)
+    wiring.generator_image(A3, word, 1, 2)  # a single query runs one pass
+    assert list(wiring._word_images(A3, word)[2]) == [(1,)]
+    minors = [(A, B) for k in range(5) for A in itertools.combinations((1, 2, 3, 4), k)
+              for B in itertools.combinations((1, 2, 3, 4), k)]
+
+    def sweep():
+        for A, B in minors:
+            wiring.minor_image(A3, word, A, B)
+            wiring.minor_image_oracle(A3, word, A, B)
+        assert all(ok for _name, ok in wiring.verify_relations(A3, word))
+        wiring.expression_image(A3, word, "x12 * x21 * minor(12|23)")
+
+    sweep()
+    assert set(wiring._word_images(A3, word)[2]) == {A for A, _B in minors}
+    moves = []
+    column_moves = wiring._column_moves
 
     def counting(*args):
-        paths.append(args)
-        return enumerate_paths(*args)
+        moves.append(args)
+        return column_moves(*args)
 
-    enumerate_paths = wiring.enumerate_paths
-    monkeypatch.setattr(wiring, "enumerate_paths", counting)
-    wiring.generator_images(A3, ())  # the memo now holds another word
-    passes = wiring._transfer.cache_info().misses
-    word = (2, -1, 3, 1, -2, -3)
-    minors = [(A, B) for k in (1, 2) for A in itertools.combinations((1, 2, 3, 4), k)
-              for B in itertools.combinations((1, 2, 3, 4), k)]
-    for A, B in minors:
-        wiring.minor_image(A3, word, A, B)
-    wiring.expression_image(A3, word, "minor(12|23)")
-    assert wiring._transfer.cache_info().misses == passes  # minors need no pass
-    for A, B in minors:
-        wiring.minor_image_oracle(A3, word, A, B)
-    assert all(ok for _name, ok in wiring.verify_relations(A3, word))
-    wiring.expression_image(A3, word, "x12 * x21")
-    assert wiring._transfer.cache_info().misses == passes + 1
-    assert paths == []
+    monkeypatch.setattr(wiring, "_column_moves", counting)
+    words = wiring._word_images.cache_info().misses
+    sweep()
+    assert moves == [] and wiring._word_images.cache_info().misses == words
 
 
 def test_non_type_a_data_rejected(A2):
