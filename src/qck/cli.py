@@ -2,7 +2,7 @@
 
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 all checks pass, 1 check failures, 2 usage errors, 3 internal
-cross-check failures.
+cross-check failures.  Each handler imports only the qck modules it uses.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import appendix_congruence, intlinalg, pivots, slq2_tensor, strings, weyl, wiring
-from .qtorus import accumulate, coeff_from_json, coeff_to_json, json_fields
-from .strings import CrossCheckFailed
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -23,10 +19,12 @@ EXIT_INTERNAL = 3
 
 
 def _datum(args):
+    from . import weyl
     return weyl.type_a(args.rank)
 
 
 def _word(args):
+    from . import weyl
     return weyl.parse_word(args.word)
 
 
@@ -37,6 +35,7 @@ def _emit(payload, summary):
 
 
 def cmd_analyze(args):
+    from . import strings, weyl
     datum = _datum(args)
     word = _word(args)
     w1, w2, supp = weyl.split_double_word(datum, word)
@@ -63,25 +62,23 @@ def cmd_analyze(args):
 
 
 def cmd_diagram(args):
+    from . import wiring
     datum = _datum(args)
     word = _word(args)
     diagram = wiring.build_diagram(datum.n, word)
-    if args.format == "ascii":
-        sys.stdout.write(wiring.render_ascii(diagram) + "\n")
-    elif args.format == "svg":
-        sys.stdout.write(wiring.render_svg(diagram) + "\n")
+    summary = f"diagram with {len(diagram.word)} columns"
+    if args.format == "json":
+        columns = [{"level": c, "sign": s} for c, s in diagram.columns]
+        _emit({"levels": diagram.levels, "columns": columns}, summary)
     else:
-        payload = {
-            "levels": diagram.levels,
-            "columns": [{"level": c, "sign": s} for c, s in diagram.columns],
-        }
-        _emit(payload, f"diagram with {len(diagram.word)} columns")
-        return EXIT_OK
-    print(f"diagram with {len(diagram.word)} columns", file=sys.stderr)
+        render = wiring.render_svg if args.format == "svg" else wiring.render_ascii
+        sys.stdout.write(render(diagram) + "\n")
+        print(summary, file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_image(args):
+    from . import wiring
     datum = _datum(args)
     word = _word(args)
     if ")" in (args.minor or ""):  # would close minor( early and let an expression follow
@@ -96,16 +93,14 @@ def cmd_image(args):
 
 
 def cmd_pivots(args):
-    datum = weyl.type_a(args.rank)
+    from . import pivots
+    datum = _datum(args)
     if args.action == "table1":
         suite = pivots.table1_suite(datum)
-        payload = [
-            {"cell": row["cell"], **row["report"].to_json()} for row in suite
-        ]
-        ok = all(row["report"].passed for row in suite)
+        payload = [{"cell": row["cell"], **row["report"].to_json()} for row in suite]
         npass = sum(1 for row in suite if row["report"].passed)
         _emit(payload, f"table1: {npass}/{len(suite)} rows pass")
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return EXIT_OK if npass == len(suite) else EXIT_CHECK_FAILED
     if args.action == "check":
         with open(args.cert) as fh:
             cert = pivots.PivotCertificate.from_json(json.load(fh))
@@ -126,6 +121,7 @@ def cmd_pivots(args):
 
 
 def cmd_normal_form(args):
+    from . import intlinalg
     if args.file:
         with open(args.file) as fh:
             text = fh.read()
@@ -196,6 +192,8 @@ def _param(value):
 
 
 def cmd_module(args):
+    from . import slq2_tensor, wiring
+    from .qtorus import coeff_to_json
     datum = _datum(args)
     if args.action == "act":
         word = _word(args)
@@ -209,7 +207,8 @@ def cmd_module(args):
         ]
         _emit(payload, f"action result with {len(out)} basis term(s)")
         return EXIT_OK
-    # verify
+    # verify; --tensor does not use --kind, but an unknown kind is still an error
+    slq2_tensor.TypicalModuleSpec(args.kind)
     if args.tensor:
         word = _word(args)
         rep = slq2_tensor.verify_tensor_relations(
@@ -218,11 +217,8 @@ def cmd_module(args):
         _emit(rep, f"tensor relations on {args.word}: "
                    f"{'PASS' if rep['ok'] else 'FAIL'} ({rep['checked']} vectors)")
         return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
-    spec = slq2_tensor.TypicalModuleSpec(
-        kind=args.kind,
-        gamma=_param(args.gamma) if args.gamma else None,
-        eta=_param(args.eta) if args.eta else None,
-    )
+    gamma, eta = (_param(v) if v else None for v in (args.gamma, args.eta))
+    spec = slq2_tensor.TypicalModuleSpec(args.kind, gamma, eta)
     rep = slq2_tensor.verify_typical_relations(spec, args.truncate)
     _emit(rep, f"{args.kind} relations: {'PASS' if rep['ok'] else 'FAIL'}")
     return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
@@ -242,6 +238,7 @@ def _nonnegative(text):
 def _vector(mod, data):
     """The module vector of --vector, a list of {"n": [...], "coeff": [...]}
     items; items with equal n add up."""
+    from .qtorus import accumulate, coeff_from_json, json_fields
     if not isinstance(data, list):
         raise ValueError(f"--vector is {data!r}, not a list of items")
     vec = {}
@@ -252,6 +249,13 @@ def _vector(mod, data):
 
 
 def cmd_verify(args):
+    from . import weyl
+    if args.suite in ("congruence", "lemma"):
+        from . import appendix_congruence
+    elif args.suite == "relations":
+        from . import wiring
+    else:
+        from . import strings
     datum = _datum(args)
     if args.suite == "lemma":
         if args.word is None:
@@ -339,7 +343,7 @@ def build_parser():
     m1.set_defaults(func=cmd_module)
     m2 = msub.add_parser("verify", help="truncated relation suite")
     m2.add_argument("--rank", type=int, default=1)
-    m2.add_argument("--kind", choices=slq2_tensor.KINDS, default="Laurent")
+    m2.add_argument("--kind", default="Laurent")
     m2.add_argument("--tensor", action="store_true")
     m2.add_argument("--word", default="")
     m2.add_argument("--truncate", type=_nonnegative, default=20,
@@ -381,7 +385,10 @@ def main(argv=None):
     args = parser.parse_args(merged)
     try:
         return args.func(args)
-    except CrossCheckFailed as exc:
+    except RuntimeError as exc:
+        from .intlinalg import CrossCheckFailed  # any raiser has loaded it already
+        if not isinstance(exc, CrossCheckFailed):
+            raise
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, IndexError, OSError) as exc:

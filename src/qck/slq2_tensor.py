@@ -65,7 +65,7 @@ class TypicalModuleSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown module kind {self.kind!r}")
+            raise ValueError(f"unknown module kind {self.kind!r}; the kinds are {', '.join(KINDS)}")
         _check_param("gamma", self.gamma)
         _check_param("eta", self.eta)
 

@@ -359,22 +359,26 @@ def quantum_matrix_relations(n1):
     one, q, minus_one = coeff_qpow(0), coeff_qpow(1), coeff_qpow(0, -1)
     q_minus_qinv = {(1, ()): 1, (-1, ()): -1}
     levels = range(1, n1 + 1)
+    x = {(i, j): (i, j) for i in levels for j in levels}  # one tuple per label
     rels = []
     for i in levels:
         for j in levels:
-            rels += [(f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}",
-                      [(one, ((i, j), (i, l)))], [(q, ((i, l), (i, j)))]) for l in levels if l > j]
-            rels += [(f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}",
-                      [(one, ((i, j), (k, j)))], [(q, ((k, j), (i, j)))]) for k in levels if k > i]
+            rels += [(f"x{i}{j} x{i}{l} = q x{i}{l} x{i}{j}", [(one, (x[i, j], x[i, l]))],
+                      [(q, (x[i, l], x[i, j]))]) for l in levels if l > j]
+            rels += [(f"x{i}{j} x{k}{j} = q x{k}{j} x{i}{j}", [(one, (x[i, j], x[k, j]))],
+                      [(q, (x[k, j], x[i, j]))]) for k in levels if k > i]
     quads = [(i, j, k, l) for i in levels for k in levels if k > i
              for j in levels for l in levels if l > j]
     rels += [(f"x{i}{l} x{k}{j} = x{k}{j} x{i}{l}",
-              [(one, ((i, l), (k, j)))], [(one, ((k, j), (i, l)))]) for i, j, k, l in quads]
+              [(one, (x[i, l], x[k, j]))], [(one, (x[k, j], x[i, l]))]) for i, j, k, l in quads]
     rels += [(f"[x{i}{j}, x{k}{l}] commutator",
-              [(one, ((i, j), (k, l))), (minus_one, ((k, l), (i, j)))],
-              [(q_minus_qinv, ((i, l), (k, j)))])
+              [(one, (x[i, j], x[k, l])), (minus_one, (x[k, l], x[i, j]))],
+              [(q_minus_qinv, (x[i, l], x[k, j]))])
              for i, j, k, l in quads]
-    rels.append(("det_q = 1", minor_expansion(tuple(levels), tuple(levels)), [(one, ())]))
+    coeffs = {tuple(c.items()): c for c in (one, q, minus_one)}  # det terms reuse these
+    det = [(coeffs.setdefault(tuple(c.items()), c), tuple(map(x.get, labels)))
+           for c, labels in minor_expansion(tuple(levels), tuple(levels))]
+    rels.append(("det_q = 1", det, [(one, ())]))
     return tuple(rels)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qck
 from qck import cli, weyl, wiring
 from qck.qtorus import QTorusElement
 
@@ -472,3 +473,72 @@ def test_zero_module_parameter_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "nonzero rational times a power of q" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("module", "verify", "--kind", "Bogus"),
+    ("module", "verify", "--tensor", "--word", "-1,1", "--kind", "Bogus"),  # --kind unused, still checked
+])
+def test_module_verify_unknown_kind_exits_2_and_names_the_kinds(capsys, argv):
+    from qck import slq2_tensor
+
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "'Bogus'" in err and "Traceback" not in err
+    assert all(kind in err for kind in slq2_tensor.KINDS)
+
+
+def test_verify_congruence_cross_check_failure_exits_3(monkeypatch, capsys):
+    from qck import appendix_congruence
+
+    def boom(datum, word):
+        raise appendix_congruence.CrossCheckFailed("forced")
+
+    monkeypatch.setattr(appendix_congruence, "congruence_check", boom)
+    code, out, err = run(capsys, "verify", "--suite", "congruence", "--rank", "1", "--max-len", "2")
+    assert code == 3 and out == "" and "cross-check" in err
+
+
+def test_other_runtime_error_is_not_exit_3(monkeypatch):
+    def boom(n, word):
+        raise RuntimeError("not a cross-check")
+
+    monkeypatch.setattr(wiring, "build_diagram", boom)
+    with pytest.raises(RuntimeError, match="not a cross-check"):
+        cli.main(["diagram", "--rank", "2", "--word", "1,2"])
+
+
+FOOTPRINT = """
+import json, sys
+from qck import cli
+cli.main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("qck."))), file=sys.stderr)
+"""
+QCK_MODULES = {f"qck.{name}" for name in qck.__all__} - {"qck.cli"}
+NUMERIC = {"qck.intlinalg", "qck.strings", "qck.appendix_congruence"}
+TORUS = {"qck.wiring", "qck.qtorus", "qck.slq2_tensor", "qck.pivots"}
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["normal-form", "--kind", "skew", "--file", "{matrix}"], QCK_MODULES - {"qck.intlinalg"}),
+    (["diagram", "--rank", "2", "--word", "1,2"], NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
+    (["image", "--rank", "2", "--word", "1,2", "--expr", "x12"],
+     NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
+    (["analyze", "--rank", "2", "--word", "1,2,1,-1,-2"], TORUS | {"qck.appendix_congruence"}),
+    (["pivots", "table1"], {"qck.strings", "qck.appendix_congruence", "qck.slq2_tensor"}),
+    (["module", "verify", "--kind", "Laurent", "--truncate", "3"], NUMERIC | {"qck.pivots"}),
+    (["verify", "--suite", "relations", "--rank", "1"], NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
+    (["verify", "--suite", "psi", "--rank", "1"], TORUS | {"qck.appendix_congruence"}),
+    (["verify", "--suite", "congruence", "--rank", "1"], TORUS),
+])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, not_loaded):
+    path = tmp_path / "m.json"
+    path.write_text("[[0, 2], [-2, 0]]")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [a.format(matrix=path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "qck.cli" in loaded and not loaded & not_loaded
