@@ -259,14 +259,16 @@ class QTorusElement:
             if unit is None:
                 raise ValueError("negative power of a non-unit element")
             return self.inverse() ** (-k)
-        out = QTorusElement.one(self.m, self.D)
-        base = self
-        while k:
+        if not k:
+            return QTorusElement.one(self.m, self.D)
+        out, base = None, self
+        while True:  # square only while a higher bit is left
             if k & 1:
-                out = out * base
-            base = base * base
+                out = QTorusElement(self.m, self.D, base.terms) if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, QTorusElement):

@@ -14,9 +14,10 @@ pass over the columns from a start set A gives the images for every B at
 once (the planar-network view of Fomin-Zelevinsky).  The passes are kept for
 the most recent (datum, word) only, each run on first use: a single query
 runs one pass, and a sweep over one word's minors and relations runs each
-start set once.  The permutation expansion of a minor in the generator
-images is kept alongside as an independent oracle.  The diagrams are type A
-only; every entry point that takes a datum rejects other data.
+start set once.  An independent oracle expands each minor along its first
+row in the generator images alone, its smaller expansions memoised beside
+the passes.  The diagrams are type A only; every entry point that takes a
+datum rejects other data.
 
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
 which the torus suite here and the module suites of slq2_tensor evaluate.
@@ -99,9 +100,10 @@ def _levels(datum, A, B):
 
 @functools.lru_cache(maxsize=1)
 def _word_images(datum, word):
-    """(D, columns, {A: images}) of the most recent (datum, word), the images
-    of each start set A filled in on first use by _transfer."""
-    return torus_diagonal(datum, word), build_diagram(datum.n, word).columns, {}
+    """(D, columns, {A: images}, {(A, B): oracle image}) of the most recent
+    (datum, word), the images of each start set A filled in on first use by
+    _transfer and the oracle's minors by _row_expansion."""
+    return torus_diagonal(datum, word), build_diagram(datum.n, word).columns, {}, {}
 
 
 def _transfer(datum, word, A):
@@ -117,7 +119,7 @@ def _transfer(datum, word, A):
     leaves both crossing levels to itself; so a family weighs the sum of its
     paths' exponent pairs, with coefficient 1.
     """
-    D, columns, images = _word_images(datum, word)
+    D, columns, images, _oracle = _word_images(datum, word)
     if A in images:
         return images[A]
     zero = (0,) * len(word)
@@ -186,23 +188,36 @@ def minor_expansion(A, B):
     return out
 
 
-def minor_image_oracle(datum, word, A, B):
-    """Permutation expansion sum_tau (-q)^{l(tau)} prod_s pi(x_{a_s, b_tau(s)}):
-    the independent check for minor_image."""
-    word = tuple(word)
-    A, B = _levels(datum, A, B)
-    gens = _generators(datum, word)
-    m = len(word)
-    D = torus_diagonal(datum, word)
-    out = QTorusElement.zero(m, D)
-    for c, labels in minor_expansion(A, B):
-        term = QTorusElement.one(m, D).scale(c)
-        for label in labels:
-            term = term * gens[label]
-            if term.is_zero():
-                break
-        out = out + term
+def _row_expansion(datum, word, A, B):
+    """The oracle's image of minor(A|B) for sorted level tuples, kept for the
+    most recent (datum, word); callers must not mutate it."""
+    D, _columns, _images, memo = _word_images(datum, word)
+    if (A, B) in memo:
+        return memo[A, B]
+    if len(A) == 1:
+        out = _transfer(datum, word, A)[B]  # the generator image x_{a_1 b_1}
+    else:
+        out = QTorusElement(len(word), D) if A else QTorusElement.one(len(word), D)
+        for t, b in enumerate(B):
+            x = _row_expansion(datum, word, A[:1], (b,))
+            rest = _row_expansion(datum, word, A[1:], B[:t] + B[t + 1:])
+            if x.terms and rest.terms:
+                accumulate(out.terms, (x.scale(coeff_qpow(t, (-1) ** t)) * rest).terms.items())
+    memo[A, B] = out
     return out
+
+
+def minor_image_oracle(datum, word, A, B):
+    """Image of minor(A|B) by the first-row expansion
+    det_q(A|B) = sum_t (-q)^t x_{a_1 b_t} det_q(A - a_1 | B - b_t), t counted
+    from 0: the check for minor_image.  It is the permutation expansion
+    sum_tau (-q)^{l(tau)} x_{a_1 b_tau(1)} ... x_{a_k b_tau(k)} regrouped, as
+    l(tau) = t + l(rest) when tau sends the first row to column t, the
+    coefficients are central and the torus product is associative.  It reads
+    only the generator images and its own smaller expansions, never the
+    transfer pass's larger minors."""
+    e = _row_expansion(datum, tuple(word), *_levels(datum, A, B))
+    return QTorusElement(e.m, e.D, e.terms)
 
 
 def quantum_determinant_image(datum, word):

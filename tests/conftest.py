@@ -282,6 +282,25 @@ def family_sum(datum, word, A, B):
     return out
 
 
+def permutation_expansion_image(datum, word, A, B):
+    """Image of minor(A|B) as the permutation expansion
+    sum_tau (-q)^{l(tau)} x_{a_1 b_tau(1)} ... x_{a_k b_tau(k)} in the
+    generator images, every permutation multiplied out on its own (test
+    oracle for the row expansion wiring.minor_image_oracle, and in C2 for
+    the path-family images)."""
+    gens = wiring.generator_images(datum, word)
+    D = wiring.torus_diagonal(datum, word)
+    out = QTorusElement.zero(len(word), D)
+    for c, labels in wiring.minor_expansion(tuple(sorted(A)), tuple(sorted(B))):
+        term = QTorusElement.one(len(word), D).scale(c)
+        for label in labels:
+            term = term * gens[label]
+            if term.is_zero():
+                break
+        out = out + term
+    return out
+
+
 def vec_sub(v1, v2):
     """v1 - v2 for module vectors {index: coefficient}."""
     return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import ker_rank, random_double_word
+from conftest import ker_rank, permutation_expansion_image, random_double_word
 from qck import appendix_congruence as ac
 from qck import cli, intlinalg, pivots, slq2_tensor as sq, strings, weyl, wiring
 from qck.qtorus import QTorusElement
@@ -120,14 +120,14 @@ def test_criterion_2_lindstrom_oracle():
                 word = random_double_word(datum, rng, 8)
                 for A, B in minors:
                     assert wiring.minor_image(datum, word, A, B) == (
-                        wiring.minor_image_oracle(datum, word, A, B)
+                        permutation_expansion_image(datum, word, A, B)
                     ), (word, A, B)
         A2 = weyl.type_a(2)
         minors = _all_minors(3)
         for word in weyl.all_double_words(A2, 4):
             for A, B in minors:
                 assert wiring.minor_image(A2, word, A, B) == (
-                    wiring.minor_image_oracle(A2, word, A, B)
+                    permutation_expansion_image(A2, word, A, B)
                 ), (word, A, B)
 
 

@@ -152,6 +152,30 @@ def test_powers():
         (x + y) ** (-1)
 
 
+def test_powers_equal_repeated_products(monkeypatch):
+    rng = random.Random(12)
+    D = (1, 2)
+    el = _random_element(rng, 2, D, nterms=3, span=2)
+    unit = mono(2, D, (1, -2), (2, 1), qexp=3, c=-2)
+    inv = unit.inverse()
+    for base, powers in ((el, range(6)), (unit, range(-5, 0))):
+        for k in powers:
+            ref = QTorusElement.one(2, D)
+            for _ in range(abs(k)):
+                ref = ref * (base if k >= 0 else inv)
+            assert base ** k == ref, k
+    # x**k takes no product beyond the bits of k: none for k = 1
+    products = []
+    mul = QTorusElement.__mul__
+    monkeypatch.setattr(QTorusElement, "__mul__", lambda s, o: products.append(1) or mul(s, o))
+    powered = el ** 1
+    assert products == [] and powered == el and powered is not el
+    powered.terms.clear()
+    assert el.terms
+    el ** 5  # two squarings and one product
+    assert len(products) == 3
+
+
 def test_center_basis_examples():
     # the exponent lattice of the center of the torus with commutation
     # matrix H is the kernel of H

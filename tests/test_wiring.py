@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (enumerate_families, family_sum, family_weight, monomial_to_string,
-                      natural_weight, random_double_word)
+                      natural_weight, permutation_expansion_image, random_double_word)
 from qck import weyl, wiring
 from qck.qtorus import QTorusElement, coeff_qpow
 
@@ -187,6 +187,28 @@ def test_oracle_equivalence_random(A3):
             )
 
 
+def _every_minor(datum):
+    levels = range(1, datum.n + 2)
+    return [(A, B) for k in range(datum.n + 2) for A in itertools.combinations(levels, k)
+            for B in itertools.combinations(levels, k)]
+
+
+def test_row_expansion_equals_permutation_expansion():
+    # every minor, the 0x0 minor included; the rank-3 and rank-4 words include
+    # ones with zero generator images, whose expansion terms vanish
+    A2 = weyl.type_a(2)
+    cases = [(A2, word) for word in weyl.all_double_words(A2, 4)]
+    rng = random.Random(31)
+    cases += [(datum, random_double_word(datum, rng, 7))
+              for datum in (weyl.type_a(3), weyl.type_a(4)) for _ in range(4)]
+    assert any(img.is_zero() for datum, word in cases[-8:]
+               for img in wiring.generator_images(datum, word).values())
+    for datum, word in cases:
+        for A, B in _every_minor(datum):
+            assert wiring.minor_image_oracle(datum, word, A, B) == permutation_expansion_image(
+                datum, word, A, B), (word, A, B)
+
+
 def test_verify_relations_samples():
     rng = random.Random(13)
     for rank in (1, 2, 3):
@@ -305,6 +327,45 @@ def test_returned_images_are_fresh(A2):
     assert wiring.minor_image_oracle(A2, REF_WORD, (1,), (2,)) == expected
 
 
+def test_returned_oracle_images_are_fresh(A2):
+    minors = _every_minor(A2)
+    expected = {AB: permutation_expansion_image(A2, REF_WORD, *AB) for AB in minors}
+    for AB in minors:  # smallest first, so each expansion reads memoised ones
+        img = wiring.minor_image_oracle(A2, REF_WORD, *AB)
+        for coeff in img.terms.values():
+            coeff[(0, ())] = 7
+        img.terms.clear()
+    for AB in minors:
+        assert wiring.minor_image_oracle(A2, REF_WORD, *AB) == expected[AB], AB
+        assert wiring.minor_image(A2, REF_WORD, *AB) == expected[AB], AB
+
+
+def test_oracle_runs_only_generator_passes(A3, monkeypatch):
+    assert wiring._word_images.cache_info().currsize == 0
+    starts = []
+    transfer = wiring._transfer
+
+    def spy(datum, word, A):
+        starts.append(A)
+        return transfer(datum, word, A)
+
+    monkeypatch.setattr(wiring, "_transfer", spy)
+    word = (2, -1, 3, 1, -2, -3, 2)
+    for A, B in _every_minor(A3):
+        wiring.minor_image_oracle(A3, word, A, B)
+    assert starts and {len(A) for A in starts} == {1}
+
+
+@pytest.mark.parametrize("run", [1, 2])
+def test_each_test_starts_with_an_empty_oracle_memo(A2, run):
+    # the second run passes only if the autouse fixture dropped the first's memo
+    assert wiring._word_images.cache_info().currsize == 0
+    assert wiring._word_images(A2, REF_WORD)[3] == {}
+    wiring.minor_image_oracle(A2, REF_WORD, (1, 2), (2, 3))
+    assert set(wiring._word_images(A2, REF_WORD)[3]) == {
+        ((1, 2), (2, 3)), ((1,), (2,)), ((2,), (3,)), ((1,), (3,)), ((2,), (2,))}
+
+
 def test_one_pass_per_start_set_and_none_on_a_second_sweep(A3, monkeypatch):
     word = (2, -1, 3, 1, -2, -3)
     wiring.generator_image(A3, word, 1, 2)  # a single query runs one pass
@@ -338,6 +399,7 @@ def test_non_type_a_data_rejected(A2):
     b2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
     word = (1, 2)
     wiring.generator_images(A2, word)  # the type-A images of the same word
+    entry = wiring._word_images(A2, word)
     for call in (
         lambda: wiring.torus_diagonal(b2, word),
         lambda: wiring.generator_image(b2, word, 1, 2),
@@ -350,6 +412,9 @@ def test_non_type_a_data_rejected(A2):
     ):
         with pytest.raises(ValueError, match="type-A"):
             call()
+    # nothing was memoised for b2: the type-A entry is still the only one
+    assert wiring._word_images.cache_info().currsize == 1
+    assert wiring._word_images(A2, word) is entry and entry[3] == {}
 
 
 def test_out_of_range_levels_rejected(A2):
