@@ -3,9 +3,8 @@
 Matrices are lists of lists of Python ints (rows), so every computation is
 arbitrary precision.  Provides Smith normal form with transformation
 matrices, saturated integer kernels, rank over Q by fraction-free (Bareiss)
-elimination, unitriangular inverses by forward substitution, column-style
-Hermite form, and the congruence normal form of skew-symmetric integer
-matrices.
+elimination, unitriangular inverses by forward substitution, and the
+congruence normal form of skew-symmetric integer matrices.
 
 Products build each output row as a combination of the rows of the right
 factor, skipping zero coefficients: the matrices here are block-sparse or
@@ -114,22 +113,26 @@ def rank_over_Q(M):
     """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
 
     After k pivots every remaining entry is a (k+1)-minor of M, and Sylvester's
-    identity makes the division by the previous pivot exact.
+    identity makes the division by the previous pivot exact.  The rows below
+    the pivots keep only the columns still to come: a row update rewrites the
+    columns right of the pivot, since no later step reads the pivot column.
     """
     r, c = shape(M)
     A = [list(row) for row in M]
     rank = 0
     prev = 1
-    for col in range(c):
-        piv = next((i for i in range(rank, r) if A[i][col]), None)
+    for _ in range(c):
+        piv = next((i for i in range(rank, r) if A[i][0]), None)
         if piv is None:
+            for row in A[rank:]:
+                del row[0]
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        top = A[rank]
-        pv = top[col]
+        pv, top = A[rank][0], A[rank][1:]
         for i in range(rank + 1, r):
-            f = A[i][col]
-            A[i] = [(pv * a - f * b) // prev for a, b in zip(A[i], top)]
+            row = A[i]
+            f = row[0]
+            A[i] = [(pv * a - f * b) // prev for a, b in zip(row[1:], top)]
         prev = pv
         rank += 1
         if rank == r:
@@ -265,46 +268,6 @@ def kernel_basis(M):
     rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
     cols = transpose(V)
     return [list(cols[j]) for j in range(rank, c)]
-
-
-def hermite_column_basis(M):
-    """Basis of the lattice spanned by the columns of M, via column Hermite form.
-
-    Returns a list of column vectors (each of length = row count of M); the
-    list is empty when all columns vanish.  The basis is in column echelon
-    form, canonical for a given column span.
-    """
-    r, c = shape(M)
-    cols = [list(col) for col in transpose(M)]
-    basis = []
-    row = 0
-    work = cols
-    while row < r and work:
-        nz = [col for col in work if col[row] != 0]
-        rest = [col for col in work if col[row] == 0]
-        while len(nz) > 1:
-            nz.sort(key=lambda col: abs(col[row]))
-            a = nz[0]
-            out = [a]
-            for col in nz[1:]:
-                f = col[row] // a[row]
-                newcol = [x - f * y for x, y in zip(col, a)]
-                (rest if newcol[row] == 0 else out).append(newcol)
-            nz = out
-        if nz:
-            lead = nz[0]
-            if lead[row] < 0:
-                lead = [-x for x in lead]
-            # reduce earlier basis vectors against the new pivot
-            for b in basis:
-                if b[row] != 0:
-                    f = b[row] // lead[row]
-                    for i in range(r):
-                        b[i] -= f * lead[i]
-            basis.append(lead)
-        work = [col for col in rest if any(col)]
-        row += 1
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class StringMatrices:
     Phi: list  # 2m x (n+m), columns = exponent vectors of the generators
     H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
     OmegaTilde: list  # m x n, Lambda^{-1} Omega
-    PhiTilde: list  # 2m x (n+m), Z-equivalent generator matrix
+    LambdaInv: list  # m x m, Lambda^{-1}
 
 
 def _torus_matrices(datum, word):
@@ -147,15 +147,6 @@ def _string_matrices(ctx):
         raise CrossCheckFailed("Lambda * Lambda^-1 is not the identity")
     OmegaTilde = intlinalg.mat_mul(LambdaInv, Omega)
 
-    # PhiTilde = [[0, I_m], [OmegaTilde, Lambda^{-1}]]
-    PhiTilde = intlinalg.zeros(2 * m, n + m)
-    for s in range(m):
-        PhiTilde[s][n + s] = 1
-        for t in range(n):
-            PhiTilde[m + s][t] = OmegaTilde[s][t]
-        for t in range(m):
-            PhiTilde[m + s][n + t] = LambdaInv[s][t]
-
     return StringMatrices(
         word=ctx.word,
         D=D,
@@ -164,7 +155,7 @@ def _string_matrices(ctx):
         Phi=Phi,
         H=H,
         OmegaTilde=OmegaTilde,
-        PhiTilde=PhiTilde,
+        LambdaInv=LambdaInv,
     )
 
 
@@ -223,65 +214,41 @@ def invariants(datum, word):
     if s == n and k != (m - d - s) // 2:
         raise CrossCheckFailed(f"full-support k mismatch: {k} != (m-d-s)/2")
 
-    mult = _cprime_multipliers(mats, n)
+    mult = _cprime_multipliers(mats)
     if len(mult) != k:
         raise CrossCheckFailed(f"centralizer-complement multipliers {mult} do not match k={k}")
 
     return WordInvariants(m=m, s=s, n_dim=n_dim, d=d, k=k, rank_H=rank_H, multipliers=mult)
 
 
-def _skew_gram(D):
-    """The 2m x 2m skew form g(a + b, a' + b') = a^T D b' - a'^T D b on
-    concatenated exponent vectors."""
-    m = len(D)
-    G = intlinalg.zeros(2 * m, 2 * m)
-    for k in range(m):
-        G[k][m + k] = D[k]
-        G[m + k][k] = -D[k]
-    return G
-
-
 def cprime_multipliers(datum, word):
     """Multipliers of the 2-generator torus factors in the centralizer of the
-    diagonal subtorus, computed from the exponent lattices.
+    diagonal subtorus.
 
-    The centralizer lattice is the saturated annihilator, inside the
-    generator lattice, of the diagonal sublattice under the skew form; the
-    induced form's congruence normal form yields the multipliers.
+    The generator exponents span the columns of PhiTilde = [[0, I_m],
+    [OmegaTilde, Lambda^{-1}]], i.e. the lattice {(x, Lambda^{-1} x +
+    OmegaTilde y)} with x in Z^m and y in Z^n, and the diagonal subtorus the
+    sublattice {(0, OmegaTilde y)}.  Under the skew form
+    g((a, b), (a', b')) = a^T D b' - a'^T D b, the pairing with the diagonal
+    is x^T D OmegaTilde y', so the centralizer lattice, the annihilator of
+    the diagonal, is x in ker(OmegaTilde^T D) with y free.  There the y part
+    pairs to zero with everything, and the induced form is x^T S x' with
+    S = D Lambda^{-1} - (D Lambda^{-1})^T.  With K a basis of the (saturated)
+    integer kernel of the n x m matrix OmegaTilde^T D, the multipliers are
+    those of the congruence normal form of K^T S K.
     """
-    return _cprime_multipliers(_context(datum, tuple(word)).mats, datum.n)
+    return _cprime_multipliers(_context(datum, tuple(word)).mats)
 
 
-def _cprime_multipliers(mats, n):
-    m = len(mats.word)
-    if m == 0:
-        return []
-    G = _skew_gram(mats.D)
-
-    # lattice of all generator exponents (columns of PhiTilde), as a basis
-    lat_cols = intlinalg.hermite_column_basis(mats.PhiTilde)
-    L = [[col[i] for col in lat_cols] for i in range(2 * m)]  # 2m x (m+s)
-
-    # diagonal sublattice: x-exponent zero, y-exponents spanned by OmegaTilde
-    diag = intlinalg.zeros(2 * m, n)
-    for i in range(n):
-        for k in range(m):
-            diag[m + k][i] = mats.OmegaTilde[k][i]
-    diag_cols = intlinalg.hermite_column_basis(diag)
-    if not diag_cols:
-        L0 = intlinalg.zeros(2 * m, 0)
-    else:
-        L0 = [[col[i] for col in diag_cols] for i in range(2 * m)]
-
-    # annihilator of L0 inside L: kernel of L0^T G L
-    M0 = intlinalg.mat_mul(intlinalg.transpose(L0), intlinalg.mat_mul(G, L))
-    ker = intlinalg.kernel_basis(M0)
+def _cprime_multipliers(mats):
+    D, Li = mats.D, mats.LambdaInv
+    m = len(D)
+    # OmegaTilde^T D, n x m
+    ker = intlinalg.kernel_basis([list(map(mul, col, D)) for col in zip(*mats.OmegaTilde)])
     if not ker:
         return []
-    K = [[vec[j] for vec in ker] for j in range(len(ker[0]))]  # (m+s) x r
-    C = intlinalg.mat_mul(L, K)  # centralizer lattice basis, 2m x r
-
-    induced = intlinalg.mat_mul(intlinalg.transpose(C), intlinalg.mat_mul(G, C))
+    S = [[D[k] * Li[k][l] - D[l] * Li[l][k] for l in range(m)] for k in range(m)]
+    induced = intlinalg.mat_mul(ker, intlinalg.mat_mul(S, intlinalg.transpose(ker)))
     return list(intlinalg.skew_normal_form(induced).multipliers)
 
 

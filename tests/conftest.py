@@ -105,6 +105,127 @@ def ker_rank(datum, w1_word, w2_word):
     return datum.n - fraction_rank([list(map(sub, r1, r2)) for r1, r2 in zip(m1, m2)])
 
 
+def hermite_column_basis(M):
+    """Basis of the lattice spanned by the columns of M, via column Hermite form.
+
+    Returns a list of column vectors (each of length = row count of M); the
+    list is empty when all columns vanish.  The basis is in column echelon
+    form, canonical for a given column span.
+    """
+    r = len(M)
+    basis = []
+    row = 0
+    work = [list(col) for col in zip(*M)]
+    while row < r and work:
+        nz = [col for col in work if col[row] != 0]
+        rest = [col for col in work if col[row] == 0]
+        while len(nz) > 1:
+            nz.sort(key=lambda col: abs(col[row]))
+            a = nz[0]
+            out = [a]
+            for col in nz[1:]:
+                f = col[row] // a[row]
+                newcol = [x - f * y for x, y in zip(col, a)]
+                (rest if newcol[row] == 0 else out).append(newcol)
+            nz = out
+        if nz:
+            lead = nz[0]
+            if lead[row] < 0:
+                lead = [-x for x in lead]
+            # reduce earlier basis vectors against the new pivot
+            for b in basis:
+                if b[row] != 0:
+                    f = b[row] // lead[row]
+                    for i in range(r):
+                        b[i] -= f * lead[i]
+            basis.append(lead)
+        work = [col for col in rest if any(col)]
+        row += 1
+    return basis
+
+
+def skew_gram(D):
+    """The 2m x 2m skew form g(a + b, a' + b') = a^T D b' - a'^T D b on
+    concatenated exponent vectors."""
+    m = len(D)
+    G = intlinalg.zeros(2 * m, 2 * m)
+    for k in range(m):
+        G[k][m + k] = D[k]
+        G[m + k][k] = -D[k]
+    return G
+
+
+def phi_tilde(mats, n):
+    """PhiTilde = [[0, I_m], [OmegaTilde, Lambda^{-1}]], the 2m x (n+m)
+    matrix whose columns span the generator exponent lattice."""
+    m = len(mats.word)
+    out = intlinalg.zeros(2 * m, n + m)
+    for s in range(m):
+        out[s][n + s] = 1
+        out[m + s][:n] = mats.OmegaTilde[s]
+        out[m + s][n:] = mats.LambdaInv[s]
+    return out
+
+
+def lattice_cprime_multipliers(mats, n):
+    """The centralizer multipliers from the exponent lattices themselves:
+    Hermite bases of the generator lattice L and of the diagonal sublattice
+    L0, the saturated annihilator of L0 inside L under the skew form, and the
+    induced form's congruence normal form (test oracle for the closed form
+    of strings.cprime_multipliers)."""
+    m = len(mats.word)
+    if m == 0:
+        return []
+    G = skew_gram(mats.D)
+    L = intlinalg.transpose(hermite_column_basis(phi_tilde(mats, n)))  # 2m x (m+s)
+    # diagonal sublattice: x-exponent zero, y-exponents spanned by OmegaTilde
+    diag = intlinalg.zeros(m, n) + [row[:] for row in mats.OmegaTilde]
+    L0t = hermite_column_basis(diag)  # the rows of L0^T
+    # annihilator of L0 inside L: kernel of L0^T G L
+    M0 = intlinalg.mat_mul(L0t, intlinalg.mat_mul(G, L))
+    ker = intlinalg.kernel_basis(M0)
+    if not ker:
+        return []
+    C = intlinalg.mat_mul(L, intlinalg.transpose(ker))  # centralizer lattice basis, 2m x r
+    induced = intlinalg.mat_mul(intlinalg.transpose(C), intlinalg.mat_mul(G, C))
+    return list(intlinalg.skew_normal_form(induced).multipliers)
+
+
+def results_by_cell(datum, words, result):
+    """{(W1, W2): {value: first word}} for value = result(datum, word), the
+    cell keyed by the Weyl matrices of the double word's two factors.  A
+    cell's invariants do not depend on which reduced double word spells it,
+    so every cell should hold a single value."""
+    cells = {}
+    for word in words:
+        value = result(datum, word)
+        ctx = strings._context(datum, tuple(word))
+        key = (tuple(map(tuple, ctx.W1)), tuple(map(tuple, ctx.W2)))
+        cells.setdefault(key, {}).setdefault(value, word)
+    return cells
+
+
+def simplicity_record(datum, word):
+    """invariants(datum, word) under the per-word checks of acceptance
+    criterion C10, as the record that must be constant on a cell: (m, s, d,
+    k, rank H, multipliers)."""
+    inv = strings.invariants(datum, word)
+    letters = [abs(e) for e in word]
+    distinct = len(set(letters)) == len(letters)
+    assert (inv.s == inv.m) == distinct, word
+    if inv.s == inv.m:
+        assert inv.k == 0 and inv.multipliers == [], word
+    w1, w2, _ = weyl.split_double_word(datum, word)
+    assert inv.d == ker_rank(datum, w1, w2), word
+    assert len(inv.multipliers) == inv.k, word
+    return inv.m, inv.s, inv.d, inv.k, inv.rank_H, tuple(inv.multipliers)
+
+
+def split_cells(cells):
+    """The cells of results_by_cell that hold more than one value."""
+    return {key: values for key, values in cells.items() if len(values) > 1}
+
+
 def q_commute_index(mono_u, mono_v, D):
     """Exponent e with u v = q^e v u for monomials u = x^a y^b, v = x^a' y^b':
     e = a^T D b' - a'^T D b (test oracle for the matrix H)."""

@@ -13,7 +13,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import ker_rank, permutation_expansion_image, random_double_word
+from conftest import (
+    ker_rank,
+    permutation_expansion_image,
+    random_double_word,
+    results_by_cell,
+    simplicity_record,
+    split_cells,
+)
 from qck import appendix_congruence as ac
 from qck import cli, intlinalg, pivots, slq2_tensor as sq, strings, weyl, wiring
 from qck.qtorus import QTorusElement
@@ -290,16 +297,11 @@ def test_criterion_10_simplicity_consistency():
     """Tensor-module simplicity bookkeeping: the diagonal torus is full (s =
     m) exactly when the letters are distinct, full diagonal forces an empty
     multiplier list, and the center dimension always matches the Weyl-kernel
-    formula, on all rank-3 double words of length <= 6."""
+    formula, on all rank-3 double words of length <= 6; and m, s, d, k,
+    rank H and the multipliers are the same for every reduced double word of
+    a cell (W1, W2)."""
     with criterion(10, "simplicity criterion consistency, rank 3"):
         A3 = weyl.type_a(3)
-        for word in weyl.all_double_words(A3, 6):
-            inv = strings.invariants(A3, word)
-            letters = [abs(e) for e in word]
-            distinct = len(set(letters)) == len(letters)
-            assert (inv.s == inv.m) == distinct, word
-            if inv.s == inv.m:
-                assert inv.k == 0 and inv.multipliers == [], word
-            w1, w2, _ = weyl.split_double_word(A3, word)
-            assert inv.d == ker_rank(A3, w1, w2), word
-            assert len(inv.multipliers) == inv.k, word
+        cells = results_by_cell(A3, weyl.all_double_words(A3, 6), simplicity_record)
+        assert len(cells) == 341
+        assert split_cells(cells) == {}

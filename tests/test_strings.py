@@ -8,9 +8,17 @@ from conftest import (
     constant_string,
     exponents,
     generator_strings,
+    hermite_column_basis,
     invert_rational,
+    lattice_cprime_multipliers,
     monomial_to_string,
+    phi_tilde,
     q_commute_index,
+    random_double_word,
+    results_by_cell,
+    simplicity_record,
+    skew_gram,
+    split_cells,
 )
 from qck import appendix_congruence as ac
 from qck import intlinalg, strings, weyl
@@ -92,7 +100,7 @@ def test_string_matrices_rejects_non_reduced(A2):
 
 def test_lambda_unimodular_and_h_skew(A3):
     rng = random.Random(8)
-    from conftest import exact_det, random_double_word
+    from conftest import exact_det
 
     for _ in range(30):
         word = random_double_word(A3, rng, 6)
@@ -103,17 +111,14 @@ def test_lambda_unimodular_and_h_skew(A3):
 
 
 def test_lambda_inverse_matches_fraction_inverse(A3):
-    from conftest import random_double_word
-
     rng = random.Random(12)
     for datum in (A3, weyl.type_a(4)):
         for _ in range(25):
             word = random_double_word(datum, rng, 10)
             mats = strings.string_matrices(datum, word)
-            m, n = len(word), datum.n
             inv = intlinalg.invert_unitriangular(mats.Lambda)
             assert inv == invert_rational(mats.Lambda)
-            assert [row[n:] for row in mats.PhiTilde[m:]] == inv
+            assert mats.LambdaInv == inv
 
 
 def test_invariants_builds_string_matrices_once(monkeypatch, A3):
@@ -187,25 +192,56 @@ def test_cprime_multiplier_value_against_direct_lattice(A2):
     # hand-built generator lattice for the reference word
     word = (1, 2, 1, -1, -2)
     mats = strings.string_matrices(A2, word)
-    m = len(word)
-    cols = []
-    for t in range(A2.n + m):
-        cols.append([mats.PhiTilde[r][t] for r in range(2 * m)])
-    G = intlinalg.zeros(2 * m, 2 * m)
-    for k in range(m):
-        G[k][m + k] = mats.D[k]
-        G[m + k][k] = -mats.D[k]
-    lat = intlinalg.hermite_column_basis([[c[i] for c in cols] for i in range(2 * m)])
-    L = [[col[i] for col in lat] for i in range(2 * m)]
-    diag_cols = [c for c in cols[: A2.n]]
-    L0 = [[col[i] for col in diag_cols] for i in range(2 * m)]
+    PhiTilde = phi_tilde(mats, A2.n)
+    G = skew_gram(mats.D)
+    L = intlinalg.transpose(hermite_column_basis(PhiTilde))
+    L0 = [row[: A2.n] for row in PhiTilde]  # the diagonal generators
     M0 = intlinalg.mat_mul(intlinalg.transpose(L0), intlinalg.mat_mul(G, L))
-    ker = intlinalg.kernel_basis(M0)
-    K = [[vec[j] for vec in ker] for j in range(len(ker[0]))]
-    C = intlinalg.mat_mul(L, K)
+    C = intlinalg.mat_mul(L, intlinalg.transpose(intlinalg.kernel_basis(M0)))
     F = intlinalg.mat_mul(intlinalg.transpose(C), intlinalg.mat_mul(G, C))
     expected = intlinalg.skew_normal_form(F).multipliers
     assert strings.cprime_multipliers(A2, word) == expected == [2]
+
+
+def test_cprime_multipliers_match_the_lattice_oracle(A2, A3):
+    """The closed form K^T S K against the Hermite-lattice route, on type A,
+    on B2 and C2, and on both labellings of G2."""
+    B2 = weyl.RootDatum(n=2, cartan=((2, -1), (-2, 2)), d=(2, 1))
+    C2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
+    G2t = weyl.RootDatum(n=2, cartan=((2, -3), (-1, 2)), d=(1, 3))
+    rng = random.Random(2024)
+    sweep = [(A2, weyl.all_double_words(A2, 8)), (B2, weyl.all_double_words(B2, 6)),
+             (C2, weyl.all_double_words(C2, 6)),
+             (A3, [random_double_word(A3, rng, 6) for _ in range(150)])]
+    sweep += [(g, [random_double_word(g, rng, 12) for _ in range(100)]) for g in (G2, G2t)]
+    nonempty = 0
+    for datum, words in sweep:
+        for word in words:
+            got = strings.cprime_multipliers(datum, word)
+            assert got == lattice_cprime_multipliers(strings._context(datum, word).mats,
+                                                     datum.n), (datum, word)
+            nonempty += bool(got)
+    assert nonempty > 500  # the sweep reaches words with centralizer factors
+
+
+def test_cell_law_catches_what_the_rank_identities_miss(monkeypatch, A2):
+    """Multipliers doubled on the words whose first letter is negative pass
+    every rank identity of invariants and every per-word check of C10, but
+    split the cells that hold words of both kinds."""
+    words = list(weyl.all_double_words(A2, 6))
+    assert split_cells(results_by_cell(A2, words, simplicity_record)) == {}
+    real = strings._cprime_multipliers
+
+    def corrupted(mats):
+        mult = real(mats)
+        return [2 * x for x in mult] if mats.word and mats.word[0] < 0 else mult
+
+    monkeypatch.setattr(strings, "_cprime_multipliers", corrupted)
+    split = split_cells(results_by_cell(A2, words, simplicity_record))  # raises nothing
+    assert split
+    for values in split.values():
+        assert sorted(word[0] < 0 for word in values.values()) == [False, True]
 
 
 def test_psi_check_examples(A1, A2):
@@ -303,9 +339,11 @@ def test_string_matrices_hands_out_a_copy(A3):
                 ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
 
     before, first = strings.string_matrices(A3, word), results()
+    lattice = phi_tilde(before, A3.n)
     mats = strings.string_matrices(A3, word)
-    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "PhiTilde"):
+    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "LambdaInv"):
         for row in getattr(mats, name):
             row[:] = [x + 7 for x in row]
     assert strings.string_matrices(A3, word) == before
+    assert phi_tilde(strings.string_matrices(A3, word), A3.n) == lattice
     assert results() == first
