@@ -13,9 +13,13 @@ Pt = I + D^{-1}Bt satisfying
 
 Stacking the positive-letter and negative-letter data of a double word gives
 Ht (simple-root form) and script-H (beta form) with Q^T Ht Q = script-H for
-Q = diag(P(plus), P(minus), I_n); script-H has rank l(w1)+l(w2)+rank(w1-w2)
-and shares its skew congruence invariants with the commutation matrix of the
-word's localized torus.
+Q = diag(P(plus), P(minus), I_n).  Block by block, the diagonal blocks of
+that identity are P^T At P = -A for the two sign-class words, the blocks
+(1,3), (2,3) and their transposes are Ct P = C, and the other blocks are 0
+on both sides; so the congruence is decided by those two identities per
+sign-class word, and the stacked product is never formed.  script-H has
+rank l(w1)+l(w2)+rank(w1-w2) and shares its skew congruence invariants with
+the commutation matrix of the word's localized torus.
 """
 
 from __future__ import annotations
@@ -112,13 +116,7 @@ def verify_lemma(datum, word):
     product_identity = intlinalg.mat_eq(
         intlinalg.mat_mul(mats.Ptilde, mats.P), intlinalg.identity(l)
     )
-    ct_p = intlinalg.mat_eq(intlinalg.mat_mul(mats.Ctilde, mats.P), mats.C) if l else True
-    pap = intlinalg.mat_eq(
-        intlinalg.mat_mul(
-            intlinalg.transpose(mats.P), intlinalg.mat_mul(mats.Atilde, mats.P)
-        ),
-        intlinalg.mat_neg(mats.A),
-    )
+    ct_p, pap = _congruence_identities(mats)
     return {
         "word": word,
         "beta_from_alpha": beta_from_alpha,
@@ -128,6 +126,16 @@ def verify_lemma(datum, word):
         "pt_at_p_equals_minus_a": pap,
         "ok": all([beta_from_alpha, alpha_from_beta, product_identity, ct_p, pap]),
     }
+
+
+def _congruence_identities(mats):
+    """(Ct P = C, P^T At P = -A) for one reduced word's matrices."""
+    ct_p = intlinalg.mat_eq(intlinalg.mat_mul(mats.Ctilde, mats.P), mats.C) if mats.word else True
+    pap = intlinalg.mat_eq(
+        intlinalg.mat_mul(intlinalg.transpose(mats.P), intlinalg.mat_mul(mats.Atilde, mats.P)),
+        intlinalg.mat_neg(mats.A),
+    )
+    return ct_p, pap
 
 
 def _sign_class_words(word):
@@ -170,26 +178,24 @@ def congruence_check(datum, word):
     congruence multipliers of Ht, script-H, and the torus commutation matrix
     H(i~) all agree (a complete congruence invariant, stronger than rank).
 
-    Q is unitriangular, hence unimodular, so once (a) holds Ht has
-    script-H's multipliers; Ht's own normal form is computed only when (a)
-    fails."""
+    (a) holds exactly when Ct P = C and P^T At P = -A hold for both
+    sign-class words (see the module docstring), so those four identities
+    decide it.  Q is unitriangular, hence unimodular, so once (a) holds Ht
+    has script-H's multipliers; Ht is built, for its own normal form, only
+    when (a) fails."""
     word = tuple(word)
     ctx = strings._context(datum, word)
     plus, minus = _sign_class_words(word)
     mp = build_word_matrices(datum, plus)
     mm = build_word_matrices(datum, minus)
-    Ht = _h_tilde(datum.n, mp, mm)
+    congruent = all(_congruence_identities(mp) + _congruence_identities(mm))
     Hs = _script_h(datum.n, mp, mm)
-    Q = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(datum.n))
-    congruent = intlinalg.mat_eq(
-        intlinalg.mat_mul(intlinalg.transpose(Q), intlinalg.mat_mul(Ht, Q)), Hs
-    )
 
     rank_script = intlinalg.rank_over_Q(Hs)
     rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
 
     mult_hs = intlinalg.skew_multipliers(Hs)
-    mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(Ht)
+    mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(_h_tilde(datum.n, mp, mm))
     mult_torus = intlinalg.skew_multipliers(ctx.H)
 
     return {

@@ -81,12 +81,9 @@ def cmd_image(args):
     from . import wiring
     datum = _datum(args)
     word = _word(args)
-    if ")" in (args.minor or ""):  # would close minor( early and let an expression follow
+    if args.minor == "" or ")" in (args.minor or ""):  # ")" would close minor( early
         raise ValueError(f"--minor {args.minor!r} is not rows|cols, like 12|12")
-    label = f"minor({args.minor})" if args.minor else args.expr
-    if not label:
-        print("image needs --expr or --minor", file=sys.stderr)
-        return EXIT_USAGE
+    label = args.expr if args.minor is None else f"minor({args.minor})"
     elem = wiring.expression_image(datum, word, label)
     _emit(elem.to_json(), f"{label}: {len(elem.terms)} term(s)")
     return EXIT_OK
@@ -309,8 +306,9 @@ def build_parser():
     p = sub.add_parser("image", help="image of an expression in the tensor torus")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--expr")
-    p.add_argument("--minor", help="rows|cols, e.g. 12|12")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--expr")
+    g.add_argument("--minor", help="rows|cols, e.g. 12|12")
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("pivots", help="pivot-element certificates")

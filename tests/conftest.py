@@ -5,7 +5,7 @@ from operator import mul, sub
 
 import pytest
 
-from qck import intlinalg
+from qck import appendix_congruence, intlinalg
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
 from qck.qtorus import QTorusElement, accumulate, coeff_mul, coeff_neg, coeff_qpow
@@ -219,6 +219,17 @@ def simplicity_record(datum, word):
     assert inv.d == ker_rank(datum, w1, w2), word
     assert len(inv.multipliers) == inv.k, word
     return inv.m, inv.s, inv.d, inv.k, inv.rank_H, tuple(inv.multipliers)
+
+
+def congruence_record(datum, word):
+    """congruence_check(datum, word) under the per-word checks of acceptance
+    criterion C5, as the record that must be constant on a cell:
+    (multipliers, ok)."""
+    rep = appendix_congruence.congruence_check(datum, word)
+    assert rep["q_congruence"], word
+    assert rep["rank_ok"], word
+    assert rep["multipliers_agree"], word
+    return tuple(rep["multipliers"]), rep["ok"]
 
 
 def split_cells(cells):

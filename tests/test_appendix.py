@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -95,16 +96,53 @@ def test_congruence_check_builds_word_matrices_once_per_sign_class(monkeypatch, 
         assert sorted(calls) == sorted(ac._sign_class_words(word))
 
 
-def test_public_h_tilde_and_script_h_are_congruent(A3):
-    rng = random.Random(15)
-    for _ in range(20):
-        word = random_double_word(A3, rng, 6)
-        plus, minus = ac._sign_class_words(word)
-        mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
-        P = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(3))
-        Ht, Hs = ac._h_tilde(3, mp, mm), ac._script_h(3, mp, mm)
-        assert intlinalg.is_skew_symmetric(Ht) and intlinalg.is_skew_symmetric(Hs)
-        assert intlinalg.mat_mul(intlinalg.transpose(P), intlinalg.mat_mul(Ht, P)) == Hs
+def _corrupt_word_matrices(monkeypatch, fields, scale):
+    """Make build_word_matrices scale the given fields (Atilde, Ctilde) of
+    every word's matrices; returns the real builder."""
+    real = ac.build_word_matrices
+
+    def corrupted(datum, word):
+        mats = real(datum, word)
+        return dataclasses.replace(mats, **{
+            name: [[scale * x for x in row] for row in getattr(mats, name)] for name in fields})
+
+    monkeypatch.setattr(ac, "build_word_matrices", corrupted)
+    return real
+
+
+def test_public_h_tilde_and_script_h_are_congruent(monkeypatch, A3):
+    # the stacked product Q^T Ht Q = script-H is the oracle of q_congruence,
+    # which congruence_check decides from Ct P = C and P^T At P = -A; it
+    # must agree on true word matrices and on corrupted ones
+    for fields, scale in (((), 1), (("Ctilde",), 2), (("Atilde",), -1)):
+        with monkeypatch.context() as patch:
+            _corrupt_word_matrices(patch, fields, scale)
+            rng = random.Random(15)
+            verdicts = set()
+            for _ in range(20):
+                word = random_double_word(A3, rng, 6)
+                plus, minus = ac._sign_class_words(word)
+                mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
+                P = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(3))
+                Ht, Hs = ac._h_tilde(3, mp, mm), ac._script_h(3, mp, mm)
+                assert intlinalg.is_skew_symmetric(Ht) and intlinalg.is_skew_symmetric(Hs)
+                stacked = intlinalg.mat_mul(intlinalg.transpose(P), intlinalg.mat_mul(Ht, P)) == Hs
+                assert ac.congruence_check(A3, word)["q_congruence"] is stacked, (fields, word)
+                verdicts.add(stacked)
+            assert verdicts == ({False, True} if fields else {True}), fields
+
+
+@pytest.mark.parametrize("fields", [(), ("Atilde",), ("Ctilde",)])
+def test_congruence_check_builds_ht_only_when_an_identity_fails(monkeypatch, A3, fields):
+    _corrupt_word_matrices(monkeypatch, fields, 2)
+    built = []
+    real_h_tilde = ac._h_tilde
+    monkeypatch.setattr(ac, "_h_tilde", lambda n, mp, mm: built.append(1) or real_h_tilde(n, mp, mm))
+    rep = ac.congruence_check(A3, (1, 2, -1, 3, -2))
+    assert rep["q_congruence"] is (not fields)
+    assert len(built) == (1 if fields else 0)
+    built.clear()
+    assert ac.congruence_check(A3, ())["q_congruence"] and built == []  # nothing to corrupt
 
 
 def test_sign_class_extraction_preserves_order():
@@ -125,11 +163,10 @@ def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep():
 
 @pytest.mark.parametrize("scale,agree", [(2, False), (-1, True)])
 def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, agree):
-    # scale * Ht: Q^T (scale Ht) Q = scale * script-H fails (a); its
-    # multipliers are |scale| times script-H's, so (c) fails only for scale 2
-    real_h_tilde = ac._h_tilde
-    monkeypatch.setattr(ac, "_h_tilde", lambda n, mp, mm: [
-        [scale * x for x in row] for row in real_h_tilde(n, mp, mm)])
+    # scaling At and Ct scales Ht: Ct P = C and P^T At P = -A fail, so (a)
+    # fails; Ht's multipliers are |scale| times script-H's, so (c) fails
+    # only for scale 2
+    real_build = _corrupt_word_matrices(monkeypatch, ("Atilde", "Ctilde"), scale)
     seen = []
     real_multipliers = intlinalg.skew_multipliers
     monkeypatch.setattr(intlinalg, "skew_multipliers",
@@ -137,8 +174,8 @@ def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, ag
     word = (1, 2, -1, 3, -2)
     rep = ac.congruence_check(A3, word)
     plus, minus = ac._sign_class_words(word)
-    mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
-    assert ac._h_tilde(3, mp, mm) in seen and len(seen) == 3
+    mp, mm = real_build(A3, plus), real_build(A3, minus)
+    assert [[scale * x for x in row] for row in ac._h_tilde(3, mp, mm)] in seen and len(seen) == 3
     assert not rep["q_congruence"] and not rep["ok"]
     assert rep["multipliers_agree"] is agree
     assert rep["multipliers"] == real_multipliers(ac._script_h(3, mp, mm))

@@ -61,10 +61,23 @@ def test_image_minor_flag(capsys):
     ("12|1", "equal row and column counts"),
     ("12|1a", "unexpected character"),
     ("1|1)*x11*minor(2|2", "is not rows|cols"),
+    ("", "is not rows|cols"),
 ])
 def test_image_minor_errors_name_the_fault(capsys, minor, named):
     code, out, err = run(capsys, "image", "--rank", "2", "--word", "1,2", "--minor", minor)
     assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--expr", "x11", "--minor", "12|12"), "not allowed with argument"),
+    ((), "one of the arguments --expr --minor is required"),
+])
+def test_image_takes_exactly_one_of_expr_and_minor(capsys, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["image", "--rank", "2", "--word", "1,2", *flags])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
     assert named in err and "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_double_word
-from qck import pivots, wiring
+from qck import pivots, weyl, wiring
 from qck.qtorus import QTorusElement
 
 REF_WORD = (1, 2, 1, -1, -2)
@@ -136,6 +136,24 @@ def test_auto_certificate_random_a3(A3):
         assert cert is not None
         report = pivots.check_certificate(A3, cert)
         assert report.passed, (word, [c.error for c in report.claims])
+
+
+def test_auto_certificate_evaluates_no_expression(monkeypatch, A3):
+    # check_certificate is the one verifier of an automatic certificate
+    def boom(*args):
+        raise AssertionError("auto_certificate_disjoint evaluated an expression")
+
+    monkeypatch.setattr(wiring, "expression_image", boom)
+    for word in ((), (-1, 2, -3), (1, 2, 1, -3)):
+        cert = pivots.auto_certificate_disjoint(A3, word)
+        assert cert is not None and len(cert.claims) == len(word)
+
+
+def test_auto_certificate_rejects_non_type_a_data():
+    b2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    for word in ((-1, 2), (-1, 1)):  # disjoint and intersecting supports
+        with pytest.raises(ValueError, match="type-A"):
+            pivots.auto_certificate_disjoint(b2, word)
 
 
 def test_table1_suite_all_pass(A2):
