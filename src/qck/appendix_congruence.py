@@ -138,12 +138,6 @@ def _congruence_identities(mats):
     return ct_p, pap
 
 
-def _sign_class_words(word):
-    plus = tuple(e for e in word if e > 0)
-    minus = tuple(-e for e in word if e < 0)
-    return plus, minus
-
-
 def _stack(n, Xp, Xm, Yp, Ym):
     """[[Xp, 0, -Yp^T], [0, Xm, Ym^T], [Yp, -Ym, 0]] for the l+ x l+ and
     l- x l- blocks Xp, Xm and the n x l+ and n x l- blocks Yp, Ym."""
@@ -182,19 +176,18 @@ def congruence_check(datum, word):
     sign-class words (see the module docstring), so those four identities
     decide it.  Q is unitriangular, hence unimodular, so once (a) holds Ht
     has script-H's multipliers; Ht is built, for its own normal form, only
-    when (a) fails."""
+    when (a) fails.  For (b), rank script-H is twice the number of its
+    multipliers: the skew normal form they come from is verified exactly."""
     word = tuple(word)
     ctx = strings._context(datum, word)
-    plus, minus = _sign_class_words(word)
-    mp = build_word_matrices(datum, plus)
-    mm = build_word_matrices(datum, minus)
+    mp = build_word_matrices(datum, ctx.w2)  # the positive letters
+    mm = build_word_matrices(datum, ctx.w1)  # the negated negative letters
     congruent = all(_congruence_identities(mp) + _congruence_identities(mm))
     Hs = _script_h(datum.n, mp, mm)
 
-    rank_script = intlinalg.rank_over_Q(Hs)
-    rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
-
     mult_hs = intlinalg.skew_multipliers(Hs)
+    rank_script = 2 * len(mult_hs)
+    rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
     mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(_h_tilde(datum.n, mp, mm))
     mult_torus = intlinalg.skew_multipliers(ctx.H)
 

@@ -160,7 +160,10 @@ class CertificateReport:
 def check_certificate(datum, cert):
     """Evaluate every claim of a certificate; a claim that does not parse,
     names a level out of range, or is not a unit where one is needed fails
-    in the claim report rather than aborting the whole run."""
+    in the claim report rather than aborting the whole run.  A datum that is
+    not type A is rejected with ValueError before any claim is evaluated."""
+    if not datum.is_type_a:
+        raise ValueError("pivot certificates need a type-A root datum")
     weyl.split_double_word(datum, cert.word)
     reports = []
     for t, claim in enumerate(cert.claims):

@@ -17,7 +17,6 @@ still be shared with m.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import add, mul
 
@@ -307,9 +306,6 @@ class QTorusElement:
         coeff = coeff_shift(coeff_invert(c), shift)
         return QTorusElement.monomial(self.m, self.D, inv_a, inv_b, coeff)
 
-    def supp(self):
-        return set(self.terms.keys())
-
     def supp_x(self):
         return {a for (a, _b) in self.terms.keys()}
 
@@ -338,9 +334,6 @@ class QTorusElement:
         for t in data["terms"]:
             terms[(tuple(t["a"]), tuple(t["b"]))] = coeff_from_json(t["coeff"])
         return cls(data["m"], tuple(data["D"]), terms)
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
     def __repr__(self):
         if self.is_zero():

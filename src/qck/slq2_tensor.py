@@ -102,12 +102,8 @@ class TypicalModuleSpec:
         i in [-bound, bound] where 1 + gamma*eta*q^{d(2i-1)} vanishes, if any."""
         if self.kind != "Laurent" or self.gamma is None or self.eta is None:
             return None
-        prod = coeff_mul(self.gamma, self.eta)
-        if len(prod) != 1:
-            return None
-        ((e, g), v), = prod.items()
-        if g != () and any(g):
-            return None
+        # gamma and eta are each one rational times a q-power (_check_param)
+        ((e, _g), v), = coeff_mul(self.gamma, self.eta).items()
         # 1 + v q^{e + d(2i-1)} = 0 needs v = -1 and e + d(2i-1) = 0
         if v != -1:
             return None
@@ -201,15 +197,14 @@ def verify_typical_relations(spec, N, d=1):
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
     failures = []
+    bad = spec.illegal_laurent_index(d=d, bound=N)
     for i in range(lo, hi + 1):
         act = _word_action({i: coeff_qpow(0)},
                            lambda ij, vec: apply_generator(spec, "x%d%d" % ij, vec, d=d))
         failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
                      if wiring.relation_difference(lhs, rhs, act, d=d)]
-        if spec.kind == "Laurent":
-            bad = spec.illegal_laurent_index(d=d, bound=N)
-            if bad is not None and bad == i:
-                failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
+        if i == bad:
+            failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
     return {"ok": not failures, "failures": failures, "range": (lo, hi)}
 
 

@@ -14,6 +14,12 @@ invariants describe the localized algebra: its dimension, center, diagonal
 subtorus, and the 2-generator torus factors of the centralizer complement.
 The matrices are built here directly; the strings themselves, with their
 exponent map, are the tests' oracle for them.
+
+Each double word has one record, `StringMatrices`: its split, the Weyl
+matrices of its two factors and the torus matrices, with the string
+matrices built on first use.  `invariants`, `psi_check` and
+appendix_congruence.congruence_check all read it, and `psi_matrices` fills
+both Psi matrices in one walk over the letters.
 """
 
 from __future__ import annotations
@@ -30,18 +36,6 @@ from .weyl import NonReducedWord
 
 # ---------------------------------------------------------------------------
 # structural matrices
-
-
-@dataclass
-class StringMatrices:
-    word: tuple
-    D: tuple  # diagonal of D_i~
-    Omega: list  # m x n
-    Lambda: list  # m x m, lower triangular, unimodular
-    Phi: list  # 2m x (n+m), columns = exponent vectors of the generators
-    H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
-    OmegaTilde: list  # m x n, Lambda^{-1} Omega
-    LambdaInv: list  # m x m, Lambda^{-1}
 
 
 def _torus_matrices(datum, word):
@@ -82,14 +76,14 @@ def _torus_matrices(datum, word):
     return D, Omega, Lambda, H
 
 
-@dataclass(frozen=True, eq=False)
-class _WordContext:
+@dataclass(frozen=True)
+class StringMatrices:
     """What invariants, psi_check and congruence_check share for one double
     word: its split, the Weyl matrices W1 and W2 and rank(W1 - W2), the torus
-    matrices, and (built on first use) the string matrices.  Held in the
-    one-entry memo of `_context`, so nothing in it may be mutated."""
+    matrices, and (built on first use) Phi, LambdaInv and OmegaTilde.  Held in
+    the one-entry memo of `_context`, so nothing in it may be mutated;
+    `string_matrices` hands out copies."""
 
-    datum: weyl.RootDatum
     word: tuple
     w1: tuple
     w2: tuple
@@ -97,19 +91,36 @@ class _WordContext:
     W1: list
     W2: list
     rank_diff: int  # rank over Q of W1 - W2
-    D: tuple
-    Omega: list
-    Lambda: list
-    H: list
+    D: tuple  # diagonal of D_i~
+    Omega: list  # m x n
+    Lambda: list  # m x m, lower triangular, unimodular
+    H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
 
     @functools.cached_property
-    def mats(self):
-        return _string_matrices(self)
+    def Phi(self):
+        """2m x (n+m), columns = exponent vectors of the generators:
+        [[Omega, Lambda], [0, I_m]] (x-exponents on top, y-exponents below)."""
+        n = len(self.H) - len(self.word)
+        return ([o + l for o, l in zip(self.Omega, self.Lambda)]
+                + [[0] * n + row for row in intlinalg.identity(len(self.word))])
+
+    @functools.cached_property
+    def LambdaInv(self):
+        """m x m, Lambda^{-1}, exact: Lambda is unitriangular up to sign."""
+        inv = intlinalg.invert_unitriangular(self.Lambda)
+        if not intlinalg.mat_eq(intlinalg.mat_mul(self.Lambda, inv), intlinalg.identity(len(inv))):
+            raise CrossCheckFailed("Lambda * Lambda^-1 is not the identity")
+        return inv
+
+    @functools.cached_property
+    def OmegaTilde(self):
+        """m x n, Lambda^{-1} Omega."""
+        return intlinalg.mat_mul(self.LambdaInv, self.Omega)
 
 
 @functools.lru_cache(maxsize=1)
 def _context(datum, word):
-    """The `_WordContext` of a tuple word, kept for the most recent
+    """The `StringMatrices` of a tuple word, kept for the most recent
     (datum, word); raises NonReducedWord as split_double_word does."""
     w1, w2, supp = weyl.split_double_word(datum, word)
     W1 = weyl.weyl_matrix(datum, w1)
@@ -117,46 +128,13 @@ def _context(datum, word):
     rank_diff = intlinalg.rank_over_Q(
         [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(W1, W2)]
     )
-    return _WordContext(datum, word, w1, w2, supp, W1, W2, rank_diff,
-                        *_torus_matrices(datum, word))
+    return StringMatrices(word, w1, w2, supp, W1, W2, rank_diff, *_torus_matrices(datum, word))
 
 
 def string_matrices(datum, word):
     """Exact structural matrices of the localized algebra for a double word,
     as a fresh copy."""
-    return copy.deepcopy(_context(datum, tuple(word)).mats)
-
-
-def _string_matrices(ctx):
-    n = ctx.datum.n
-    m = len(ctx.word)
-    D, Omega, Lambda, H = ctx.D, ctx.Omega, ctx.Lambda, ctx.H
-
-    # Phi = [[Omega, Lambda], [0, I_m]]  (x-exponents on top, y-exponents below)
-    Phi = intlinalg.zeros(2 * m, n + m)
-    for s in range(m):
-        for t in range(n):
-            Phi[s][t] = Omega[s][t]
-        for t in range(m):
-            Phi[s][n + t] = Lambda[s][t]
-            Phi[m + s][n + t] = 1 if s == t else 0
-
-    # OmegaTilde = Lambda^{-1} Omega, exact (Lambda is unitriangular up to sign)
-    LambdaInv = intlinalg.invert_unitriangular(Lambda)
-    if not intlinalg.mat_eq(intlinalg.mat_mul(Lambda, LambdaInv), intlinalg.identity(m)):
-        raise CrossCheckFailed("Lambda * Lambda^-1 is not the identity")
-    OmegaTilde = intlinalg.mat_mul(LambdaInv, Omega)
-
-    return StringMatrices(
-        word=ctx.word,
-        D=D,
-        Omega=Omega,
-        Lambda=Lambda,
-        Phi=Phi,
-        H=H,
-        OmegaTilde=OmegaTilde,
-        LambdaInv=LambdaInv,
-    )
+    return copy.deepcopy(_context(datum, tuple(word)))
 
 
 @dataclass
@@ -181,20 +159,19 @@ def invariants(datum, word):
     """
     word = tuple(word)
     ctx = _context(datum, word)
-    mats = ctx.mats
     supp = ctx.supp
     m = len(word)
     n = datum.n
 
-    rank_phi = intlinalg.rank_over_Q(mats.Phi) if m else 0
-    s = intlinalg.rank_over_Q(mats.OmegaTilde) if m else 0
+    rank_phi = intlinalg.rank_over_Q(ctx.Phi) if m else 0
+    s = intlinalg.rank_over_Q(ctx.OmegaTilde) if m else 0
     n_dim = m + s
     if rank_phi != n_dim or s != len(supp):
         raise CrossCheckFailed(
             f"rank Phi = {rank_phi} but m + rank OmegaTilde = {n_dim}, |supp| = {len(supp)}"
         )
 
-    rank_H = intlinalg.rank_over_Q(mats.H)
+    rank_H = intlinalg.rank_over_Q(ctx.H)
     d = m + n - rank_H
 
     dk = n - ctx.rank_diff  # dim ker(w1 - w2)
@@ -212,7 +189,7 @@ def invariants(datum, word):
         )
     k = (m - d_center - s) // 2
 
-    mult = _cprime_multipliers(mats)
+    mult = _cprime_multipliers(ctx)
     if len(mult) != k:
         raise CrossCheckFailed(f"centralizer-complement multipliers {mult} do not match k={k}")
 
@@ -235,14 +212,14 @@ def cprime_multipliers(datum, word):
     integer kernel of the n x m matrix OmegaTilde^T D, the multipliers are
     those of the congruence normal form of K^T S K.
     """
-    return _cprime_multipliers(_context(datum, tuple(word)).mats)
+    return _cprime_multipliers(_context(datum, tuple(word)))
 
 
-def _cprime_multipliers(mats):
-    D, Li = mats.D, mats.LambdaInv
+def _cprime_multipliers(ctx):
+    D, Li = ctx.D, ctx.LambdaInv
     m = len(D)
     # OmegaTilde^T D, n x m
-    ker = intlinalg.kernel_basis([list(map(mul, col, D)) for col in zip(*mats.OmegaTilde)])
+    ker = intlinalg.kernel_basis([list(map(mul, col, D)) for col in zip(*ctx.OmegaTilde)])
     if not ker:
         return []
     S = [[D[k] * Li[k][l] - D[l] * Li[l][k] for l in range(m)] for k in range(m)]
@@ -250,56 +227,42 @@ def _cprime_multipliers(mats):
     return list(intlinalg.skew_normal_form(induced).multipliers)
 
 
-def psi_matrix(datum, word):
-    """The 2n x (n+m) block matrix whose nonzero Smith invariant factors being
-    1 certifies that the central generators extend to a lattice basis."""
-    word = tuple(word)
-    ctx = _context(datum, word)
+def psi_matrices(datum, word):
+    """(psi, reduced) from one walk over the letters.  psi is the 2n x (n+m)
+    block matrix whose nonzero Smith invariant factors being 1 certifies that
+    the central generators extend to a lattice basis; reduced is the n x m
+    matrix with entries (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
+    = ((w_{<=t}^{sgn(i_t)})^{-1}(omega_s), alpha_{|i_t|}^vee)."""
+    ctx = _context(datum, tuple(word))
     n = datum.n
-    W1, W2 = ctx.W1, ctx.W2
-    top = [[W1[t][s] for t in range(n)] for s in range(n)]  # (w1(omega_s), alpha_t^vee)
-    bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
-    # w(omega_s) for each sign class's prefix w; appending s_i moves only
-    # omega_i: w s_i(omega_i) = w(omega_i) - w(alpha_i)
+    top = [[ctx.W1[t][s] for t in range(n)] for s in range(n)]  # (w1(omega_s), alpha_t^vee)
+    bot = [[-ctx.W2[t][s] for t in range(n)] for s in range(n)]
+    reduced = [[] for _ in range(n)]
+    # w(omega_s) and w^{-1}(omega_s) for each sign class's prefix w.
+    # Appending s_i moves only omega_i in the first, w s_i(omega_i) =
+    # w(omega_i) - w(alpha_i), and reflects the second, (w s_i)^{-1} = s_i w^{-1}
     omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
-    imgs = {False: omegas, True: list(omegas)}
-    for e in word:
+    imgs = {sign: (list(omegas), list(omegas)) for sign in (False, True)}
+    for e in ctx.word:
         i = abs(e)
-        cur = imgs[e > 0]
+        fwd, inv = imgs[e > 0]
         alpha = datum.simple_root(i)  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
-        w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*cur)]
-        cur[i - 1] = tuple(map(sub, cur[i - 1], w_alpha))
+        w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*fwd)]
+        fwd[i - 1] = tuple(map(sub, fwd[i - 1], w_alpha))
+        inv[:] = [weyl.reflect(datum, i, mu) for mu in inv]
         for s in range(n):
-            top[s].append(weyl.pairing(cur[s], i) if e < 0 else 0)
-            bot[s].append(0 if e < 0 else weyl.pairing(cur[s], i))
-    return [top[s] for s in range(n)] + [bot[s] for s in range(n)]
+            pair = weyl.pairing(fwd[s], i)
+            top[s].append(0 if e > 0 else pair)
+            bot[s].append(pair if e > 0 else 0)
+            reduced[s].append(weyl.pairing(inv[s], i))
+    return top + bot, reduced
 
 
 def psi_check(datum, word):
     """(ok, invariant_factors): ok iff every nonzero Smith invariant factor of
     the Psi block matrix is 1, and the same holds for the reduced matrix
     ((omega_s, w_{<=t}^{sgn}(alpha_{|i_t|}^vee)))."""
-    word = tuple(word)
-    psi = psi_matrix(datum, word)
+    psi, reduced = psi_matrices(datum, word)
     factors = intlinalg.invariant_factors(psi)
-    ok = all(f == 1 for f in factors)
-    red = reduced_psi_matrix(datum, word)
-    red_factors = intlinalg.invariant_factors(red)
-    ok = ok and all(f == 1 for f in red_factors)
+    ok = all(f == 1 for f in factors) and all(f == 1 for f in intlinalg.invariant_factors(reduced))
     return ok, factors
-
-
-def reduced_psi_matrix(datum, word):
-    """n x m matrix with entries (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
-    = ((w_{<=t}^{sgn(i_t)})^{-1}(omega_s), alpha_{|i_t|}^vee)."""
-    word = tuple(word)
-    n = datum.n
-    cols = []
-    # (w^{sgn})^{-1}(omega_s) for each sign class's prefix, one reflection per letter
-    omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
-    imgs = {False: omegas, True: list(omegas)}
-    for e in word:
-        i = abs(e)
-        imgs[e > 0] = [weyl.reflect(datum, i, mu) for mu in imgs[e > 0]]
-        cols.append([weyl.pairing(mu, i) for mu in imgs[e > 0]])
-    return [[cols[t][s] for t in range(len(word))] for s in range(n)]

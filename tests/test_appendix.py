@@ -93,7 +93,7 @@ def test_congruence_check_builds_word_matrices_once_per_sign_class(monkeypatch, 
     for word in ((), (1, -2, 3, -1, 2)):
         calls.clear()
         assert ac.congruence_check(A3, word)["ok"]
-        assert sorted(calls) == sorted(ac._sign_class_words(word))
+        assert sorted(calls) == sorted(weyl.split_double_word(A3, word)[:2])
 
 
 def _corrupt_word_matrices(monkeypatch, fields, scale):
@@ -121,7 +121,7 @@ def test_public_h_tilde_and_script_h_are_congruent(monkeypatch, A3):
             verdicts = set()
             for _ in range(20):
                 word = random_double_word(A3, rng, 6)
-                plus, minus = ac._sign_class_words(word)
+                minus, plus, _ = weyl.split_double_word(A3, word)
                 mp, mm = ac.build_word_matrices(A3, plus), ac.build_word_matrices(A3, minus)
                 P = intlinalg.block_diag(mp.P, mm.P, intlinalg.identity(3))
                 Ht, Hs = ac._h_tilde(3, mp, mm), ac._script_h(3, mp, mm)
@@ -145,20 +145,25 @@ def test_congruence_check_builds_ht_only_when_an_identity_fails(monkeypatch, A3,
     assert ac.congruence_check(A3, ())["q_congruence"] and built == []  # nothing to corrupt
 
 
-def test_sign_class_extraction_preserves_order():
-    assert ac._sign_class_words((1, -2, 3, -1, 2)) == ((1, 3, 2), (2, 1))
+def test_sign_class_extraction_preserves_order(A3):
+    # congruence_check reads its sign-class words from the split: w2 holds
+    # the positive letters, w1 the negated negative ones, both in order
+    assert weyl.split_double_word(A3, (1, -2, 3, -1, 2))[:2] == ((2, 1), (1, 3, 2))
 
 
 def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep():
-    """The cross-check congruence_check now skips once Q^T Ht Q = script-H
-    holds (Q is unimodular): Ht's own skew normal form, on C5's words."""
+    """The cross-checks congruence_check skips, on C5's words: Ht's own skew
+    normal form, skipped once Q^T Ht Q = script-H holds (Q is unimodular),
+    and the Bareiss rank of script-H, read from its verified normal form."""
     for rank in (1, 2, 3):
         datum = weyl.type_a(rank)
         for word in weyl.all_double_words(datum, 6):
-            plus, minus = ac._sign_class_words(word)
+            rep = ac.congruence_check(datum, word)
+            minus, plus, _ = weyl.split_double_word(datum, word)
             mp, mm = ac.build_word_matrices(datum, plus), ac.build_word_matrices(datum, minus)
-            assert (intlinalg.skew_multipliers(ac._h_tilde(rank, mp, mm))
-                    == intlinalg.skew_multipliers(ac._script_h(rank, mp, mm))), (rank, word)
+            Ht, Hs = ac._h_tilde(rank, mp, mm), ac._script_h(rank, mp, mm)
+            assert intlinalg.skew_multipliers(Ht) == rep["multipliers"], (rank, word)
+            assert intlinalg.rank_over_Q(Hs) == rep["rank_script_h"], (rank, word)
 
 
 @pytest.mark.parametrize("scale,agree", [(2, False), (-1, True)])
@@ -173,7 +178,7 @@ def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, ag
                         lambda H: seen.append(H) or real_multipliers(H))
     word = (1, 2, -1, 3, -2)
     rep = ac.congruence_check(A3, word)
-    plus, minus = ac._sign_class_words(word)
+    minus, plus, _ = weyl.split_double_word(A3, word)
     mp, mm = real_build(A3, plus), real_build(A3, minus)
     assert [[scale * x for x in row] for row in ac._h_tilde(3, mp, mm)] in seen and len(seen) == 3
     assert not rep["q_congruence"] and not rep["ok"]

@@ -156,6 +156,18 @@ def test_auto_certificate_rejects_non_type_a_data():
             pivots.auto_certificate_disjoint(b2, word)
 
 
+def test_check_certificate_rejects_non_type_a_data(monkeypatch, A2):
+    b2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
+    cert = pivots.auto_certificate_disjoint(A2, (-1, 2))
+
+    def boom(*args):
+        raise AssertionError("check_certificate evaluated a claim")
+
+    monkeypatch.setattr(wiring, "expression_image", boom)
+    with pytest.raises(ValueError, match="type-A"):
+        pivots.check_certificate(b2, cert)
+
+
 def test_table1_suite_all_pass(A2):
     suite = pivots.table1_suite(A2)
     assert len(suite) == 10

@@ -123,18 +123,18 @@ def test_lambda_inverse_matches_fraction_inverse(A3):
 
 def test_invariants_builds_string_matrices_once(monkeypatch, A3):
     calls = []
-    real = strings._string_matrices
+    real = intlinalg.invert_unitriangular
 
-    def counting(ctx):
-        calls.append(ctx.word)
-        return real(ctx)
+    def counting(L):
+        calls.append(len(L))
+        return real(L)
 
-    monkeypatch.setattr(strings, "_string_matrices", counting)
+    monkeypatch.setattr(intlinalg, "invert_unitriangular", counting)
     for word in ((), (1, 2, -1), (1, 2, 1, 3, -2, -1)):
         calls.clear()
         strings.invariants(A3, word)
         strings.invariants(A3, word)  # the second call reads the memo
-        assert calls == [word]
+        assert calls == [len(word)]
 
 
 def test_h_matches_q_commute_of_generator_strings(A2):
@@ -219,7 +219,7 @@ def test_cprime_multipliers_match_the_lattice_oracle(A2, A3):
     for datum, words in sweep:
         for word in words:
             got = strings.cprime_multipliers(datum, word)
-            assert got == lattice_cprime_multipliers(strings._context(datum, word).mats,
+            assert got == lattice_cprime_multipliers(strings._context(datum, word),
                                                      datum.n), (datum, word)
             nonempty += bool(got)
     assert nonempty > 500  # the sweep reaches words with centralizer factors
@@ -274,7 +274,7 @@ def test_psi_check_all_s3_pairs(A2):
 
 def _psi_matrices_by_apply_word(datum, word):
     """Both Psi matrices with every prefix image rebuilt by weyl.apply_word
-    (test oracle for the prefix walk of psi_matrix and reduced_psi_matrix)."""
+    (test oracle for the prefix walk of psi_matrices)."""
     w1, w2, _ = weyl.split_double_word(datum, word)
     n = datum.n
     W1, W2 = weyl.weyl_matrix(datum, w1), weyl.weyl_matrix(datum, w2)
@@ -301,9 +301,8 @@ def test_psi_prefix_walk_matches_apply_word(A3):
     G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
     for datum, max_len in ((A3, 5), (B2, 8), (G2, 6)):
         for word in weyl.all_double_words(datum, max_len):
-            psi, reduced = _psi_matrices_by_apply_word(datum, word)
-            assert strings.psi_matrix(datum, word) == psi, word
-            assert strings.reduced_psi_matrix(datum, word) == reduced, word
+            expected = _psi_matrices_by_apply_word(datum, word)
+            assert strings.psi_matrices(datum, word) == expected, word
 
 
 def test_one_word_builds_its_context_once(monkeypatch, A3):
@@ -338,12 +337,17 @@ def test_string_matrices_hands_out_a_copy(A3):
         return (strings.invariants(A3, word), strings.psi_check(A3, word),
                 ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
 
-    before, first = strings.string_matrices(A3, word), results()
-    lattice = phi_tilde(before, A3.n)
+    names = ("W1", "W2", "Omega", "Lambda", "H", "Phi", "OmegaTilde", "LambdaInv")
+
+    def matrices(mats):
+        return {name: getattr(mats, name) for name in names}
+
+    before, first = matrices(strings.string_matrices(A3, word)), results()
+    lattice = phi_tilde(strings.string_matrices(A3, word), A3.n)
     mats = strings.string_matrices(A3, word)
-    for name in ("Omega", "Lambda", "Phi", "H", "OmegaTilde", "LambdaInv"):
+    for name in names:
         for row in getattr(mats, name):
             row[:] = [x + 7 for x in row]
-    assert strings.string_matrices(A3, word) == before
+    assert matrices(strings.string_matrices(A3, word)) == before
     assert phi_tilde(strings.string_matrices(A3, word), A3.n) == lattice
     assert results() == first
