@@ -7,11 +7,16 @@ specialized to exact scalar * q-power values.
 
 Tensor modules use Borel-lifted one-sided factors only: x^a shifts the basis
 index down by a, and y^b acts diagonally by prod_k gamma_k^{b_k} q^{b^T D n}.
-Their relation suite is checked once, on a formal basis vector: e_n is e_0
-with gamma_k replaced by gamma_k Z_k, Z_k = q^{d_k n_k}, so one check covers
-every n.  Only a failing relation is searched over the ball max |n_k| <= N,
-by substituting Z_k, to name the failing vectors; the report's `checked`
-still counts the (2N+1)^m ball vectors.
+
+Both relation suites are checked once, on a formal basis vector, so one
+check covers every index.  For a tensor module e_n is e_0 with gamma_k
+replaced by gamma_k Z_k, Z_k = q^{d_k n_k}; for a rank-1 module e_i is
+formal, with Z = q^{d i} in a third gamma slot after gamma and eta.  Only a
+failing relation is searched, over the ball max |n_k| <= N or the truncated
+rank-1 domain, by substituting the Z (_nonzero_at), to name the failing
+vectors; the tensor report's `checked` still counts the (2N+1)^m ball
+vectors.  The rank-1 formulas exist once (typical_action), in terms of the
+coefficient that stands for q^{d i}.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .qtorus import (
     coeff_mul,
     coeff_neg,
     coeff_qpow,
+    coeff_shift,
     coeff_str,
 )
 
@@ -48,8 +54,8 @@ def _check_param(name, p):
                          "times a power of q")
 
 
-def _formal(index, nparams, power=1):
-    g = [0] * nparams
+def _formal(index, nslots, power=1):
+    g = [0] * nslots
     g[index] = power
     return {(0, tuple(g)): 1}
 
@@ -68,22 +74,6 @@ class TypicalModuleSpec:
             raise ValueError(f"unknown module kind {self.kind!r}; the kinds are {', '.join(KINDS)}")
         _check_param("gamma", self.gamma)
         _check_param("eta", self.eta)
-
-    def gamma_coeff(self):
-        return self.gamma if self.gamma is not None else _formal(0, 2)
-
-    def eta_coeff(self):
-        return self.eta if self.eta is not None else _formal(1, 2)
-
-    def gamma_inv_coeff(self):
-        if self.gamma is not None:
-            return coeff_invert(self.gamma)
-        return _formal(0, 2, -1)
-
-    def eta_inv_coeff(self):
-        if self.eta is not None:
-            return coeff_invert(self.eta)
-        return _formal(1, 2, -1)
 
     def index_domain(self):
         """(lo, hi) bounds with None for unbounded."""
@@ -114,61 +104,54 @@ class TypicalModuleSpec:
         return i if abs(i) <= bound else None
 
 
-def typical_action(spec, generator, i, d=1):
+def typical_action(spec, generator, i, d=1, formal=False):
     """Action of one quantum-matrix generator on the basis vector e_i, as a
-    list of (index, coefficient) pairs.  d scales q to the node's q_i."""
+    list of (index, coefficient) pairs.  d scales q to the node's q_i.
+
+    formal=True acts on e_{i0+i} of a formal index i0 instead: Z = q^{d i0}
+    is gamma slot 2, after gamma and eta, so q^{d(i0+i)} is Z q^{d i}, and
+    every formal coefficient has three gamma slots or none.  The domain is
+    then not checked: the factor 1 - q^{2di} that leads out of it vanishes
+    at its end.  The formulas are written once, in terms of z, the
+    coefficient that stands for q^{d i}."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
-    if not spec.in_domain(i):
+    if not formal and not spec.in_domain(i):
         raise IndexOutOfDomain(f"index {i} outside the domain of {spec.kind}")
-    kind = spec.kind
-    qd = lambda e: coeff_qpow(d * e)  # noqa: E731
+    kind, nslots = spec.kind, 3 if formal else 2
+    z = {(d * i, (0, 0, 1) if formal else ()): 1}
 
-    if generator == "x11":
-        if kind == "HighestWeight":
-            if i == 0:
-                return []
-            c = coeff_add(coeff_qpow(0), {(2 * d * i, ()): -1})  # 1 - q^{2i}
-            return [(i - 1, c)]
-        if kind == "Laurent":
-            ge = coeff_mul(spec.gamma_coeff(), spec.eta_coeff())
-            c = coeff_add(coeff_qpow(0), coeff_mul(ge, qd(2 * i - 1)))
-            return [(i - 1, c)] if c else []
-        return [(i - 1, coeff_qpow(0))]
+    def param(k, power=1):  # gamma (k = 0) or eta (k = 1), to the power +-1
+        p = (spec.gamma, spec.eta)[k]
+        if p is None:
+            return _formal(k, nslots, power)
+        return p if power > 0 else coeff_invert(p)
 
-    if generator == "x22":
-        if kind == "LowestWeight":
-            if i == 0:
-                return []
-            c = coeff_add(coeff_qpow(0), {(2 * d * i, ()): -1})  # 1 - q^{2i}
-            return [(i + 1, c)]
-        return [(i + 1, coeff_qpow(0))]
-
-    if generator == "x12":
-        if kind == "Mminus":
-            return []
-        if kind == "Mplus" or kind == "Laurent" or kind == "HighestWeight":
-            c = coeff_mul(spec.eta_coeff(), qd(i))
-            return [(i, c)]
-        # LowestWeight: x12 e_i = gamma q^i e_i
-        return [(i, coeff_mul(spec.gamma_coeff(), qd(i)))]
-
-    # x21
-    if kind == "Mplus":
+    if generator in ("x11", "x22"):
+        if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):
+            c = coeff_add(coeff_qpow(0), coeff_neg(coeff_mul(z, z)))  # 1 - q^{2di}
+        elif kind == "Laurent" and generator == "x11":  # 1 + gamma eta q^{d(2i-1)}
+            c = coeff_add(coeff_qpow(0), coeff_mul(coeff_mul(param(0), param(1)),
+                                                   coeff_mul(z, coeff_shift(z, -d))))
+        else:
+            c = coeff_qpow(0)
+        return [(i - 1 if generator == "x11" else i + 1, c)] if c else []
+    if (generator, kind) in (("x12", "Mminus"), ("x21", "Mplus")):
         return []
-    if kind == "Mminus" or kind == "Laurent":
-        return [(i, coeff_mul(spec.gamma_coeff(), qd(i)))]
-    if kind == "HighestWeight":
-        c = coeff_mul(coeff_neg(spec.eta_inv_coeff()), qd(i + 1))
-        return [(i, c)]
-    # LowestWeight: x21 e_i = -gamma^{-1} q^{i-1} e_i
-    return [(i, coeff_mul(coeff_neg(spec.gamma_inv_coeff()), qd(i - 1)))]
+    if generator == "x12":  # eta q^{di}, for LowestWeight gamma q^{di}
+        return [(i, coeff_mul(param(0 if kind == "LowestWeight" else 1), z))]
+    if kind == "HighestWeight":  # x21 e_i = -eta^{-1} q^{d(i+1)} e_i
+        return [(i, coeff_mul(coeff_neg(param(1, -1)), coeff_shift(z, d)))]
+    if kind == "LowestWeight":  # x21 e_i = -gamma^{-1} q^{d(i-1)} e_i
+        return [(i, coeff_mul(coeff_neg(param(0, -1)), coeff_shift(z, -d)))]
+    return [(i, coeff_mul(param(0), z))]  # x21 e_i = gamma q^{di} e_i
 
 
-def apply_generator(spec, generator, vec, d=1):
-    """Linear extension of typical_action to module vectors {index: coeff}."""
+def apply_generator(spec, generator, vec, d=1, formal=False):
+    """Linear extension of typical_action to module vectors {index: coeff};
+    with formal=True an index j stands for e_{i0+j}, i0 formal."""
     return accumulate({}, [(j, coeff_mul(c, ac)) for i, c in vec.items()
-                           for j, ac in typical_action(spec, generator, i, d=d)])
+                           for j, ac in typical_action(spec, generator, i, d=d, formal=formal)])
 
 
 def _word_action(start, apply):
@@ -186,24 +169,34 @@ def _word_action(start, apply):
 
 
 def verify_typical_relations(spec, N, d=1):
-    """Check the rank-1 relations exactly on e_i over the truncated domain:
-    the n1 = 2 relation table of wiring, with q read as q^d.
+    """Check the rank-1 relations exactly on e_i over the truncated domain
+    [lo, hi] = the kind's domain cut to [-N, N]: the n1 = 2 relation table of
+    wiring, with q read as q^d.
+
+    Each relation's difference is built once, on a formal e_i with
+    Z = q^{d i} (typical_action with formal=True; index j stands for
+    e_{i+j}).  The difference is a Laurent polynomial in Z, so a zero one
+    proves the relation at every i; a nonzero one is searched over
+    [lo, hi] by setting Z = q^{d i}, which finds exactly the failures of
+    acting on each e_i.
 
     For the Laurent kind with specialized parameters this also checks the
     nonvanishing of the x11 coefficients 1 + gamma eta q^{2i-1}, whose
     failure pins the excluded parameter values gamma eta = -q^{2k+1}.
+    Failures are listed by i, then in table order.
     """
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
+    act = _word_action({0: coeff_qpow(0)}, lambda ij, vec: apply_generator(
+        spec, "x%d%d" % ij, vec, d=d, formal=True))
+    bad = [(name, diff) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
+           if (diff := wiring.relation_difference(lhs, rhs, act, d=d))]
+    excluded = spec.illegal_laurent_index(d=d, bound=N)
     failures = []
-    bad = spec.illegal_laurent_index(d=d, bound=N)
     for i in range(lo, hi + 1):
-        act = _word_action({i: coeff_qpow(0)},
-                           lambda ij, vec: apply_generator(spec, "x%d%d" % ij, vec, d=d))
-        failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
-                     if wiring.relation_difference(lhs, rhs, act, d=d)]
-        if i == bad:
+        failures += [(name, i) for name, diff in bad if _nonzero_at(diff, (d * i,))]
+        if i == excluded:
             failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
     return {"ok": not failures, "failures": failures, "range": (lo, hi)}
 
@@ -308,20 +301,20 @@ def verify_tensor_relations(datum, word, N, params=None):
 
     bad = [(name, diff) for name, diff in diffs if diff]
     ball = itertools.product(range(-N, N + 1), repeat=m) if bad else ()
-    failures = list(itertools.islice(
-        ((name, n) for n in ball for name, diff in bad if _nonzero_at(diff, n, mod.D)), 20))
+    failures = list(itertools.islice(((name, n) for n in ball for name, diff in bad
+                                      if _nonzero_at(diff, tuple(map(mul, mod.D, n)))), 20))
     return {"ok": not failures, "failures": failures, "checked": max(2 * N + 1, 0) ** m}
 
 
-def _nonzero_at(diff, n, D):
-    """Whether a formal difference survives Z_k = q^{d_k n_k}: each key
-    (e, gamma + Z) becomes (e + sum_k Z_k d_k n_k, gamma)."""
-    m = len(n)
-    zq = tuple(map(mul, D, n))
+def _nonzero_at(diff, zq):
+    """Whether a formal difference survives the substitution of the q-powers
+    zq for its Z slots, the last len(zq) gamma slots: each key
+    (e, gamma + Z) becomes (e + sum_k Z_k zq_k, gamma)."""
     for c in diff.values():
         out = {}
         for (e, g), v in c.items():
-            key = (e + sum(map(mul, g[m:], zq)), g[:m] if any(g[:m]) else ())
+            k = len(g) - len(zq)  # a key with no gamma slots has g = ()
+            key = (e + sum(map(mul, g[k:], zq)), g[:k] if any(g[:k]) else ())
             out[key] = out.get(key, 0) + v
         if any(out.values()):
             return True

@@ -515,6 +515,26 @@ def ball_tensor_relations(datum, word, N, params=None):
     return {"ok": not failures, "failures": failures[:20], "checked": len(ball)}
 
 
+def ball_typical_relations(spec, N, d=1):
+    """The rank-1 relation suite acted out on each basis vector e_i of the
+    truncated domain (test oracle for the formal-Z check of
+    slq2_tensor.verify_typical_relations)."""
+    lo, hi = spec.index_domain()
+    lo = -N if lo is None else max(lo, -N)
+    hi = N if hi is None else min(hi, N)
+
+    failures = []
+    bad = spec.illegal_laurent_index(d=d, bound=N)
+    for i in range(lo, hi + 1):
+        act = sq._word_action({i: coeff_qpow(0)},
+                              lambda ij, vec: sq.apply_generator(spec, "x%d%d" % ij, vec, d=d))
+        failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
+                     if wiring.relation_difference(lhs, rhs, act, d=d)]
+        if i == bad:
+            failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
+    return {"ok": not failures, "failures": failures, "range": (lo, hi)}
+
+
 @pytest.fixture(scope="session")
 def A1():
     return weyl.type_a(1)

@@ -25,8 +25,19 @@ def test_build_word_matrices_a2_examples(A2):
 
 
 def test_build_word_matrices_rejects_non_reduced(A2):
-    with pytest.raises(weyl.NonReducedWord):
-        ac.build_word_matrices(A2, (1, 1))
+    # reducedness is read off the betas (positive-root criterion), after the
+    # letter-range check, in type A and in G2
+    G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
+    for datum, word in ((A2, (1, 1)), (A2, (1, 2, 1, 2)), (G2, (2, 2)), (G2, (1, 2) * 3 + (1,))):
+        assert not weyl.is_reduced(datum, word)
+        with pytest.raises(weyl.NonReducedWord, match="is not reduced"):
+            ac.build_word_matrices(datum, word)
+    assert ac.build_word_matrices(G2, (1, 2) * 3).beta  # the longest word of G2
+    for datum, word in ((A2, (1, 3)), (A2, (0,)), (G2, (2, 1, -1)), (G2, (3, 3))):
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            weyl.is_reduced(datum, word)
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            ac.build_word_matrices(datum, word)
 
 
 def test_triangularity_and_unimodularity(A3):

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import ball_tensor_relations, random_double_word
+from conftest import ball_tensor_relations, ball_typical_relations, random_double_word
 from qck import slq2_tensor as sq
 from qck import weyl, wiring
 from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow, coeff_shift
@@ -46,22 +47,70 @@ def test_typical_relations_scaled_q(d):
 
 @pytest.mark.parametrize("generator, factor, failing", [
     # x11 -> q x11 breaks the two relations with x11 on one side only
-    ("x11", lambda i: 1, lambda i: ["[x11, x22] commutator", "det_q = 1"]),
+    ("x11", lambda z: coeff_qpow(1), lambda i: ["[x11, x22] commutator", "det_q = 1"]),
     # x12 e_i = eta q^{2i} e_i breaks both q-commutations of x12 with x11
     # and x22; the commutator and det_q see x12 only on e_i, so hold at i = 0
-    ("x12", lambda i: i, lambda i: ["x11 x12 = q x12 x11", "x12 x22 = q x22 x12"]
+    ("x12", lambda z: z, lambda i: ["x11 x12 = q x12 x11", "x12 x22 = q x22 x12"]
      + (["[x11, x22] commutator", "det_q = 1"] if i else [])),
 ])
 def test_corrupted_rank1_action_fails_the_named_relations(monkeypatch, generator, factor, failing):
+    # factor(z) multiplies the action, z standing for q^i (Z q^i on the
+    # formal e_{i0+i} of the check), so the corruption reaches the formal
+    # check and the per-index oracle alike
     action = sq.typical_action
 
-    def corrupted(spec, gen, i, d=1):
-        out = action(spec, gen, i, d=d)
-        return [(j, coeff_shift(c, factor(i))) for j, c in out] if gen == generator else out
+    def corrupted(spec, gen, i, d=1, formal=False):
+        out = action(spec, gen, i, d=d, formal=formal)
+        z = {(i, (0, 0, 1) if formal else ()): 1}
+        return [(j, coeff_mul(c, factor(z))) for j, c in out] if gen == generator else out
 
     monkeypatch.setattr(sq, "typical_action", corrupted)
-    rep = sq.verify_typical_relations(sq.TypicalModuleSpec(kind="Laurent"), 2)
+    spec = sq.TypicalModuleSpec(kind="Laurent")
+    rep = sq.verify_typical_relations(spec, 2)
     assert rep["failures"] == [(name, i) for i in range(-2, 3) for name in failing(i)]
+    assert rep == ball_typical_relations(spec, 2)
+
+
+def _rank1_cases():
+    """(spec, d, N) over the five kinds with formal, specialised and mixed
+    parameters, the excluded Laurent values gamma eta = -q^{2k+1} for
+    k = -5..5, and legal values next to them."""
+    params = [(None, None), ({(1, ()): 2}, {(-2, ()): Fraction(1, 3)}),
+              ({(0, ()): -1}, None), (None, {(3, ()): 5})]
+    specs = [sq.TypicalModuleSpec(kind, gamma, eta) for kind in sq.KINDS for gamma, eta in params]
+    for k in range(-5, 6):
+        a = k % 3  # how the q-power is split between gamma and eta
+        for v, shift in ((-1, 0), (1, 0), (-2, 0), (-1, 1)):  # excluded, then near misses
+            specs.append(sq.TypicalModuleSpec("Laurent", {(a, ()): v},
+                                              {(2 * k + 1 - a + shift, ()): 1}))
+    return [(spec, d, N) for spec in specs for d in (1, 2, 3) for N in (0, 1, 2, 5, 20)]
+
+
+def test_formal_rank1_check_agrees_with_per_index_oracle():
+    excluded = 0
+    for spec, d, N in _rank1_cases():
+        rep = sq.verify_typical_relations(spec, N, d=d)
+        assert rep == ball_typical_relations(spec, N, d=d), (spec, d, N)
+        excluded += not rep["ok"]
+    assert excluded > 0
+
+
+def test_formal_rank1_check_work_does_not_grow_with_N(monkeypatch):
+    calls = []
+    action = sq.typical_action
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(sq, "typical_action", counted)
+    for kind in sq.KINDS:
+        counts = []
+        for N in (1, 20):
+            calls.clear()
+            assert sq.verify_typical_relations(sq.TypicalModuleSpec(kind=kind), N)["ok"]
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, kind
 
 
 def test_laurent_illegal_specialization_detected():
