@@ -17,13 +17,16 @@ Q = diag(P(plus), P(minus), I_n).  Block by block, the diagonal blocks of
 that identity are P^T At P = -A for the two sign-class words, the blocks
 (1,3), (2,3) and their transposes are Ct P = C, and the other blocks are 0
 on both sides; so the congruence is decided by those two identities per
-sign-class word, and the stacked product is never formed.  script-H has
+sign-class word, and the stacked product is never formed.  Both depend on
+the reduced word alone: each sign-class word's matrices and verdicts are one
+record, shared by every double word with that sign class.  script-H has
 rank l(w1)+l(w2)+rank(w1-w2) and shares its skew congruence invariants with
 the commutation matrix of the word's localized torus.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import intlinalg, strings, weyl
@@ -108,7 +111,7 @@ def verify_lemma(datum, word):
     P^T At P = -A).
     """
     word = tuple(word)
-    mats = build_word_matrices(datum, word)
+    mats, ct_p, pap = _sign_class(datum, word)
     l = len(word)
     n = datum.n
     alpha_cols = [[1 if t == word[k] - 1 else 0 for k in range(l)] for t in range(n)]
@@ -118,7 +121,6 @@ def verify_lemma(datum, word):
     product_identity = intlinalg.mat_eq(
         intlinalg.mat_mul(mats.Ptilde, mats.P), intlinalg.identity(l)
     )
-    ct_p, pap = _congruence_identities(mats)
     return {
         "word": word,
         "beta_from_alpha": beta_from_alpha,
@@ -130,14 +132,19 @@ def verify_lemma(datum, word):
     }
 
 
-def _congruence_identities(mats):
-    """(Ct P = C, P^T At P = -A) for one reduced word's matrices."""
-    ct_p = intlinalg.mat_eq(intlinalg.mat_mul(mats.Ctilde, mats.P), mats.C) if mats.word else True
+@functools.lru_cache(maxsize=256)
+def _sign_class(datum, word):
+    """(matrices, Ct P = C, P^T At P = -A) of one reduced word, kept for the
+    256 (datum, word) used last.  Every double word with this sign class
+    shares it, so nothing in it may be mutated: _h_tilde and _script_h build
+    new matrices."""
+    mats = build_word_matrices(datum, word)
+    ct_p = intlinalg.mat_eq(intlinalg.mat_mul(mats.Ctilde, mats.P), mats.C) if word else True
     pap = intlinalg.mat_eq(
         intlinalg.mat_mul(intlinalg.transpose(mats.P), intlinalg.mat_mul(mats.Atilde, mats.P)),
         intlinalg.mat_neg(mats.A),
     )
-    return ct_p, pap
+    return mats, ct_p, pap
 
 
 def _stack(n, Xp, Xm, Yp, Ym):
@@ -175,23 +182,24 @@ def congruence_check(datum, word):
     H(i~) all agree (a complete congruence invariant, stronger than rank).
 
     (a) holds exactly when Ct P = C and P^T At P = -A hold for both
-    sign-class words (see the module docstring), so those four identities
-    decide it.  Q is unitriangular, hence unimodular, so once (a) holds Ht
-    has script-H's multipliers; Ht is built, for its own normal form, only
-    when (a) fails.  For (b), rank script-H is twice the number of its
-    multipliers: the skew normal form they come from is verified exactly."""
+    sign-class words (see the module docstring), so the verdicts of their
+    records decide it.  Q is unitriangular, hence unimodular, so once (a)
+    holds Ht has script-H's multipliers; Ht is built, for its own normal
+    form, only when (a) fails.  For (b), rank script-H is twice the number
+    of its multipliers: the skew normal form they come from is verified
+    exactly.  (c) reads the torus H's normal form from the word's record."""
     word = tuple(word)
     ctx = strings._context(datum, word)
-    mp = build_word_matrices(datum, ctx.w2)  # the positive letters
-    mm = build_word_matrices(datum, ctx.w1)  # the negated negative letters
-    congruent = all(_congruence_identities(mp) + _congruence_identities(mm))
+    mp, *identities_p = _sign_class(datum, ctx.w2)  # the positive letters
+    mm, *identities_m = _sign_class(datum, ctx.w1)  # the negated negative letters
+    congruent = all(identities_p + identities_m)
     Hs = _script_h(datum.n, mp, mm)
 
     mult_hs = intlinalg.skew_multipliers(Hs)
     rank_script = 2 * len(mult_hs)
     rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
     mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(_h_tilde(datum.n, mp, mm))
-    mult_torus = intlinalg.skew_multipliers(ctx.H)
+    mult_torus = ctx.H_form.multipliers
 
     return {
         "word": word,

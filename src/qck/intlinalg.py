@@ -215,33 +215,28 @@ def smith_normal_form(M):
         swap_rows(t, best[0])
         swap_cols(t, best[1])
         while True:
-            # clear column t and row t
-            dirty = False
+            # clear column t, then row t; a nonzero remainder becomes the
+            # smaller pivot and the sweep restarts, as in skew_normal_form
             for i in range(t + 1, r):
-                if D[i][t] != 0:
-                    f = D[i][t] // D[t][t]
-                    row_op(i, t, f)
-                    if D[i][t] != 0:  # remainder becomes the smaller pivot
+                if D[i][t]:
+                    row_op(i, t, D[i][t] // D[t][t])
+                    if D[i][t]:
                         swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, c):
-                if D[t][j] != 0:
-                    f = D[t][j] // D[t][t]
-                    col_op(j, t, f)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility fixup: every remaining entry must divide by pivot
-            off = next(
-                ((i, j) for i in range(t + 1, r) for j in range(t + 1, c)
-                 if D[i][j] % D[t][t] != 0),
-                None,
-            )
-            if off is None:
-                break
-            row_op(t, off[0], -1)  # mix the offending row into the pivot row
+                        break
+            else:
+                for j in range(t + 1, c):
+                    if D[t][j]:
+                        col_op(j, t, D[t][j] // D[t][t])
+                        if D[t][j]:
+                            swap_cols(t, j)
+                            break
+                else:
+                    # divisibility fixup: every remaining entry must divide by pivot
+                    off = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c)
+                                if D[i][j] % D[t][t]), None)
+                    if off is None:
+                        break
+                    row_op(t, off[0], -1)  # mix the offending row into the pivot row
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]

@@ -16,10 +16,11 @@ The matrices are built here directly; the strings themselves, with their
 exponent map, are the tests' oracle for them.
 
 Each double word has one record, `StringMatrices`: its split, the Weyl
-matrices of its two factors and the torus matrices, with the string
-matrices built on first use.  `invariants`, `psi_check` and
-appendix_congruence.congruence_check all read it, and `psi_matrices` fills
-both Psi matrices in one walk over the letters.
+matrices of its two factors and the torus matrices, with LambdaInv,
+OmegaTilde and the skew normal form of the torus H built on first use.
+`invariants`, `psi_check` and appendix_congruence.congruence_check all read
+it, so H is reduced once per word, and `psi_matrices` fills both Psi
+matrices in one walk over the letters.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _torus_matrices(datum, word):
 class StringMatrices:
     """What invariants, psi_check and congruence_check share for one double
     word: its split, the Weyl matrices W1 and W2 and rank(W1 - W2), the torus
-    matrices, and (built on first use) Phi, LambdaInv and OmegaTilde.  Held in
-    the one-entry memo of `_context`, so nothing in it may be mutated;
-    `string_matrices` hands out copies."""
+    matrices, and (built on first use) LambdaInv, OmegaTilde and H_form, the
+    skew normal form of H.  Held in the one-entry memo of `_context`, so
+    nothing in it may be mutated; `string_matrices` hands out copies."""
 
     word: tuple
     w1: tuple
@@ -97,14 +98,6 @@ class StringMatrices:
     H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
 
     @functools.cached_property
-    def Phi(self):
-        """2m x (n+m), columns = exponent vectors of the generators:
-        [[Omega, Lambda], [0, I_m]] (x-exponents on top, y-exponents below)."""
-        n = len(self.H) - len(self.word)
-        return ([o + l for o, l in zip(self.Omega, self.Lambda)]
-                + [[0] * n + row for row in intlinalg.identity(len(self.word))])
-
-    @functools.cached_property
     def LambdaInv(self):
         """m x m, Lambda^{-1}, exact: Lambda is unitriangular up to sign."""
         inv = intlinalg.invert_unitriangular(self.Lambda)
@@ -116,6 +109,11 @@ class StringMatrices:
     def OmegaTilde(self):
         """m x n, Lambda^{-1} Omega."""
         return intlinalg.mat_mul(self.LambdaInv, self.Omega)
+
+    @functools.cached_property
+    def H_form(self):
+        """The skew normal form of H, verified exactly by skew_normal_form."""
+        return intlinalg.skew_normal_form(self.H)
 
 
 @functools.lru_cache(maxsize=1)
@@ -150,9 +148,11 @@ class WordInvariants:
 
 def invariants(datum, word):
     """Structural invariants of the localized algebra, with each rank
-    identity cross-checked once against the Weyl-matrix oracle: rank Phi =
-    m + |supp|, d = m + n - rank H = dim ker(w1 - w2), and k a nonnegative
-    integer with k centralizer multipliers.
+    identity cross-checked once against the Weyl-matrix oracle: rank
+    OmegaTilde = |supp|, d = m + n - rank H = dim ker(w1 - w2), and k a
+    nonnegative integer with k centralizer multipliers.  n_dim = m + rank
+    OmegaTilde is the rank of the generator exponents [[Omega, Lambda], [0,
+    I_m]]; rank H is twice the number of multipliers in H's verified form.
 
     A failing cross-check raises CrossCheckFailed: it means two formulas the
     theory proves equal disagreed, i.e. an implementation bug.
@@ -163,15 +163,12 @@ def invariants(datum, word):
     m = len(word)
     n = datum.n
 
-    rank_phi = intlinalg.rank_over_Q(ctx.Phi) if m else 0
     s = intlinalg.rank_over_Q(ctx.OmegaTilde) if m else 0
+    if s != len(supp):
+        raise CrossCheckFailed(f"rank OmegaTilde = {s} but |supp| = {len(supp)}")
     n_dim = m + s
-    if rank_phi != n_dim or s != len(supp):
-        raise CrossCheckFailed(
-            f"rank Phi = {rank_phi} but m + rank OmegaTilde = {n_dim}, |supp| = {len(supp)}"
-        )
 
-    rank_H = intlinalg.rank_over_Q(ctx.H)
+    rank_H = 2 * len(ctx.H_form.multipliers)
     d = m + n - rank_H
 
     dk = n - ctx.rank_diff  # dim ker(w1 - w2)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
@@ -155,6 +157,16 @@ def skew_gram(D):
     return G
 
 
+def phi(mats):
+    """Phi = [[Omega, Lambda], [0, I_m]], the 2m x (n+m) matrix whose columns
+    are the exponent vectors of the generators (x-exponents on top,
+    y-exponents below); its rank is m + rank OmegaTilde, the test oracle for
+    the n_dim of strings.invariants."""
+    n = len(mats.H) - len(mats.word)
+    return ([o + l for o, l in zip(mats.Omega, mats.Lambda)]
+            + [[0] * n + row for row in intlinalg.identity(len(mats.word))])
+
+
 def phi_tilde(mats, n):
     """PhiTilde = [[0, I_m], [OmegaTilde, Lambda^{-1}]], the 2m x (n+m)
     matrix whose columns span the generator exponent lattice."""
@@ -207,8 +219,8 @@ def results_by_cell(datum, words, result):
 
 def simplicity_record(datum, word):
     """invariants(datum, word) under the per-word checks of acceptance
-    criterion C10, as the record that must be constant on a cell: (m, s, d,
-    k, rank H, multipliers)."""
+    criterion C10, the Bareiss rank of H among them, as the record that must
+    be constant on a cell: (m, s, d, k, rank H, multipliers)."""
     inv = strings.invariants(datum, word)
     letters = [abs(e) for e in word]
     distinct = len(set(letters)) == len(letters)
@@ -218,18 +230,41 @@ def simplicity_record(datum, word):
     w1, w2, _ = weyl.split_double_word(datum, word)
     assert inv.d == ker_rank(datum, w1, w2), word
     assert len(inv.multipliers) == inv.k, word
+    # rank H, read from its skew normal form, against the Bareiss rank
+    assert inv.rank_H == intlinalg.rank_over_Q(strings._context(datum, tuple(word)).H), word
     return inv.m, inv.s, inv.d, inv.k, inv.rank_H, tuple(inv.multipliers)
 
 
-def congruence_record(datum, word):
-    """congruence_check(datum, word) under the per-word checks of acceptance
+def congruence_record(rep):
+    """A congruence_check report under the per-word checks of acceptance
     criterion C5, as the record that must be constant on a cell:
     (multipliers, ok)."""
-    rep = appendix_congruence.congruence_check(datum, word)
+    word = rep["word"]
     assert rep["q_congruence"], word
     assert rep["rank_ok"], word
     assert rep["multipliers_agree"], word
     return tuple(rep["multipliers"]), rep["ok"]
+
+
+@pytest.fixture(scope="session")
+def c5_congruence_sweep():
+    """sweep(rank): ({word: congruence_check report}, built) over every
+    double word of length <= 6 on the type A datum of that rank, computed
+    once per session from an empty sign-class memo, so that acceptance
+    criterion C5 and the cross-checks on its words share the reports; built
+    lists the sign-class words whose matrices were built meanwhile."""
+    @functools.cache
+    def sweep(rank):
+        datum, built = weyl.type_a(rank), []
+        real = appendix_congruence.build_word_matrices
+        appendix_congruence._sign_class.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(appendix_congruence, "build_word_matrices",
+                          lambda datum, word: built.append(word) or real(datum, word))
+            reports = {word: appendix_congruence.congruence_check(datum, word)
+                       for word in weyl.all_double_words(datum, 6)}
+        return reports, built
+    return sweep
 
 
 def split_cells(cells):
@@ -347,6 +382,75 @@ def full_scan_pivot(A, rows, first_col):
             if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
                 best = (i, j)
     return best
+
+
+def sweeping_smith_normal_form(M):
+    """(U, D, V) with U M V = D by the elimination that goes on sweeping
+    row and column t with a new, smaller pivot after a swap (test oracle for
+    intlinalg.smith_normal_form, which restarts the sweep; D must agree).
+    Its U and V can grow by thousands of bits on 8 x 8 inputs."""
+    r, c = intlinalg.shape(M)
+    D = intlinalg.copy_matrix(M)
+    U, V = intlinalg.identity(r), intlinalg.identity(c)
+
+    def row_op(i, j, f):  # row_i -= f*row_j
+        D[i] = [a - f * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - f * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, f):  # col_i -= f*col_j
+        for row in D:
+            row[i] -= f * row[j]
+        for row in V:
+            row[i] -= f * row[j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in D + V:
+            row[i], row[j] = row[j], row[i]
+
+    for t in range(min(r, c)):
+        best = full_scan_pivot(D, range(t, r), lambda i: t)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                if D[i][t] != 0:
+                    row_op(i, t, D[i][t] // D[t][t])
+                    if D[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, c):
+                if D[t][j] != 0:
+                    col_op(j, t, D[t][j] // D[t][t])
+                    if D[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            off = next(((i, j) for i in range(t + 1, r) for j in range(t + 1, c)
+                        if D[i][j] % D[t][t] != 0), None)
+            if off is None:
+                break
+            row_op(t, off[0], -1)
+        if D[t][t] < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+    return U, D, V
+
+
+def smith_sweep_matrix(r, c, b, seed):
+    """The seeded r x c matrix with entries drawn from 0, +-1 and +-b on which
+    the sweeping Smith elimination blows up (its U and V reach thousands of
+    bits, or it runs for seconds) for b near 10^6 at 6 x 7, b = 15 at 8 x 8
+    and b = 8 at 10 x 10."""
+    rng = random.Random(f"smith:{r}x{c}:{seed}")
+    return [[rng.choice((0, 1, -1, b, -b)) for _ in range(c)] for _ in range(r)]
 
 
 def full_skew_verification(H, nf):
@@ -583,4 +687,5 @@ def _fresh_word_context():
     """Start each test with an empty per-word memo, so that a layer a test
     replaces is really called and call counts do not depend on test order."""
     strings._context.cache_clear()
+    appendix_congruence._sign_class.cache_clear()
     wiring._word_images.cache_clear()

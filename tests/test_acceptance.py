@@ -17,6 +17,7 @@ from conftest import (
     congruence_record,
     ker_rank,
     permutation_expansion_image,
+    phi,
     random_double_word,
     results_by_cell,
     simplicity_record,
@@ -175,7 +176,7 @@ def test_criterion_4_rank_identities():
                 mats = strings.string_matrices(A2, word)
                 inv = strings.invariants(A2, word)  # internal cross-checks
                 m = len(word)
-                rank_phi = intlinalg.rank_over_Q(mats.Phi) if m else 0
+                rank_phi = intlinalg.rank_over_Q(phi(mats)) if m else 0
                 assert rank_phi == inv.n_dim
                 assert inv.n_dim == m + len(set(abs(e) for e in word))
                 assert inv.d == ker_rank(A2, u1, u2)
@@ -197,7 +198,7 @@ def test_criterion_4_rank_identities():
             assert inv.k >= 0
 
 
-def test_criterion_5_appendix_congruence():
+def test_criterion_5_appendix_congruence(c5_congruence_sweep):
     """Q^T Ht Q = script-H exactly, the base-change lemma on all S_3/S_4
     reduced words, the rank formula, and equality of skew multipliers, on all
     double words of length <= 6 over ranks 1-3; and on rank 3 the
@@ -211,11 +212,10 @@ def test_criterion_5_appendix_congruence():
                     rep = ac.verify_lemma(datum, word)
                     assert rep["ok"], (rank, word)
         for rank in (1, 2):
-            datum = weyl.type_a(rank)
-            for word in weyl.all_double_words(datum, 6):
-                congruence_record(datum, word)
-        A3 = weyl.type_a(3)
-        cells = results_by_cell(A3, weyl.all_double_words(A3, 6), congruence_record)
+            for rep in c5_congruence_sweep(rank)[0].values():
+                congruence_record(rep)
+        reports = c5_congruence_sweep(3)[0]
+        cells = results_by_cell(weyl.type_a(3), reports, lambda datum, word: congruence_record(reports[word]))
         assert len(cells) == 341
         assert split_cells(cells) == {}
 
@@ -300,10 +300,10 @@ def test_criterion_9_module_relations():
 def test_criterion_10_simplicity_consistency():
     """Tensor-module simplicity bookkeeping: the diagonal torus is full (s =
     m) exactly when the letters are distinct, full diagonal forces an empty
-    multiplier list, and the center dimension always matches the Weyl-kernel
-    formula, on all rank-3 double words of length <= 6; and m, s, d, k,
-    rank H and the multipliers are the same for every reduced double word of
-    a cell (W1, W2)."""
+    multiplier list, the center dimension always matches the Weyl-kernel
+    formula and rank H its Bareiss rank, on all rank-3 double words of
+    length <= 6; and m, s, d, k, rank H and the multipliers are the same for
+    every reduced double word of a cell (W1, W2)."""
     with criterion(10, "simplicity criterion consistency, rank 3"):
         A3 = weyl.type_a(3)
         cells = results_by_cell(A3, weyl.all_double_words(A3, 6), simplicity_record)

@@ -101,10 +101,23 @@ def test_congruence_check_builds_word_matrices_once_per_sign_class(monkeypatch, 
 
     monkeypatch.setattr(ac, "build_word_matrices", counting)
     monkeypatch.setattr(ac.strings, "string_matrices", None)  # the torus H is built without it
-    for word in ((), (1, -2, 3, -1, 2)):
+    for word in ((), (1, -2, 3, -1, 2)):  # () has two equal sign classes
         calls.clear()
+        ac._sign_class.cache_clear()
         assert ac.congruence_check(A3, word)["ok"]
-        assert sorted(calls) == sorted(weyl.split_double_word(A3, word)[:2])
+        assert sorted(calls) == sorted(set(weyl.split_double_word(A3, word)[:2]))
+    calls.clear()
+    assert ac.congruence_check(A3, (-2, -1, 1, 2))["ok"]  # sign classes (2, 1) and (1, 2)
+    assert calls == [(1, 2)]  # (2, 1) is still held from the word before
+
+
+def test_c5_sweep_builds_each_sign_class_word_once(c5_congruence_sweep, A3):
+    """Over the rank-3 C5 sweep, every double word reuses the records of its
+    sign-class words: one build per distinct reduced word."""
+    reports, built = c5_congruence_sweep(3)
+    classes = {w for word in reports for w in weyl.split_double_word(A3, word)[:2]}
+    assert all(rep["ok"] for rep in reports.values())
+    assert len(built) == len(set(built)) == len(classes) == 66
 
 
 def _corrupt_word_matrices(monkeypatch, fields, scale):
@@ -128,6 +141,7 @@ def test_public_h_tilde_and_script_h_are_congruent(monkeypatch, A3):
     for fields, scale in (((), 1), (("Ctilde",), 2), (("Atilde",), -1)):
         with monkeypatch.context() as patch:
             _corrupt_word_matrices(patch, fields, scale)
+            ac._sign_class.cache_clear()  # verdicts held from the builder before
             rng = random.Random(15)
             verdicts = set()
             for _ in range(20):
@@ -162,16 +176,15 @@ def test_sign_class_extraction_preserves_order(A3):
     assert weyl.split_double_word(A3, (1, -2, 3, -1, 2))[:2] == ((2, 1), (1, 3, 2))
 
 
-def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep():
+def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep(c5_congruence_sweep):
     """The cross-checks congruence_check skips, on C5's words: Ht's own skew
     normal form, skipped once Q^T Ht Q = script-H holds (Q is unimodular),
     and the Bareiss rank of script-H, read from its verified normal form."""
     for rank in (1, 2, 3):
         datum = weyl.type_a(rank)
-        for word in weyl.all_double_words(datum, 6):
-            rep = ac.congruence_check(datum, word)
+        for word, rep in c5_congruence_sweep(rank)[0].items():
             minus, plus, _ = weyl.split_double_word(datum, word)
-            mp, mm = ac.build_word_matrices(datum, plus), ac.build_word_matrices(datum, minus)
+            mp, mm = ac._sign_class(datum, plus)[0], ac._sign_class(datum, minus)[0]
             Ht, Hs = ac._h_tilde(rank, mp, mm), ac._script_h(rank, mp, mm)
             assert intlinalg.skew_multipliers(Ht) == rep["multipliers"], (rank, word)
             assert intlinalg.rank_over_Q(Hs) == rep["rank_script_h"], (rank, word)
@@ -182,16 +195,18 @@ def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, ag
     # scaling At and Ct scales Ht: Ct P = C and P^T At P = -A fail, so (a)
     # fails; Ht's multipliers are |scale| times script-H's, so (c) fails
     # only for scale 2
+    # the three skew normal forms are script-H's, Ht's and the torus H's,
+    # the last one reached through the word's record
     real_build = _corrupt_word_matrices(monkeypatch, ("Atilde", "Ctilde"), scale)
     seen = []
-    real_multipliers = intlinalg.skew_multipliers
-    monkeypatch.setattr(intlinalg, "skew_multipliers",
-                        lambda H: seen.append(H) or real_multipliers(H))
+    real_form = intlinalg.skew_normal_form
+    monkeypatch.setattr(intlinalg, "skew_normal_form", lambda H: seen.append(H) or real_form(H))
     word = (1, 2, -1, 3, -2)
     rep = ac.congruence_check(A3, word)
     minus, plus, _ = weyl.split_double_word(A3, word)
     mp, mm = real_build(A3, plus), real_build(A3, minus)
     assert [[scale * x for x in row] for row in ac._h_tilde(3, mp, mm)] in seen and len(seen) == 3
+    assert ac.strings.string_matrices(A3, word).H in seen
     assert not rep["q_congruence"] and not rep["ok"]
     assert rep["multipliers_agree"] is agree
-    assert rep["multipliers"] == real_multipliers(ac._script_h(3, mp, mm))
+    assert rep["multipliers"] == real_form(ac._script_h(3, mp, mm)).multipliers

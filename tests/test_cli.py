@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import exact_det, smith_sweep_matrix
 import qck
 from qck import cli, weyl, wiring
 from qck.qtorus import QTorusElement
@@ -190,6 +192,19 @@ def test_normal_form_smith(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["invariant_factors"] == [1, 6]
+
+
+def test_normal_form_smith_prints_small_transforms(tmp_path, capsys):
+    # a valid 8 x 8 matrix whose U and V once grew past the 4,300 digits
+    # json.dumps converts, which exited 2
+    M = smith_sweep_matrix(8, 8, 15, 0)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(M))
+    code, out, _ = run(capsys, "normal-form", "--kind", "smith", "--file", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["invariant_factors"] == [1, 1, 1, 1, 2, 2, 2, 22724391930]
+    assert math.prod(data["invariant_factors"]) == abs(exact_det(M))
 
 
 def test_normal_form_skew_json_input(tmp_path, capsys):

@@ -12,6 +12,7 @@ from conftest import (
     invert_rational,
     lattice_cprime_multipliers,
     monomial_to_string,
+    phi,
     phi_tilde,
     q_commute_index,
     random_double_word,
@@ -50,7 +51,7 @@ def test_exponents_generator_strings_match_phi(A2):
     n, m = A2.n, len(word)
     for idx, ws in enumerate(gens):
         a, b = exponents(A2, ws)
-        col = [mats.Phi[r][idx] for r in range(2 * m)]
+        col = [phi(mats)[r][idx] for r in range(2 * m)]
         assert list(a) + list(b) == col
 
 
@@ -89,7 +90,7 @@ def test_string_matrices_rank_one(A1):
 def test_string_matrices_empty(A2):
     mats = strings.string_matrices(A2, ())
     assert mats.H == intlinalg.zeros(2, 2)
-    assert mats.Phi == []
+    assert phi(mats) == []
     assert mats.Omega == []
 
 
@@ -337,17 +338,22 @@ def test_string_matrices_hands_out_a_copy(A3):
         return (strings.invariants(A3, word), strings.psi_check(A3, word),
                 ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
 
-    names = ("W1", "W2", "Omega", "Lambda", "H", "Phi", "OmegaTilde", "LambdaInv")
+    names = ("W1", "W2", "Omega", "Lambda", "H", "OmegaTilde", "LambdaInv")
 
     def matrices(mats):
         return {name: getattr(mats, name) for name in names}
 
     before, first = matrices(strings.string_matrices(A3, word)), results()
     lattice = phi_tilde(strings.string_matrices(A3, word), A3.n)
+    form = strings.string_matrices(A3, word).H_form
     mats = strings.string_matrices(A3, word)
     for name in names:
         for row in getattr(mats, name):
             row[:] = [x + 7 for x in row]
+    for row in mats.H_form.Q:
+        row[:] = [x + 7 for x in row]
+    mats.H_form.multipliers.append(7)
     assert matrices(strings.string_matrices(A3, word)) == before
+    assert strings.string_matrices(A3, word).H_form == form
     assert phi_tilde(strings.string_matrices(A3, word), A3.n) == lattice
     assert results() == first
