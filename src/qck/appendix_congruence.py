@@ -195,10 +195,10 @@ def congruence_check(datum, word):
     congruent = all(identities_p + identities_m)
     Hs = _script_h(datum.n, mp, mm)
 
-    mult_hs = intlinalg.skew_multipliers(Hs)
+    mult_hs = intlinalg.skew_normal_form(Hs).multipliers
     rank_script = 2 * len(mult_hs)
     rank_expected = len(ctx.w1) + len(ctx.w2) + ctx.rank_diff
-    mult_ht = mult_hs if congruent else intlinalg.skew_multipliers(_h_tilde(datum.n, mp, mm))
+    mult_ht = mult_hs if congruent else intlinalg.skew_normal_form(_h_tilde(datum.n, mp, mm)).multipliers
     mult_torus = ctx.H_form.multipliers
 
     return {

@@ -381,6 +381,8 @@ def main(argv=None):
             i += 1
     parser = build_parser()
     args = parser.parse_args(merged)
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7, which has no limit
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except RuntimeError as exc:

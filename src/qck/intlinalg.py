@@ -376,10 +376,6 @@ def _verify_skew_form(H, nf):
         raise CrossCheckFailed("skew normal form verification failed")
 
 
-def skew_multipliers(H):
-    return skew_normal_form(H).multipliers
-
-
 # ---------------------------------------------------------------------------
 # plain-text / JSON matrix I/O (one row per line, whitespace separated)
 

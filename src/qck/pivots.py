@@ -14,7 +14,6 @@ constructions; the remaining cells follow from disjoint supports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import weyl, wiring
@@ -112,9 +111,6 @@ class PivotCertificate:
             claims=tuple(PivotClaim(*json_fields(c, "certificate claim", a_expr=str, elem_expr=str))
                          for c in claims),
         )
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 @dataclass

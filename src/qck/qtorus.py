@@ -29,10 +29,6 @@ class ShapeMismatch(ValueError):
 # coefficients: {(q_exp, gamma_tuple): rational}
 
 
-def coeff_one():
-    return {(0, ()): 1}
-
-
 def coeff_qpow(e, mult=1):
     return {(e, ()): mult} if mult else {}
 
@@ -116,8 +112,8 @@ def coeff_to_json(c):
 
 
 def coeff_from_json(data):
-    """The coefficient written by coeff_to_json; malformed input raises
-    ValueError naming the field."""
+    """The coefficient written by coeff_to_json, terms with equal (q, gamma)
+    added up; malformed input raises ValueError naming the field."""
     if not isinstance(data, list):
         raise ValueError(f"a coefficient is a list of terms, not {data!r}")
     c = {}
@@ -126,9 +122,10 @@ def coeff_from_json(data):
                                          q=int, gamma="ints", num=int, den=int)
         if not den:
             raise ValueError("coefficient term field 'den' is 0")
-        v = Fraction(num, den)
+        key = (e, tuple(gamma) if any(gamma) else ())
+        v = c.pop(key, 0) + Fraction(num, den)
         if v:
-            c[(e, tuple(gamma) if any(gamma) else ())] = v if v.denominator != 1 else v.numerator
+            c[key] = v if v.denominator != 1 else v.numerator
     return c
 
 
@@ -198,16 +195,12 @@ class QTorusElement:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, m, D):
-        return cls(m, D)
-
-    @classmethod
     def one(cls, m, D):
         return cls.monomial(m, D, (0,) * m, (0,) * m)
 
     @classmethod
     def monomial(cls, m, D, a, b, coeff=None):
-        return cls(m, D, {(tuple(a), tuple(b)): coeff if coeff is not None else coeff_one()})
+        return cls(m, D, {(tuple(a), tuple(b)): coeff if coeff is not None else coeff_qpow(0)})
 
     # -- ring structure -----------------------------------------------------
 
@@ -274,9 +267,6 @@ class QTorusElement:
             return NotImplemented
         # no zero coefficient is stored, so equal elements have equal term maps
         return self.m == other.m and self.D == other.D and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("QTorusElement is unhashable")
 
     def is_zero(self):
         return not self.terms

@@ -186,7 +186,7 @@ def invariants(datum, word):
         )
     k = (m - d_center - s) // 2
 
-    mult = _cprime_multipliers(ctx)
+    mult = cprime_multipliers(datum, word)
     if len(mult) != k:
         raise CrossCheckFailed(f"centralizer-complement multipliers {mult} do not match k={k}")
 
@@ -209,10 +209,7 @@ def cprime_multipliers(datum, word):
     integer kernel of the n x m matrix OmegaTilde^T D, the multipliers are
     those of the congruence normal form of K^T S K.
     """
-    return _cprime_multipliers(_context(datum, tuple(word)))
-
-
-def _cprime_multipliers(ctx):
+    ctx = _context(datum, tuple(word))
     D, Li = ctx.D, ctx.LambdaInv
     m = len(D)
     # OmegaTilde^T D, n x m

@@ -9,15 +9,15 @@ every other level weighs 1; column k writes its weight into tensor factor k.
 
 The image of a quantum minor with rows A and columns B is the sum of weights
 of vertex-disjoint path families from A to B (the quantum Lindstrom lemma);
-the generator x_ij is the 1x1 minor ({i}|{j}).  One left-to-right transfer
-pass over the columns from a start set A gives the images for every B at
-once (the planar-network view of Fomin-Zelevinsky).  The passes are kept for
-the most recent (datum, word) only, each run on first use: a single query
-runs one pass, and a sweep over one word's minors and relations runs each
-start set once.  An independent oracle expands each minor along its first
-row in the generator images alone, its smaller expansions memoised beside
-the passes.  The diagrams are type A only; every entry point that takes a
-datum rejects other data.
+the generator x_ij is the 1x1 minor ({i}|{j}), and so is the factor x_ij of
+an expression.  One left-to-right transfer pass over the columns from a
+start set A gives the images for every B at once (the planar-network view
+of Fomin-Zelevinsky).  The passes are kept for the most recent (datum, word)
+only, each run on first use: a single query runs one pass, and a sweep over
+one word's minors and relations runs each start set once.  An independent
+oracle expands each minor along its first row in the generator images
+alone, its smaller expansions memoised beside the passes.  The diagrams are
+type A only; every entry point that takes a datum rejects other data.
 
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
 which the torus suite here and the module suites of slq2_tensor evaluate.
@@ -94,7 +94,7 @@ def _levels(datum, A, B):
         raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
     for lv in A + B:
         if not 1 <= lv <= datum.n + 1:
-            raise IndexError(f"level {lv} out of range")
+            raise IndexError(f"level {lv} out of range 1..{datum.n + 1}")
     return A, B
 
 
@@ -145,12 +145,6 @@ def _transfer(datum, word, A):
     return images[A]
 
 
-def _image(datum, word, A, B):
-    """A fresh copy of the image of minor(A|B), for sorted level tuples."""
-    e = _transfer(datum, tuple(word), A)[B]
-    return QTorusElement(e.m, e.D, e.terms)
-
-
 def _generators(datum, word):
     """{(i, j): image of x_ij} from the memo; callers must not mutate them."""
     levels = range(1, datum.n + 2)
@@ -163,18 +157,12 @@ def generator_images(datum, word):
     return {ij: QTorusElement(e.m, e.D, e.terms) for ij, e in gens.items()}
 
 
-def generator_image(datum, word, i, j):
-    """Image of x_ij: the sum of path weights from level i to level j."""
-    n = datum.n
-    if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
-        raise IndexError(f"generator indices ({i},{j}) out of range 1..{n + 1}")
-    return _image(datum, word, (i,), (j,))
-
-
 def minor_image(datum, word, A, B):
-    """Image of the quantum minor with rows A and columns B: the sum of the
-    weights of the vertex-disjoint path families from A to B."""
-    return _image(datum, word, *_levels(datum, A, B))
+    """Image of the quantum minor with rows A and columns B (x_ij for A = (i,),
+    B = (j,)): the sum of the weights of the vertex-disjoint path families."""
+    A, B = _levels(datum, A, B)
+    e = _transfer(datum, tuple(word), A)[B]
+    return QTorusElement(e.m, e.D, e.terms)
 
 
 def minor_expansion(A, B):
@@ -220,15 +208,11 @@ def minor_image_oracle(datum, word, A, B):
     return QTorusElement(e.m, e.D, e.terms)
 
 
-def quantum_determinant_image(datum, word):
-    full = list(range(1, datum.n + 2))
-    return minor_image(datum, word, full, full)
-
-
 # ---------------------------------------------------------------------------
 # expression grammar: expr := factor ("*" factor)*;
 #                     factor := atom ("^" integer)?;
-#                     atom := "x" digit digit | "minor(" digits "|" digits ")"
+#                     atom := "x" digit digit | "minor(" digits "|" digits ")";
+# x_ij parses as minor(i|j).
 
 
 def _tokenize(text):
@@ -262,26 +246,9 @@ def _tokenize(text):
     return tokens
 
 
-@dataclass(frozen=True)
-class GeneratorAtom:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class MinorAtom:
-    rows: tuple
-    cols: tuple
-
-
-@dataclass(frozen=True)
-class ExprFactor:
-    atom: object
-    power: int
-
-
 def parse_expression(text):
-    """Parse the product grammar into a list of (atom, power) factors."""
+    """Parse the product grammar into a list of (rows, cols, power) factors,
+    rows and cols tuples of levels; x_ij is the minor ((i,), (j,))."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -299,11 +266,10 @@ def parse_expression(text):
         tok = peek()
         if tok[0] == "x":
             take("x")
-            num = take("int")
-            digits = num[1]
+            _, digits, at = take("int")
             if len(digits) != 2 or not digits.isdigit():
-                raise ParseError("generator needs two digits, like x12", num[2])
-            return GeneratorAtom(i=int(digits[0]), j=int(digits[1]))
+                raise ParseError("generator needs two digits, like x12", at)
+            return (int(digits[0]),), (int(digits[1]),)
         if tok[0] == "minor":
             take("minor")
             take("(")
@@ -315,23 +281,20 @@ def parse_expression(text):
             if not cols[1].isdigit():
                 raise ParseError("column list must be digits", cols[2])
             take(")")
-            r = tuple(int(c) for c in rows[1])
-            c = tuple(int(c) for c in cols[1])
+            r, c = (tuple(map(int, t[1])) for t in (rows, cols))
             if len(set(r)) != len(r) or len(set(c)) != len(c):
                 raise ParseError("repeated level in minor", rows[2])
             if len(r) != len(c):
                 raise ParseError("minor needs equal row and column counts", rows[2])
-            return MinorAtom(rows=r, cols=c)
+            return r, c
         raise ParseError(f"expected an atom, found {tok[1]!r}", tok[2])
 
     def factor():
-        a = atom()
-        power = 1
-        if peek()[0] == "^":
-            take("^")
-            tok = take("int")
-            power = int(tok[1])
-        return ExprFactor(atom=a, power=power)
+        rows, cols = atom()
+        if peek()[0] != "^":
+            return rows, cols, 1
+        take("^")
+        return rows, cols, int(take("int")[1])
 
     factors = [factor()]
     while peek()[0] == "*":
@@ -342,17 +305,13 @@ def parse_expression(text):
 
 
 def expression_image(datum, word, expr):
-    """Image of a product expression: left-to-right product of factor images."""
+    """Image of a product expression (a string): the left-to-right product
+    of its factors' minor images."""
+    factors = parse_expression(expr)
     word = tuple(word)
-    factors = parse_expression(expr) if isinstance(expr, str) else expr
-    D = torus_diagonal(datum, word)
-    out = QTorusElement.one(len(word), D)
-    for f in factors:
-        if isinstance(f.atom, GeneratorAtom):
-            base = generator_image(datum, word, f.atom.i, f.atom.j)
-        else:
-            base = minor_image(datum, word, f.atom.rows, f.atom.cols)
-        out = out * base**f.power
+    out = QTorusElement.one(len(word), torus_diagonal(datum, word))
+    for rows, cols, power in factors:
+        out = out * minor_image(datum, word, rows, cols) ** power
     return out
 
 
@@ -423,7 +382,8 @@ def verify_relations(datum, word):
 
     *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
     report = [(name, not relation_difference(lhs, rhs, act)) for name, lhs, rhs in rels]
-    det = quantum_determinant_image(datum, word)
+    full = tuple(range(1, datum.n + 2))
+    det = _transfer(datum, word, full)[full]
     return report + [(det_name, det == QTorusElement.one(len(word), det.D))]
 
 

@@ -512,7 +512,7 @@ def family_sum(datum, word, A, B):
     B = (j,)."""
     diagram = wiring.build_diagram(datum.n, word)
     D = wiring.torus_diagonal(datum, word)
-    out = QTorusElement.zero(len(word), D)
+    out = QTorusElement(len(word), D)
     for family in enumerate_families(diagram, A, B):
         out = out + family_weight(diagram, family, D)
     return out
@@ -526,7 +526,7 @@ def permutation_expansion_image(datum, word, A, B):
     the path-family images)."""
     gens = wiring.generator_images(datum, word)
     D = wiring.torus_diagonal(datum, word)
-    out = QTorusElement.zero(len(word), D)
+    out = QTorusElement(len(word), D)
     for c, labels in wiring.minor_expansion(tuple(sorted(A)), tuple(sorted(B))):
         term = QTorusElement.one(len(word), D).scale(c)
         for label in labels:

@@ -92,7 +92,7 @@ def test_criterion_1_reference_example(capsys):
         u = {
             1: wiring.minor_image(A2, REF_WORD, (1, 3), (1, 2)),
             3: wiring.minor_image(A2, REF_WORD, (1, 2), (1, 2)),
-            5: wiring.generator_image(A2, REF_WORD, 1, 2),
+            5: wiring.minor_image(A2, REF_WORD, (1,), (2,)),
         }
         assert u[1].supp_x() == {(0, 0, -1, 0, 0), (1, -1, 0, 0, 0), (1, -1, 1, 1, 0)}
         assert u[3].supp_x() == {(0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (0, 1, 0, 0, 1)}

@@ -186,7 +186,7 @@ def test_ht_multipliers_equal_script_h_multipliers_on_the_c5_sweep(c5_congruence
             minus, plus, _ = weyl.split_double_word(datum, word)
             mp, mm = ac._sign_class(datum, plus)[0], ac._sign_class(datum, minus)[0]
             Ht, Hs = ac._h_tilde(rank, mp, mm), ac._script_h(rank, mp, mm)
-            assert intlinalg.skew_multipliers(Ht) == rep["multipliers"], (rank, word)
+            assert intlinalg.skew_normal_form(Ht).multipliers == rep["multipliers"], (rank, word)
             assert intlinalg.rank_over_Q(Hs) == rep["rank_script_h"], (rank, word)
 
 

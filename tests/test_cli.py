@@ -44,7 +44,7 @@ def test_image_roundtrip(capsys):
     assert code == 0
     elem = QTorusElement.from_json(json.loads(out))
     A2 = weyl.type_a(2)
-    assert elem == wiring.generator_image(A2, (1, 2, 1, -1, -2), 1, 2)
+    assert elem == wiring.minor_image(A2, (1, 2, 1, -1, -2), (1,), (2,))
 
 
 def test_image_minor_flag(capsys):
@@ -171,7 +171,7 @@ def test_pivots_check_cross_check_failure_exits_3(monkeypatch, tmp_path, capsys)
     monkeypatch.setattr(pivots, "is_pivot", boom)
     cert = pivots.TABLE1[0]["certificate"]
     path = tmp_path / "cert.json"
-    path.write_text(cert.dumps())
+    path.write_text(json.dumps(cert.to_json()))
     code, out, err = run(capsys, "pivots", "check", "--rank", "2", "--cert", str(path))
     assert code == 3 and out == "" and "cross-check" in err
 
@@ -205,6 +205,20 @@ def test_normal_form_smith_prints_small_transforms(tmp_path, capsys):
     data = json.loads(out)
     assert data["invariant_factors"] == [1, 1, 1, 1, 2, 2, 2, 22724391930]
     assert math.prod(data["invariant_factors"]) == abs(exact_det(M))
+
+
+def test_normal_form_smith_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # CPython converts at most 4,300 digits between int and str by default;
+    # 2^8000 * 3^5000 has 4,795 digits and the text entry 10^5000 has 5,001
+    big = 2**8000 * 3**5000
+    path = tmp_path / "m.json"
+    path.write_text(f"[[{2**8000}, 0], [0, {3**5000}]]")
+    code, out, _ = run(capsys, "normal-form", "--kind", "smith", "--file", str(path))
+    assert code == 0 and json.loads(out)["invariant_factors"] == [1, big]
+    path = tmp_path / "m.txt"
+    path.write_text("1" + "0" * 5000 + " 0\n0 7\n")
+    code, out, _ = run(capsys, "normal-form", "--kind", "smith", "--file", str(path))
+    assert code == 0 and json.loads(out)["invariant_factors"] == [1, 7 * 10**5000]
 
 
 def test_normal_form_skew_json_input(tmp_path, capsys):
@@ -282,6 +296,22 @@ def test_module_act(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 1 and data[0]["n"] == [-1, -1]
+
+
+def test_module_act_repeated_coefficient_terms_add_up(capsys):
+    # repeated terms in one coefficient add up, as repeated items do
+    t = {"q": 0, "gamma": [], "num": 1, "den": 1}
+    cases = [
+        ([{"n": [0, 0], "coeff": [t, t]}], [{"n": [-1, -1], "coeff": [dict(t, num=2)]}]),
+        ([{"n": [0, 0], "coeff": [t, dict(t, num=-1)]}], []),
+        ([{"n": [0, 0], "coeff": [t]}] * 2, [{"n": [-1, -1], "coeff": [dict(t, num=2)]}]),
+    ]
+    for vector, expected in cases:
+        code, out, _ = run(
+            capsys, "module", "act", "--rank", "1", "--word", "-1,1", "--expr", "x11",
+            "--vector", json.dumps(vector),
+        )
+        assert code == 0 and json.loads(out) == expected, vector
 
 
 def test_module_act_vector_item_without_coeff(capsys):

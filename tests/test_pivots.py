@@ -21,7 +21,7 @@ def test_is_pivot_reference_word_claims(A2):
     assert pivots.is_pivot(u12, a1, set(range(1, 6)), 3) == (1, -1, 1, 1, 0)
     assert pivots.is_pivot(u12, a1, {1, 2, 4, 5}, 4) == (1, -1, 1, 1, 0)
 
-    u5 = wiring.generator_image(A2, REF_WORD, 1, 2)
+    u5 = wiring.minor_image(A2, REF_WORD, (1,), (2,))
     assert pivots.is_pivot(u5, a, {1}, 1) == (1, 0, 0, -1, 1)
 
 
@@ -111,7 +111,7 @@ def test_claim_errors_are_reported_not_raised(A2, a_expr, elem_expr, named):
 
 def test_certificate_json_roundtrip():
     cert = pivots.TABLE1[3]["certificate"]
-    again = pivots.PivotCertificate.from_json(json.loads(cert.dumps()))
+    again = pivots.PivotCertificate.from_json(json.loads(json.dumps(cert.to_json())))
     assert again == cert
 
 
@@ -177,3 +177,25 @@ def test_table1_suite_all_pass(A2):
 def test_table1_requires_rank_two(A3):
     with pytest.raises(ValueError):
         pivots.table1_suite(A3)
+
+
+def _cycles(perm):
+    """Cycle notation of a permutation in one-line notation, read i -> perm[i],
+    each cycle from its least point; fixed points are left out."""
+    seen, out = set(), ""
+    for start in range(1, len(perm) + 1):
+        cycle, i = [], start
+        while i not in seen and perm[start - 1] != start:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i - 1]
+        out += f"({''.join(map(str, cycle))})" if cycle else ""
+    return out
+
+
+def test_table1_labels_match_their_words(A2):
+    for row in pivots.TABLE1:
+        w1, w2, _supp = weyl.split_double_word(A2, row["certificate"].word)
+        label = ",".join(_cycles(weyl.word_to_permutation(A2, w)) for w in (w1, w2))
+        assert label == row["cell"], row["certificate"].word
+    assert _cycles((2, 3, 1)) == "(123)" and _cycles((3, 2, 1)) == "(13)" and _cycles((1, 2)) == ""

@@ -232,13 +232,13 @@ def test_cell_law_catches_what_the_rank_identities_miss(monkeypatch, A2):
     split the cells that hold words of both kinds."""
     words = list(weyl.all_double_words(A2, 6))
     assert split_cells(results_by_cell(A2, words, simplicity_record)) == {}
-    real = strings._cprime_multipliers
+    real = strings.cprime_multipliers
 
-    def corrupted(mats):
-        mult = real(mats)
-        return [2 * x for x in mult] if mats.word and mats.word[0] < 0 else mult
+    def corrupted(datum, word):
+        mult = real(datum, word)
+        return [2 * x for x in mult] if word and word[0] < 0 else mult
 
-    monkeypatch.setattr(strings, "_cprime_multipliers", corrupted)
+    monkeypatch.setattr(strings, "cprime_multipliers", corrupted)
     split = split_cells(results_by_cell(A2, words, simplicity_record))  # raises nothing
     assert split
     for values in split.values():

@@ -28,26 +28,26 @@ def test_build_diagram_examples():
 
 
 def test_rank_one_generator_images(A1):
-    x = wiring.generator_image(A1, (1,), 1, 1)
-    y = wiring.generator_image(A1, (1,), 1, 2)
-    zero = wiring.generator_image(A1, (1,), 2, 1)
-    xinv = wiring.generator_image(A1, (1,), 2, 2)
+    x = wiring.minor_image(A1, (1,), (1,), (1,))
+    y = wiring.minor_image(A1, (1,), (1,), (2,))
+    zero = wiring.minor_image(A1, (1,), (2,), (1,))
+    xinv = wiring.minor_image(A1, (1,), (2,), (2,))
     one_d = (1,)
     assert x == QTorusElement.monomial(1, one_d, (1,), (0,))
     assert y == QTorusElement.monomial(1, one_d, (0,), (1,))
     assert zero.is_zero()
     assert xinv == QTorusElement.monomial(1, one_d, (-1,), (0,))
     # negative letter mirrors the roles of x_12 and x_21
-    assert wiring.generator_image(A1, (-1,), 2, 1) == QTorusElement.monomial(
+    assert wiring.minor_image(A1, (-1,), (2,), (1,)) == QTorusElement.monomial(
         1, one_d, (0,), (1,)
     )
-    assert wiring.generator_image(A1, (-1,), 1, 2).is_zero()
+    assert wiring.minor_image(A1, (-1,), (1,), (2,)).is_zero()
 
 
 def test_empty_word_images(A2):
     for i in range(1, 4):
         for j in range(1, 4):
-            img = wiring.generator_image(A2, (), i, j)
+            img = wiring.minor_image(A2, (), (i,), (j,))
             if i == j:
                 assert img == QTorusElement.one(0, ())
             else:
@@ -55,7 +55,7 @@ def test_empty_word_images(A2):
 
 
 def test_reference_word_generator_image(A2):
-    img = wiring.generator_image(A2, REF_WORD, 1, 2)
+    img = wiring.minor_image(A2, REF_WORD, (1,), (2,))
     expected = (
         mono((0, 0, 0, 0, 0), (1, 1, 0, 0, 1))
         + mono((0, 1, -1, -1, 1), (1, 0, 0, 0, 0))
@@ -98,7 +98,7 @@ def test_identity_family_and_determinant(A3):
         diagram = wiring.build_diagram(3, word)
         fams = enumerate_families(diagram, full, full)
         assert len(fams) == 1
-        det = wiring.quantum_determinant_image(A3, word)
+        det = wiring.minor_image(A3, word, full, full)
         assert det == QTorusElement.one(len(word), wiring.torus_diagonal(A3, word))
 
 
@@ -276,7 +276,7 @@ def test_generator_terms_are_weight_strings(A2, A3):
             word = random_double_word(datum, rng, 6)
             for i in range(1, datum.n + 2):
                 for j in range(1, datum.n + 2):
-                    img = wiring.generator_image(datum, word, i, j)
+                    img = wiring.minor_image(datum, word, (i,), (j,))
                     nu = natural_weight(datum, i)
                     mu = natural_weight(datum, j)
                     for (a, b) in img.terms:
@@ -306,22 +306,22 @@ def test_images_follow_the_latest_word(A2, A3):
                 for w in (first, second)}
     for word in (first, second, first):
         assert wiring.generator_images(A2, word) == expected[word]
-        assert wiring.generator_image(A2, word, 1, 2) == expected[word][(1, 2)]
+        assert wiring.minor_image(A2, word, (1,), (2,)) == expected[word][(1, 2)]
     # the same word under another datum is another torus
     assert len(wiring.generator_images(A3, first)) == 16
-    assert wiring.generator_image(A2, first, 3, 3) == expected[first][(3, 3)]
+    assert wiring.minor_image(A2, first, (3,), (3,)) == expected[first][(3, 3)]
 
 
 def test_returned_images_are_fresh(A2):
     expected = family_sum(A2, REF_WORD, (1,), (2,))
     for img in (
-        wiring.generator_image(A2, REF_WORD, 1, 2),
+        wiring.minor_image(A2, REF_WORD, (1,), (2,)),
         wiring.generator_images(A2, REF_WORD)[(1, 2)],
     ):
         for coeff in img.terms.values():
             coeff[(0, ())] = 7
         img.terms.clear()
-    assert wiring.generator_image(A2, REF_WORD, 1, 2) == expected
+    assert wiring.minor_image(A2, REF_WORD, (1,), (2,)) == expected
     assert wiring.generator_images(A2, REF_WORD)[(1, 2)] == expected
     assert wiring.expression_image(A2, REF_WORD, "x12") == expected
     assert wiring.minor_image_oracle(A2, REF_WORD, (1,), (2,)) == expected
@@ -368,7 +368,7 @@ def test_each_test_starts_with_an_empty_oracle_memo(A2, run):
 
 def test_one_pass_per_start_set_and_none_on_a_second_sweep(A3, monkeypatch):
     word = (2, -1, 3, 1, -2, -3)
-    wiring.generator_image(A3, word, 1, 2)  # a single query runs one pass
+    wiring.minor_image(A3, word, (1,), (2,))  # a single query runs one pass
     assert list(wiring._word_images(A3, word)[2]) == [(1,)]
     minors = [(A, B) for k in range(5) for A in itertools.combinations((1, 2, 3, 4), k)
               for B in itertools.combinations((1, 2, 3, 4), k)]
@@ -402,11 +402,9 @@ def test_non_type_a_data_rejected(A2):
     entry = wiring._word_images(A2, word)
     for call in (
         lambda: wiring.torus_diagonal(b2, word),
-        lambda: wiring.generator_image(b2, word, 1, 2),
         lambda: wiring.generator_images(b2, word),
         lambda: wiring.minor_image(b2, word, (1,), (2,)),
         lambda: wiring.minor_image_oracle(b2, word, (1,), (2,)),
-        lambda: wiring.quantum_determinant_image(b2, word),
         lambda: wiring.expression_image(b2, word, "x12"),
         lambda: wiring.verify_relations(b2, word),
     ):
@@ -419,7 +417,7 @@ def test_non_type_a_data_rejected(A2):
 
 def test_out_of_range_levels_rejected(A2):
     with pytest.raises(IndexError):
-        wiring.generator_image(A2, REF_WORD, 4, 1)
+        wiring.minor_image(A2, REF_WORD, (4,), (1,))
     with pytest.raises(IndexError):
         wiring.minor_image_oracle(A2, REF_WORD, (0,), (1,))
     with pytest.raises(IndexError):
@@ -427,13 +425,12 @@ def test_out_of_range_levels_rejected(A2):
 
 
 def test_expression_grammar(A2):
-    assert wiring.expression_image(A2, REF_WORD, "x11") == wiring.generator_image(
-        A2, REF_WORD, 1, 1
-    )
+    x11 = wiring.minor_image(A2, REF_WORD, (1,), (1,))
+    assert wiring.expression_image(A2, REF_WORD, "x11") == x11
     one = QTorusElement.one(5, REF_D)
     assert wiring.expression_image(A2, REF_WORD, "minor(12|12)^0") == one
     combined = wiring.expression_image(A2, REF_WORD, "x12 * x12")
-    square = wiring.generator_image(A2, REF_WORD, 1, 2) ** 2
+    square = wiring.minor_image(A2, REF_WORD, (1,), (2,)) ** 2
     assert combined == square
 
 
@@ -441,6 +438,30 @@ def test_expression_negative_power_of_unit(A2):
     u = wiring.expression_image(A2, REF_WORD, "minor(23|23)^-1")
     v = wiring.minor_image(A2, REF_WORD, (2, 3), (2, 3))
     assert u * v == QTorusElement.one(5, REF_D)
+
+
+def test_parse_expression_gives_minor_triples():
+    # every factor is a minor; x_ij is ((i,), (j,))
+    expected = [((1,), (2,), -2), ((1, 3), (2, 3), 1)]
+    for text in ("x12^-2 * minor(13|23)", "x 12 ^ -2*minor ( 13 | 23 )", " x12^-2 *  minor(13|23) "):
+        assert wiring.parse_expression(text) == expected, text
+    assert wiring.parse_expression("minor ( 13 | 23 ) ^ -2") == [((1, 3), (2, 3), -2)]
+    assert wiring.parse_expression("x11") == [((1,), (1,), 1)]
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x1", 1), ("x123", 1), ("x12^", 4), ("", 0), ("x12 * * x11", 6),
+    ("minor(12|123)", 6), ("minor(112|121)", 6), ("x1 2", 1),
+])
+def test_rejected_expressions_name_a_position(text, position):
+    with pytest.raises(wiring.ParseError, match=f"at position {position}") as err:
+        wiring.parse_expression(text)
+    assert err.value.position == position
+
+
+def test_out_of_range_generator_names_the_levels(A2):
+    with pytest.raises(IndexError, match=r"level 4 out of range 1\.\.3"):
+        wiring.expression_image(A2, REF_WORD, "x44")
 
 
 def test_parse_errors_carry_position():
