@@ -320,10 +320,12 @@ class QTorusElement:
 
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for t in data["terms"]:
-            terms[(tuple(t["a"]), tuple(t["b"]))] = coeff_from_json(t["coeff"])
-        return cls(data["m"], tuple(data["D"]), terms)
+        """The element written by to_json, terms with equal (a, b) added up;
+        malformed input raises ValueError naming the field."""
+        m, D, items = json_fields(data, "torus element", m=int, D="ints", terms=list)
+        fields = (json_fields(t, "torus term", a="ints", b="ints", coeff=list) for t in items)
+        terms = accumulate({}, (((tuple(a), tuple(b)), coeff_from_json(c)) for a, b, c in fields))
+        return cls(m, D, terms)
 
     def __repr__(self):
         if self.is_zero():

@@ -240,7 +240,7 @@ def psi_matrices(datum, word):
     for e in ctx.word:
         i = abs(e)
         fwd, inv = imgs[e > 0]
-        alpha = datum.simple_root(i)  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
+        alpha = datum.simple_roots[i - 1]  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
         w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*fwd)]
         fwd[i - 1] = tuple(map(sub, fwd[i - 1], w_alpha))
         inv[:] = [weyl.reflect(datum, i, mu) for mu in inv]

@@ -4,10 +4,14 @@ Weights are plain integer tuples over the fundamental-weight basis, so the
 pairing (mu, alpha_i^vee) is just the i-th coordinate.  Words are tuples of
 indices in [1, n]; signed double words use negative entries for the first
 Weyl factor and positive entries for the second.
+
+Reducedness has one route for every Cartan type: mu = w^{-1}(rho) is carried
+along the prefixes w, and the letter i extends w iff mu_i > 0 (is_reduced).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -39,18 +43,14 @@ class RootDatum:
                 if self.d[i] * self.cartan[i][j] != self.d[j] * self.cartan[j][i]:
                     raise ValueError("Cartan matrix is not symmetrizable")
 
-    @property
+    @functools.cached_property
     def is_type_a(self):
-        return self.d == (1,) * self.n and all(
-            self.cartan[i][j] == (2 if i == j else (-1 if abs(i - j) == 1 else 0))
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self == type_a(self.n)
 
-    def simple_root(self, i):
-        """alpha_i in the omega-basis: column i of the Cartan matrix."""
-        self._check_index(i)
-        return tuple(self.cartan[k][i - 1] for k in range(self.n))
+    @functools.cached_property
+    def simple_roots(self):
+        """(alpha_1, ..., alpha_n) in the omega-basis: the Cartan columns."""
+        return tuple(zip(*self.cartan))
 
     def sym(self, i, j):
         """(alpha_i, alpha_j) = d_i c_ij."""
@@ -85,8 +85,7 @@ def reflect(datum, i, mu):
     c = mu[i - 1]
     if c == 0:
         return tuple(mu)
-    alpha = datum.simple_root(i)
-    return tuple(m - c * a for m, a in zip(mu, alpha))
+    return tuple(m - c * a for m, a in zip(mu, datum.simple_roots[i - 1]))
 
 
 def apply_word(datum, word, mu):
@@ -120,36 +119,33 @@ def beta_roots(datum, word):
 def is_reduced(datum, word):
     """True iff the word is a reduced expression for its Weyl product.
 
-    Type A uses inversion counting on the underlying permutation; general
-    Cartan data use the positive-root criterion: the word is reduced iff
-    every beta_k of beta_roots is a positive root.
+    Every letter is range-checked first.  Then mu = w^{-1}(rho) is carried
+    along the prefixes w: the next letter i is an ascent iff mu_i > 0, since
+    (w(alpha_i), rho) = d_i mu_i and a root beta = sum c_j alpha_j is positive
+    iff (beta, rho) = sum c_j d_j > 0, every d_j being positive.
     """
     word = tuple(word)
     for i in word:
         datum._check_index(i)
-    if datum.is_type_a:
-        perm = word_to_permutation(datum, word)
-        return inversion_count(perm) == len(word)
-    return all(any(c > 0 for c in beta) for beta in beta_roots(datum, word))
-
-
-def word_to_permutation(datum, word):
-    """Permutation of [1, n+1] for a type-A word (one-line notation).
-
-    The adjacent transposition s_i = (i, i+1) acts on positions; the product
-    follows the same convention as apply_word.
-    """
-    n = datum.n
-    perm = list(range(1, n + 2))
+    mu = (1,) * datum.n
     for i in word:
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return tuple(perm)
+        if mu[i - 1] <= 0:
+            return False
+        mu = reflect(datum, i, mu)
+    return True
 
 
 def inversion_count(perm):
     return sum(
         1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
     )
+
+
+def check_letters(datum, word):
+    """Raise IndexError on a signed letter outside -n..-1, 1..n."""
+    for e in word:
+        if e == 0 or abs(e) > datum.n:
+            raise IndexError(f"letter {e} out of range for rank {datum.n}")
 
 
 def split_double_word(datum, word):
@@ -159,17 +155,14 @@ def split_double_word(datum, word):
     give one for w2.  Raises NonReducedWord naming the offending factor.
     """
     word = tuple(word)
-    for e in word:
-        if e == 0 or abs(e) > datum.n:
-            raise IndexError(f"letter {e} out of range for rank {datum.n}")
+    check_letters(datum, word)
     w1 = tuple(-e for e in word if e < 0)
     w2 = tuple(e for e in word if e > 0)
     if not is_reduced(datum, w1):
         raise NonReducedWord(f"negative letters {w1} are not reduced (w1 factor)")
     if not is_reduced(datum, w2):
         raise NonReducedWord(f"positive letters {w2} are not reduced (w2 factor)")
-    supp = frozenset(abs(e) for e in word)
-    return w1, w2, supp
+    return w1, w2, frozenset(abs(e) for e in word)
 
 
 def parse_word(text):
@@ -184,34 +177,32 @@ def format_word(word):
     return ",".join(str(e) for e in word)
 
 
+def _ascents(datum, mu):
+    """(i, s_i(mu)) for each letter i, in order, that extends a reduced word w
+    with w^{-1}(rho) = mu to a reduced word; s_i(mu) is the extension's mu."""
+    return [(i, reflect(datum, i, mu)) for i in range(1, datum.n + 1) if mu[i - 1] > 0]
+
+
 def all_reduced_words(datum, max_len):
     """All reduced words of length <= max_len, grouped by length (exhaustive)."""
     out = [[()]]
+    frontier = [((), (1,) * datum.n)]  # (reduced word, its mu)
     for _ in range(max_len):
-        nxt = []
-        for w in out[-1]:
-            for i in range(1, datum.n + 1):
-                cand = w + (i,)
-                if is_reduced(datum, cand):
-                    nxt.append(cand)
-        out.append(nxt)
+        frontier = [(w + (i,), nu) for w, mu in frontier for i, nu in _ascents(datum, mu)]
+        out.append([w for w, _mu in frontier])
     return out
 
 
 def all_double_words(datum, max_len):
-    """All valid signed double words of length <= max_len (exhaustive)."""
+    """All valid signed double words of length <= max_len (exhaustive), each
+    length in letter order -n..-1, 1..n."""
     words = [()]
-    frontier = [()]
+    frontier = [((), (1,) * datum.n, (1,) * datum.n)]  # (double word, mu of its w1, mu of its w2)
     for _ in range(max_len):
         nxt = []
-        for w in frontier:
-            for e in list(range(-datum.n, 0)) + list(range(1, datum.n + 1)):
-                cand = w + (e,)
-                try:
-                    split_double_word(datum, cand)
-                except NonReducedWord:
-                    continue
-                nxt.append(cand)
-        words.extend(nxt)
+        for w, neg, pos in frontier:
+            nxt += [(w + (-i,), nu, pos) for i, nu in reversed(_ascents(datum, neg))]
+            nxt += [(w + (i,), neg, nu) for i, nu in _ascents(datum, pos)]
+        words.extend(w for w, _neg, _pos in nxt)
         frontier = nxt
     return words

@@ -68,6 +68,7 @@ def torus_diagonal(datum, word):
     """Diagonal of D_i~ for the word's tensor torus."""
     if not datum.is_type_a:
         raise ValueError("wiring diagrams need a type-A root datum")
+    weyl.check_letters(datum, word)
     return tuple(datum.d[abs(e) - 1] for e in word)
 
 

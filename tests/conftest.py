@@ -107,6 +107,60 @@ def ker_rank(datum, w1_word, w2_word):
     return datum.n - fraction_rank([list(map(sub, r1, r2)) for r1, r2 in zip(m1, m2)])
 
 
+def word_to_permutation(datum, word):
+    """Permutation of [1, n+1] for a type-A word (one-line notation).
+
+    The adjacent transposition s_i = (i, i+1) acts on positions; the product
+    follows the same convention as weyl.apply_word.
+    """
+    n = datum.n
+    perm = list(range(1, n + 2))
+    for i in word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+def is_reduced_by_inversions(datum, word):
+    """Type-A oracle for weyl.is_reduced: the word's permutation has exactly
+    len(word) inversions."""
+    return weyl.inversion_count(word_to_permutation(datum, word)) == len(word)
+
+
+def is_reduced_by_betas(datum, word):
+    """Oracle for weyl.is_reduced on any Cartan datum: every
+    beta_k = s_{j_1}...s_{j_{k-1}}(alpha_{j_k}) is a positive root."""
+    return all(any(c > 0 for c in beta) for beta in weyl.beta_roots(datum, word))
+
+
+def all_reduced_words_by_filter(datum, max_len):
+    """Oracle for weyl.all_reduced_words: every one-letter extension of the
+    previous length, kept if is_reduced_by_betas holds."""
+    out = [[()]]
+    for _ in range(max_len):
+        out.append([w + (i,) for w in out[-1] for i in range(1, datum.n + 1)
+                    if is_reduced_by_betas(datum, w + (i,))])
+    return out
+
+
+def all_double_words_by_split(datum, max_len):
+    """Oracle for weyl.all_double_words: every one-letter extension of the
+    previous length, in letter order -n..-1, 1..n, kept if split_double_word
+    accepts it."""
+    words, frontier = [()], [()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for e in [*range(-datum.n, 0), *range(1, datum.n + 1)]:
+                try:
+                    weyl.split_double_word(datum, w + (e,))
+                except weyl.NonReducedWord:
+                    continue
+                nxt.append(w + (e,))
+        words.extend(nxt)
+        frontier = nxt
+    return words
+
+
 def hermite_column_basis(M):
     """Basis of the lattice spanned by the columns of M, via column Hermite form.
 
@@ -305,7 +359,7 @@ class WeightString:
         mus = [tuple(self.start)]
         for e, j in zip(self.word, self.steps):
             sgn = 1 if e > 0 else -1
-            alpha = datum.simple_root(abs(e))
+            alpha = datum.simple_roots[abs(e) - 1]
             mus.append(tuple(m - j * sgn * a for m, a in zip(mus[-1], alpha)))
         return mus
 

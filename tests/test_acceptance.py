@@ -22,6 +22,7 @@ from conftest import (
     results_by_cell,
     simplicity_record,
     split_cells,
+    word_to_permutation,
 )
 from qck import appendix_congruence as ac
 from qck import cli, intlinalg, pivots, slq2_tensor as sq, strings, weyl, wiring
@@ -157,7 +158,7 @@ def _one_word_per_element(datum, max_len):
     seen = {}
     for cls in weyl.all_reduced_words(datum, max_len):
         for word in cls:
-            perm = weyl.word_to_permutation(datum, word)
+            perm = word_to_permutation(datum, word)
             seen.setdefault(perm, word)
     return seen
 

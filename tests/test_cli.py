@@ -71,6 +71,18 @@ def test_image_minor_errors_name_the_fault(capsys, minor, named):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, letter", [
+    (("image", "--word", "3", "--minor", "1|1"), 3),
+    (("image", "--word", "1,-3", "--expr", "x11"), -3),
+    (("verify", "--suite", "relations", "--word", "3"), 3),
+    (("verify", "--suite", "relations", "--word", "-3,1"), -3),
+])
+def test_out_of_range_letter_is_named(capsys, argv, letter):
+    code, out, err = run(capsys, *argv, "--rank", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: letter {letter} out of range for rank 2\n"
+
+
 @pytest.mark.parametrize("flags, named", [
     (("--expr", "x11", "--minor", "12|12"), "not allowed with argument"),
     ((), "one of the arguments --expr --minor is required"),

@@ -213,6 +213,23 @@ def test_json_roundtrip_canonical():
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("nums, expected", [
+    ((1, 1), {((0,), (0,)): {(0, ()): 2}}),
+    ((1, -1), {}),
+])
+def test_from_json_adds_repeated_monomials(nums, expected):
+    terms = [{"a": [0], "b": [0], "coeff": [{"q": 0, "gamma": [], "num": v, "den": 1}]}
+             for v in nums]
+    assert QTorusElement.from_json({"m": 1, "D": [1], "terms": terms}).terms == expected
+
+
+def test_from_json_names_a_missing_field():
+    with pytest.raises(ValueError, match="torus element lacks field 'terms'"):
+        QTorusElement.from_json({"m": 1, "D": [1]})
+    with pytest.raises(ValueError, match="torus term lacks field 'coeff'"):
+        QTorusElement.from_json({"m": 1, "D": [1], "terms": [{"a": [0], "b": [0]}]})
+
+
 def test_gamma_coefficients_multiply():
     c1 = {(0, (1, 0)): 1}
     c2 = {(0, (-1, 0)): 1}

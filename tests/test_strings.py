@@ -20,6 +20,7 @@ from conftest import (
     simplicity_record,
     skew_gram,
     split_cells,
+    word_to_permutation,
 )
 from qck import appendix_congruence as ac
 from qck import intlinalg, strings, weyl
@@ -59,7 +60,7 @@ def test_string_weights_and_end(A2):
     ws = WeightString(word=(1, -2), start=(0, 1), steps=(1, 2))
     mus = ws.weights(A2)
     assert mus[0] == (0, 1)
-    alpha1, alpha2 = A2.simple_root(1), A2.simple_root(2)
+    alpha1, alpha2 = A2.simple_roots
     assert mus[1] == tuple(x - y for x, y in zip(mus[0], alpha1))
     assert mus[2] == tuple(x + 2 * y for x, y in zip(mus[1], alpha2))
 
@@ -263,7 +264,7 @@ def test_psi_check_all_s3_pairs(A2):
     seen = {}
     for cls in weyl.all_reduced_words(A2, 3):
         for word in cls:
-            perm = weyl.word_to_permutation(A2, word)
+            perm = word_to_permutation(A2, word)
             seen.setdefault(perm, word)
     assert len(seen) == 6
     for u1 in seen.values():

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import invert_rational, ker_rank, natural_weight
+from conftest import (
+    all_double_words_by_split,
+    all_reduced_words_by_filter,
+    invert_rational,
+    is_reduced_by_betas,
+    is_reduced_by_inversions,
+    ker_rank,
+    natural_weight,
+    word_to_permutation,
+)
 from qck import intlinalg, weyl
 
 
@@ -22,7 +31,7 @@ def test_reflect_orthogonal_fundamental(A2):
 def test_reflect_composition(A2):
     # s_2 s_1 (omega_1) = omega_1 - alpha_1 - alpha_2
     got = weyl.reflect(A2, 2, weyl.reflect(A2, 1, w(1, 0)))
-    alpha1, alpha2 = A2.simple_root(1), A2.simple_root(2)
+    alpha1, alpha2 = A2.simple_roots
     expected = tuple(1 * (i == 0) - a - b for i, (a, b) in enumerate(zip(alpha1, alpha2)))
     assert got == expected == w(0, -1)
 
@@ -48,6 +57,46 @@ def test_reflect_index_errors(A2):
 )
 def test_is_reduced_examples(A2, word, expected):
     assert weyl.is_reduced(A2, word) is expected
+
+
+def test_is_reduced_contract(A2):
+    # every letter is range-checked before the first non-ascent decides
+    with pytest.raises(IndexError):
+        weyl.is_reduced(A2, (1, 1, 99))
+    with pytest.raises(IndexError):
+        weyl.is_reduced(A2, (0,))
+    assert weyl.is_reduced(A2, (1, 1)) is False
+
+
+# (datum, longest word the enumerations are compared on); G2 in both labellings
+ORACLE_DATA = {
+    "A1": (weyl.type_a(1), 8),
+    "A2": (weyl.type_a(2), 8),
+    "A3": (weyl.type_a(3), 6),
+    "A4": (weyl.type_a(4), 5),
+    "B2": (weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2)), 8),
+    "C2": (weyl.RootDatum(n=2, cartan=((2, -1), (-2, 2)), d=(2, 1)), 8),
+    "G2": (weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1)), 12),
+    "G2'": (weyl.RootDatum(n=2, cartan=((2, -3), (-1, 2)), d=(1, 3)), 12),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_is_reduced_matches_oracles(name):
+    datum, _ = ORACLE_DATA[name]
+    for m in range(7):
+        for word in itertools.product(range(1, datum.n + 1), repeat=m):
+            got = weyl.is_reduced(datum, word)
+            assert got == is_reduced_by_betas(datum, word), word
+            if datum.is_type_a:
+                assert got == is_reduced_by_inversions(datum, word), word
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_enumerations_match_filter_oracles(name):
+    datum, max_len = ORACLE_DATA[name]
+    assert weyl.all_reduced_words(datum, max_len) == all_reduced_words_by_filter(datum, max_len)
+    assert weyl.all_double_words(datum, max_len) == all_double_words_by_split(datum, max_len)
 
 
 def _bfs_lengths(datum):
@@ -165,6 +214,19 @@ def test_split_double_word_rejects_non_reduced(A2):
         weyl.split_double_word(A2, (3,))
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ((-1, 2, -1), "negative letters (1, 1) are not reduced (w1 factor)"),
+        ((1, -2, 1), "positive letters (1, 1) are not reduced (w2 factor)"),
+    ],
+)
+def test_split_double_word_messages(A2, word, message):
+    with pytest.raises(weyl.NonReducedWord) as err:
+        weyl.split_double_word(A2, word)
+    assert str(err.value) == message
+
+
 def test_ker_rank_examples(A2):
     assert ker_rank(A2, (), ()) == 2
     assert ker_rank(A2, (1,), (1,)) == 2
@@ -191,7 +253,7 @@ def test_natural_weights_match_permutation_action(A3):
     rng = random.Random(11)
     for _ in range(30):
         word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5)))
-        perm = weyl.word_to_permutation(A3, word)
+        perm = word_to_permutation(A3, word)
         for j in range(1, 5):
             lhs = weyl.apply_word(A3, word, natural_weight(A3, j))
             assert lhs == natural_weight(A3, perm[j - 1])

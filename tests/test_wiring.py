@@ -424,6 +424,12 @@ def test_out_of_range_levels_rejected(A2):
         wiring.expression_image(A2, REF_WORD, "x14")
 
 
+@pytest.mark.parametrize("word, letter", [((3,), 3), ((-3, 1), -3), ((0,), 0)])
+def test_out_of_range_letters_rejected(A2, word, letter):
+    with pytest.raises(IndexError, match=f"^letter {letter} out of range for rank 2$"):
+        wiring.minor_image(A2, word, (1,), (1,))
+
+
 def test_expression_grammar(A2):
     x11 = wiring.minor_image(A2, REF_WORD, (1,), (1,))
     assert wiring.expression_image(A2, REF_WORD, "x11") == x11
