@@ -210,7 +210,7 @@ def auto_certificate_disjoint(datum, word):
         raise ValueError("disjoint-support certificates need a type-A root datum")
     word = tuple(word)
     w1, w2, supp = weyl.split_double_word(datum, word)
-    if set(abs(e) for e in word if e < 0) & set(e for e in word if e > 0):
+    if set(w1) & set(w2):
         return None
     n = datum.n
     m = len(word)

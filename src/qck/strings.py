@@ -16,11 +16,12 @@ The matrices are built here directly; the strings themselves, with their
 exponent map, are the tests' oracle for them.
 
 Each double word has one record, `StringMatrices`: its split, the Weyl
-matrices of its two factors and the torus matrices, with LambdaInv,
-OmegaTilde and the skew normal form of the torus H built on first use.
-`invariants`, `psi_check` and appendix_congruence.congruence_check all read
-it, so H is reduced once per word, and `psi_matrices` fills both Psi
-matrices in one walk over the letters.
+matrices W1 and W2 of its two factors, the Psi matrices, and the torus
+matrices, with LambdaInv, OmegaTilde and the skew normal form of the torus H
+built on first use.  W1, W2, Psi and ReducedPsi come from one walk over the
+letters that keeps w(omega_s) and w^{-1}(omega_s) for each sign class's
+prefix w.  `invariants`, `psi_check` and appendix_congruence.congruence_check
+all read the record, so each of these is built, and H reduced, once per word.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from operator import mul, sub
 
 from . import intlinalg, weyl
 from .intlinalg import CrossCheckFailed
-from .weyl import NonReducedWord
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +77,43 @@ def _torus_matrices(datum, word):
     return D, Omega, Lambda, H
 
 
+def _weyl_walk(datum, word):
+    """(W1, W2, Psi, ReducedPsi) of a split double word from one walk over its
+    letters.  For each sign class it keeps w(omega_s) and w^{-1}(omega_s) of
+    the prefix w: appending s_i moves only omega_i in the first, w s_i(omega_i)
+    = w(omega_i) - w(alpha_i), and reflects the second, (w s_i)^{-1} = s_i
+    w^{-1}.  Column s of W1 (W2) is the final w(omega_s) of the negative
+    (positive) letters.  Letter t's column of Psi holds (w_{<=t}(omega_s),
+    alpha_{|i_t|}^vee) in the top (bottom) half when i_t is negative
+    (positive), w_{<=t} being its sign class's prefix, and its column of
+    ReducedPsi the same pairings of w_{<=t}^{-1}(omega_s)."""
+    n = datum.n
+    omegas = [tuple(int(s == t) for t in range(n)) for s in range(n)]
+    imgs = {sign: (list(omegas), list(omegas)) for sign in (False, True)}
+    top, bot, reduced = ([[] for _ in range(n)] for _ in range(3))
+    for e in word:
+        i = abs(e)
+        fwd, inv = imgs[e > 0]
+        alpha = datum.simple_roots[i - 1]  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
+        w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*fwd)]
+        fwd[i - 1] = tuple(map(sub, fwd[i - 1], w_alpha))
+        inv[:] = [weyl.reflect(datum, i, mu) for mu in inv]
+        for s in range(n):
+            pair = fwd[s][i - 1]  # (w(omega_s), alpha_i^vee)
+            top[s].append(0 if e > 0 else pair)
+            bot[s].append(pair if e > 0 else 0)
+            reduced[s].append(inv[s][i - 1])
+    neg, pos = imgs[False][0], imgs[True][0]
+    W1, W2 = ([list(row) for row in zip(*cols)] for cols in (neg, pos))
+    psi = [list(neg[s]) + top[s] for s in range(n)]
+    psi += [[-x for x in pos[s]] + bot[s] for s in range(n)]
+    return W1, W2, psi, reduced
+
+
 @dataclass(frozen=True)
 class StringMatrices:
     """What invariants, psi_check and congruence_check share for one double
-    word: its split, the Weyl matrices W1 and W2 and rank(W1 - W2), the torus
+    word: its split, W1, W2 and rank(W1 - W2), the Psi matrices, the torus
     matrices, and (built on first use) LambdaInv, OmegaTilde and H_form, the
     skew normal form of H.  Held in the one-entry memo of `_context`, so
     nothing in it may be mutated; `string_matrices` hands out copies."""
@@ -89,8 +122,10 @@ class StringMatrices:
     w1: tuple
     w2: tuple
     supp: frozenset
-    W1: list
+    W1: list  # n x n, column s holds the omega-coordinates of w1(omega_s)
     W2: list
+    Psi: list  # 2n x (n+m), [[W1^T, top], [-W2^T, bottom]]: see _weyl_walk
+    ReducedPsi: list  # n x m, (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
     rank_diff: int  # rank over Q of W1 - W2
     D: tuple  # diagonal of D_i~
     Omega: list  # m x n
@@ -121,12 +156,10 @@ def _context(datum, word):
     """The `StringMatrices` of a tuple word, kept for the most recent
     (datum, word); raises NonReducedWord as split_double_word does."""
     w1, w2, supp = weyl.split_double_word(datum, word)
-    W1 = weyl.weyl_matrix(datum, w1)
-    W2 = weyl.weyl_matrix(datum, w2)
-    rank_diff = intlinalg.rank_over_Q(
-        [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(W1, W2)]
-    )
-    return StringMatrices(word, w1, w2, supp, W1, W2, rank_diff, *_torus_matrices(datum, word))
+    W1, W2, psi, reduced = _weyl_walk(datum, word)
+    rank_diff = intlinalg.rank_over_Q([list(map(sub, r1, r2)) for r1, r2 in zip(W1, W2)])
+    return StringMatrices(word, w1, w2, supp, W1, W2, psi, reduced, rank_diff,
+                          *_torus_matrices(datum, word))
 
 
 def string_matrices(datum, word):
@@ -221,42 +254,10 @@ def cprime_multipliers(datum, word):
     return list(intlinalg.skew_normal_form(induced).multipliers)
 
 
-def psi_matrices(datum, word):
-    """(psi, reduced) from one walk over the letters.  psi is the 2n x (n+m)
-    block matrix whose nonzero Smith invariant factors being 1 certifies that
-    the central generators extend to a lattice basis; reduced is the n x m
-    matrix with entries (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
-    = ((w_{<=t}^{sgn(i_t)})^{-1}(omega_s), alpha_{|i_t|}^vee)."""
-    ctx = _context(datum, tuple(word))
-    n = datum.n
-    top = [[ctx.W1[t][s] for t in range(n)] for s in range(n)]  # (w1(omega_s), alpha_t^vee)
-    bot = [[-ctx.W2[t][s] for t in range(n)] for s in range(n)]
-    reduced = [[] for _ in range(n)]
-    # w(omega_s) and w^{-1}(omega_s) for each sign class's prefix w.
-    # Appending s_i moves only omega_i in the first, w s_i(omega_i) =
-    # w(omega_i) - w(alpha_i), and reflects the second, (w s_i)^{-1} = s_i w^{-1}
-    omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
-    imgs = {sign: (list(omegas), list(omegas)) for sign in (False, True)}
-    for e in ctx.word:
-        i = abs(e)
-        fwd, inv = imgs[e > 0]
-        alpha = datum.simple_roots[i - 1]  # w(alpha_i) = sum_j alpha_i[j] w(omega_j)
-        w_alpha = [sum(map(mul, alpha, coords)) for coords in zip(*fwd)]
-        fwd[i - 1] = tuple(map(sub, fwd[i - 1], w_alpha))
-        inv[:] = [weyl.reflect(datum, i, mu) for mu in inv]
-        for s in range(n):
-            pair = weyl.pairing(fwd[s], i)
-            top[s].append(0 if e > 0 else pair)
-            bot[s].append(pair if e > 0 else 0)
-            reduced[s].append(weyl.pairing(inv[s], i))
-    return top + bot, reduced
-
-
 def psi_check(datum, word):
     """(ok, invariant_factors): ok iff every nonzero Smith invariant factor of
-    the Psi block matrix is 1, and the same holds for the reduced matrix
-    ((omega_s, w_{<=t}^{sgn}(alpha_{|i_t|}^vee)))."""
-    psi, reduced = psi_matrices(datum, word)
-    factors = intlinalg.invariant_factors(psi)
-    ok = all(f == 1 for f in factors) and all(f == 1 for f in intlinalg.invariant_factors(reduced))
+    the record's Psi is 1, and the same holds for its ReducedPsi."""
+    ctx = _context(datum, tuple(word))
+    factors = intlinalg.invariant_factors(ctx.Psi)
+    ok = all(f == 1 for f in factors) and all(f == 1 for f in intlinalg.invariant_factors(ctx.ReducedPsi))
     return ok, factors

@@ -29,9 +29,14 @@ class RootDatum:
     d: tuple
 
     def __post_init__(self):
+        # stored as tuples, so that equal data compare and hash equal (is_type_a, memos)
+        object.__setattr__(self, "cartan", tuple(map(tuple, self.cartan)))
+        object.__setattr__(self, "d", tuple(self.d))
         n = self.n
         if n <= 0 or len(self.cartan) != n or any(len(r) != n for r in self.cartan):
             raise ValueError("bad Cartan matrix shape")
+        if len(self.d) != n:
+            raise ValueError(f"{len(self.d)} symmetrizers for rank {n}")
         for i in range(n):
             if self.cartan[i][i] != 2:
                 raise ValueError("Cartan diagonal must be 2")
@@ -58,7 +63,7 @@ class RootDatum:
 
     def _check_index(self, i):
         if not 1 <= i <= self.n:
-            raise IndexError(f"node index {i} out of range 1..{self.n}")
+            raise IndexError(f"letter {i} out of range for rank {self.n}")
 
 
 def type_a(n):
@@ -69,16 +74,6 @@ def type_a(n):
     return RootDatum(n=n, cartan=cartan, d=(1,) * n)
 
 
-def fundamental_weight(datum, i):
-    datum._check_index(i)
-    return tuple(1 if k == i - 1 else 0 for k in range(datum.n))
-
-
-def pairing(mu, i):
-    """(mu, alpha_i^vee) for a weight in omega-coordinates."""
-    return mu[i - 1]
-
-
 def reflect(datum, i, mu):
     """Simple reflection s_i(mu) = mu - (mu, alpha_i^vee) alpha_i."""
     datum._check_index(i)
@@ -86,21 +81,6 @@ def reflect(datum, i, mu):
     if c == 0:
         return tuple(mu)
     return tuple(m - c * a for m, a in zip(mu, datum.simple_roots[i - 1]))
-
-
-def apply_word(datum, word, mu):
-    """s_{i_1} s_{i_2} ... s_{i_m} (mu), applied right to left."""
-    for i in reversed(word):
-        mu = reflect(datum, i, mu)
-    return mu
-
-
-def weyl_matrix(datum, word):
-    """Matrix of the word's Weyl product on the weight lattice; column j holds
-    the omega-coordinates of w(omega_j)."""
-    n = datum.n
-    cols = [apply_word(datum, word, fundamental_weight(datum, j)) for j in range(1, n + 1)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def beta_roots(datum, word):

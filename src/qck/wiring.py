@@ -52,7 +52,7 @@ class WiringDiagram:
     def __post_init__(self):
         for e in self.word:
             if e == 0 or abs(e) >= self.levels:
-                raise IndexError(f"letter {e} out of range for {self.levels} levels")
+                raise IndexError(f"letter {e} out of range for rank {self.levels - 1}")
 
     @property
     def columns(self):

@@ -99,11 +99,56 @@ def invert_rational(M):
     return [row[n:] for row in A]
 
 
+def fundamental_weight(datum, i):
+    """omega_i in omega-coordinates."""
+    return tuple(int(k == i - 1) for k in range(datum.n))
+
+
+def apply_word(datum, word, mu):
+    """s_{i_1} s_{i_2} ... s_{i_m} (mu), applied right to left (test oracle
+    for the prefix walk that builds the Weyl and Psi matrices)."""
+    for i in reversed(word):
+        mu = weyl.reflect(datum, i, mu)
+    return mu
+
+
+def weyl_matrix(datum, word):
+    """Matrix of the word's Weyl product on the weight lattice; column j holds
+    the omega-coordinates of w(omega_j) (test oracle for W1 and W2)."""
+    n = datum.n
+    cols = [apply_word(datum, word, fundamental_weight(datum, j)) for j in range(1, n + 1)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def psi_matrices_by_apply_word(datum, word):
+    """(Psi, ReducedPsi) with every prefix image rebuilt by apply_word (test
+    oracle for the prefix walk of strings._context)."""
+    w1, w2, _ = weyl.split_double_word(datum, word)
+    n = datum.n
+    W1, W2 = weyl_matrix(datum, w1), weyl_matrix(datum, w2)
+    top = [[W1[t][s] for t in range(n)] for s in range(n)]
+    bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
+    prefixes = {-1: (), 1: ()}
+    cols = []
+    omegas = [fundamental_weight(datum, s) for s in range(1, n + 1)]
+    for e in word:
+        i, sign = abs(e), (1 if e > 0 else -1)
+        prefixes[sign] += (i,)
+        w = prefixes[sign]
+        for s in range(n):
+            pair = apply_word(datum, w, omegas[s])[i - 1]
+            top[s].append(pair if sign < 0 else 0)
+            bot[s].append(0 if sign < 0 else pair)
+        cols.append([apply_word(datum, w[::-1], mu)[i - 1] for mu in omegas])
+    reduced = [[cols[t][s] for t in range(len(word))] for s in range(n)]
+    return top + bot, reduced
+
+
 def ker_rank(datum, w1_word, w2_word):
     """dim ker(w1 - w2) on the weight lattice, from the Weyl matrices of the
     two words (test oracle for the per-word rank_diff)."""
-    m1 = weyl.weyl_matrix(datum, w1_word)
-    m2 = weyl.weyl_matrix(datum, w2_word)
+    m1 = weyl_matrix(datum, w1_word)
+    m2 = weyl_matrix(datum, w2_word)
     return datum.n - fraction_rank([list(map(sub, r1, r2)) for r1, r2 in zip(m1, m2)])
 
 
@@ -111,7 +156,7 @@ def word_to_permutation(datum, word):
     """Permutation of [1, n+1] for a type-A word (one-line notation).
 
     The adjacent transposition s_i = (i, i+1) acts on positions; the product
-    follows the same convention as weyl.apply_word.
+    follows the same convention as apply_word.
     """
     n = datum.n
     perm = list(range(1, n + 2))
@@ -373,7 +418,7 @@ def exponents(datum, ws):
     mus = ws.weights(datum)
     a = []
     for k, e in enumerate(ws.word):
-        num = weyl.pairing(mus[k], abs(e)) + weyl.pairing(mus[k + 1], abs(e))
+        num = mus[k][abs(e) - 1] + mus[k + 1][abs(e) - 1]  # (mu, alpha^vee) is a coordinate
         if num % 2 != 0:
             raise InvalidString("half-integral exponent; string is inconsistent")
         a.append(num // 2)
@@ -388,7 +433,7 @@ def generator_strings(datum, word):
     """The constant strings at the fundamental weights, then the step
     strings; their exponent vectors are the columns of Phi."""
     word = tuple(word)
-    out = [constant_string(word, weyl.fundamental_weight(datum, i))
+    out = [constant_string(word, fundamental_weight(datum, i))
            for i in range(1, datum.n + 1)]
     for k in range(len(word)):
         steps = tuple(int(t == k) for t in range(len(word)))

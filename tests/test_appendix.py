@@ -33,10 +33,11 @@ def test_build_word_matrices_rejects_non_reduced(A2):
         with pytest.raises(weyl.NonReducedWord, match="is not reduced"):
             ac.build_word_matrices(datum, word)
     assert ac.build_word_matrices(G2, (1, 2) * 3).beta  # the longest word of G2
-    for datum, word in ((A2, (1, 3)), (A2, (0,)), (G2, (2, 1, -1)), (G2, (3, 3))):
-        with pytest.raises(IndexError, match="out of range 1..2"):
+    for datum, word, letter in ((A2, (1, 3), 3), (A2, (0,), 0), (G2, (2, 1, -1), -1), (G2, (3, 3), 3)):
+        text = f"^letter {letter} out of range for rank 2$"
+        with pytest.raises(IndexError, match=text):
             weyl.is_reduced(datum, word)
-        with pytest.raises(IndexError, match="out of range 1..2"):
+        with pytest.raises(IndexError, match=text):
             ac.build_word_matrices(datum, word)
 
 

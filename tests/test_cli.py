@@ -76,6 +76,8 @@ def test_image_minor_errors_name_the_fault(capsys, minor, named):
     (("image", "--word", "1,-3", "--expr", "x11"), -3),
     (("verify", "--suite", "relations", "--word", "3"), 3),
     (("verify", "--suite", "relations", "--word", "-3,1"), -3),
+    (("verify", "--suite", "lemma", "--word", "3"), 3),
+    (("diagram", "--word", "3"), 3),
 ])
 def test_out_of_range_letter_is_named(capsys, argv, letter):
     code, out, err = run(capsys, *argv, "--rank", "2")

@@ -14,12 +14,14 @@ from conftest import (
     monomial_to_string,
     phi,
     phi_tilde,
+    psi_matrices_by_apply_word,
     q_commute_index,
     random_double_word,
     results_by_cell,
     simplicity_record,
     skew_gram,
     split_cells,
+    weyl_matrix,
     word_to_permutation,
 )
 from qck import appendix_congruence as ac
@@ -274,43 +276,26 @@ def test_psi_check_all_s3_pairs(A2):
             assert ok, word
 
 
-def _psi_matrices_by_apply_word(datum, word):
-    """Both Psi matrices with every prefix image rebuilt by weyl.apply_word
-    (test oracle for the prefix walk of psi_matrices)."""
-    w1, w2, _ = weyl.split_double_word(datum, word)
-    n = datum.n
-    W1, W2 = weyl.weyl_matrix(datum, w1), weyl.weyl_matrix(datum, w2)
-    top = [[W1[t][s] for t in range(n)] for s in range(n)]
-    bot = [[-W2[t][s] for t in range(n)] for s in range(n)]
-    prefixes = {-1: (), 1: ()}
-    cols = []
-    for e in word:
-        i, sign = abs(e), (1 if e > 0 else -1)
-        prefixes[sign] += (i,)
-        w = prefixes[sign]
-        omegas = [weyl.fundamental_weight(datum, s) for s in range(1, n + 1)]
-        for s in range(n):
-            pair = weyl.pairing(weyl.apply_word(datum, w, omegas[s]), i)
-            top[s].append(pair if sign < 0 else 0)
-            bot[s].append(0 if sign < 0 else pair)
-        cols.append([weyl.pairing(weyl.apply_word(datum, w[::-1], mu), i) for mu in omegas])
-    reduced = [[cols[t][s] for t in range(len(word))] for s in range(n)]
-    return top + bot, reduced
-
-
 def test_psi_prefix_walk_matches_apply_word(A3):
-    B2 = weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 2))
-    G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
-    for datum, max_len in ((A3, 5), (B2, 8), (G2, 6)):
+    """W1, W2, Psi and ReducedPsi of the one prefix walk against every prefix
+    image rebuilt by apply_word: A1-A3 to length 6, A4 to 4, and B2 (= C2
+    relabelled) and G2 in both labellings to 8."""
+    data = [(weyl.type_a(1), 6), (weyl.type_a(2), 6), (A3, 6), (weyl.type_a(4), 4)]
+    for cartan, d in ((((2, -2), (-1, 2)), (1, 2)), (((2, -1), (-3, 2)), (3, 1))):
+        data += [(weyl.RootDatum(n=2, cartan=cartan, d=d), 8),
+                 (weyl.RootDatum(n=2, cartan=tuple(r[::-1] for r in cartan[::-1]), d=d[::-1]), 8)]
+    for datum, max_len in data:
         for word in weyl.all_double_words(datum, max_len):
-            expected = _psi_matrices_by_apply_word(datum, word)
-            assert strings.psi_matrices(datum, word) == expected, word
+            ctx = strings._context(datum, word)
+            W1, W2 = weyl_matrix(datum, ctx.w1), weyl_matrix(datum, ctx.w2)
+            assert (ctx.W1, ctx.W2) == (W1, W2), word
+            assert (ctx.Psi, ctx.ReducedPsi) == psi_matrices_by_apply_word(datum, word), word
 
 
 def test_one_word_builds_its_context_once(monkeypatch, A3):
     """invariants, psi_check and congruence_check share one context per word:
-    two Weyl matrices, one set of torus matrices, three skew normal forms
-    (the centralizer's, script-H's and the torus H's)."""
+    one Weyl walk, one set of torus matrices, three skew normal forms (the
+    centralizer's, script-H's and the torus H's)."""
     counts = {}
 
     def counting(owner, name):
@@ -321,14 +306,14 @@ def test_one_word_builds_its_context_once(monkeypatch, A3):
             return real(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((weyl, "weyl_matrix"), (weyl, "split_double_word"),
+    for owner, name in ((strings, "_weyl_walk"), (weyl, "split_double_word"),
                         (strings, "_torus_matrices"), (intlinalg, "skew_normal_form")):
         counting(owner, name)
     word = (1, 2, -1, 3, -2, 1)
     strings.invariants(A3, word)
     strings.psi_check(A3, word)
     ac.congruence_check(A3, word)
-    assert counts == {"weyl_matrix": 2, "split_double_word": 1,
+    assert counts == {"_weyl_walk": 1, "split_double_word": 1,
                       "_torus_matrices": 1, "skew_normal_form": 3}
 
 
@@ -339,7 +324,7 @@ def test_string_matrices_hands_out_a_copy(A3):
         return (strings.invariants(A3, word), strings.psi_check(A3, word),
                 ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
 
-    names = ("W1", "W2", "Omega", "Lambda", "H", "OmegaTilde", "LambdaInv")
+    names = ("W1", "W2", "Psi", "ReducedPsi", "Omega", "Lambda", "H", "OmegaTilde", "LambdaInv")
 
     def matrices(mats):
         return {name: getattr(mats, name) for name in names}

@@ -6,14 +6,16 @@ import pytest
 from conftest import (
     all_double_words_by_split,
     all_reduced_words_by_filter,
+    apply_word,
     invert_rational,
     is_reduced_by_betas,
     is_reduced_by_inversions,
     ker_rank,
     natural_weight,
+    weyl_matrix,
     word_to_permutation,
 )
-from qck import intlinalg, weyl
+from qck import intlinalg, strings, weyl
 
 
 def w(*coords):
@@ -104,7 +106,7 @@ def _bfs_lengths(datum):
     independent of inversion counting."""
     n = datum.n
     start = tuple(map(tuple, intlinalg.identity(n)))
-    gens = [tuple(map(tuple, weyl.weyl_matrix(datum, (i,)))) for i in range(1, n + 1)]
+    gens = [tuple(map(tuple, weyl_matrix(datum, (i,)))) for i in range(1, n + 1)]
 
     def mul(a, b):
         return tuple(
@@ -157,10 +159,23 @@ def test_invalid_cartan_rejected():
         weyl.RootDatum(n=2, cartan=((2, -2), (-1, 2)), d=(1, 1))
 
 
+@pytest.mark.parametrize("d", [(1,), (1, 1, 1)])
+def test_symmetrizer_count_must_match_rank(d):
+    with pytest.raises(ValueError, match="symmetrizers for rank 2"):
+        weyl.RootDatum(n=2, cartan=((2, -1), (-1, 2)), d=d)
+
+
+def test_list_data_are_stored_as_tuples(A2):
+    datum = weyl.RootDatum(n=2, cartan=[[2, -1], [-1, 2]], d=[1, 1])
+    assert datum == A2 and hash(datum) == hash(A2) and datum.is_type_a
+    assert datum.cartan == ((2, -1), (-1, 2)) and datum.d == (1, 1)
+    assert strings.invariants(datum, (1, -2)) == strings.invariants(A2, (1, -2))
+
+
 def test_weyl_matrix_examples(A1, A2):
-    assert weyl.weyl_matrix(A2, ()) == intlinalg.identity(2)
-    assert weyl.weyl_matrix(A1, (1,)) == [[-1]]
-    w0 = weyl.weyl_matrix(A2, (1, 2, 1))
+    assert weyl_matrix(A2, ()) == intlinalg.identity(2)
+    assert weyl_matrix(A1, (1,)) == [[-1]]
+    w0 = weyl_matrix(A2, (1, 2, 1))
     # longest element swaps and negates the fundamental weights
     assert w0 == [[0, -1], [-1, 0]]
 
@@ -170,8 +185,8 @@ def test_weyl_matrix_multiplicative(A3):
     for _ in range(40):
         u = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
         v = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
-        lhs = weyl.weyl_matrix(A3, u + v)
-        rhs = intlinalg.mat_mul(weyl.weyl_matrix(A3, u), weyl.weyl_matrix(A3, v))
+        lhs = weyl_matrix(A3, u + v)
+        rhs = intlinalg.mat_mul(weyl_matrix(A3, u), weyl_matrix(A3, v))
         assert lhs == rhs
 
 
@@ -184,7 +199,7 @@ def test_weyl_matrix_orthogonality(rank):
     rng = random.Random(rank)
     words = [tuple(rng.randint(1, rank) for _ in range(m)) for m in (0, 1, 2, 3, 5)]
     for word in words:
-        A = weyl.weyl_matrix(datum, word)
+        A = weyl_matrix(datum, word)
         lhs = intlinalg.mat_mul(intlinalg.transpose(A), intlinalg.mat_mul(G, A))
         assert lhs == G
 
@@ -255,7 +270,7 @@ def test_natural_weights_match_permutation_action(A3):
         word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5)))
         perm = word_to_permutation(A3, word)
         for j in range(1, 5):
-            lhs = weyl.apply_word(A3, word, natural_weight(A3, j))
+            lhs = apply_word(A3, word, natural_weight(A3, j))
             assert lhs == natural_weight(A3, perm[j - 1])
 
 
