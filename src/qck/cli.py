@@ -20,6 +20,8 @@ EXIT_INTERNAL = 3
 
 def _datum(args):
     from . import weyl
+    if args.rank < 1:
+        raise ValueError(f"--rank {args.rank} is not a positive integer")
     return weyl.type_a(args.rank)
 
 

@@ -3,22 +3,24 @@
 Elements are finite sums of normal-ordered monomials x^a y^b with a, b in
 Z^m, where factor k satisfies x_k y_k = q^{d_k} y_k x_k.  Coefficients are
 Laurent polynomials in q over Q, optionally carrying monomials in formal
-parameters gamma_1, gamma_2, ...; they are stored as dicts mapping
-(q_exponent, gamma_exponent_tuple) to exact rationals (Python ints or
-Fractions).  Zero coefficients are never stored, neither as a rational in
-a coefficient nor as an empty coefficient in a sum.
+parameters gamma_1, gamma_2, ...; a coefficient maps (q_exponent,
+gamma_exponent_tuple) to exact rationals (ints or Fractions), never to 0.
 
-Every sparse sum (torus terms, module vectors) is built by `accumulate`.
-The map it fills owns its coefficients: each is copied when it enters the
-map and updated in place afterwards, so start from an existing map m with
-`accumulate({}, m.items())`, never with `dict(m)`, whose coefficients would
-still be shared with m.
+An element stores one flat map {(a, b, q_exponent, gamma): rational}.  A
+product (mul_into) and a sum (add_scalars) each fill a new map of immutable
+rationals, shared with no operand.  QTorusElement.terms is the nested map
+{(a, b): coefficient} of the same sum, built afresh on each read: writing
+to it leaves the element as it was.
+
+Module vectors {index: coefficient} stay nested, built by `accumulate`,
+which copies a coefficient on entry and then updates it in place: start
+from a vector v with `accumulate({}, v.items())`, never with `dict(v)`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, neg
 
 
 class ShapeMismatch(ValueError):
@@ -34,8 +36,13 @@ def coeff_qpow(e, mult=1):
 
 
 def coeff_add(c1, c2):
-    out = dict(c1)
-    for key, v in c2.items():
+    return add_scalars(dict(c1), c2.items())
+
+
+def add_scalars(out, items):
+    """Add the (key, rational) pairs of items into the map out and return
+    out; a key whose value sums to zero is dropped."""
+    for key, v in items:
         nv = out.get(key, 0) + v
         if nv:
             out[key] = nv
@@ -65,10 +72,6 @@ def accumulate(out, items):
     return out
 
 
-def coeff_neg(c):
-    return {k: -v for k, v in c.items()}
-
-
 def coeff_mul(c1, c2):
     out = {}
     for (e1, g1), v1 in c1.items():
@@ -86,12 +89,6 @@ def coeff_mul(c1, c2):
             elif key in out:
                 del out[key]
     return out
-
-
-def coeff_shift(c, qshift):
-    if qshift == 0:
-        return dict(c)
-    return {(e + qshift, g): v for (e, g), v in c.items()}
 
 
 def coeff_invert(c):
@@ -122,11 +119,8 @@ def coeff_from_json(data):
                                          q=int, gamma="ints", num=int, den=int)
         if not den:
             raise ValueError("coefficient term field 'den' is 0")
-        key = (e, tuple(gamma) if any(gamma) else ())
-        v = c.pop(key, 0) + Fraction(num, den)
-        if v:
-            c[key] = v if v.denominator != 1 else v.numerator
-    return c
+        add_scalars(c, [((e, tuple(gamma) if any(gamma) else ()), Fraction(num, den))])
+    return {key: v if v.denominator != 1 else v.numerator for key, v in c.items()}
 
 
 def json_fields(data, what, **kinds):
@@ -168,29 +162,66 @@ def coeff_str(c):
 # elements
 
 
+def mul_into(out, left, right, D):
+    """Add the product of the flat term maps left and right, in the torus
+    with diagonal D, into out and return out.  On monomials
+    (x^a y^b)(x^a' y^b') = q^{-b^T D a'} x^{a+a'} y^{b+b'}."""
+    right = right.items()
+    for (a1, b1, e1, g1), v1 in left.items():
+        bD = tuple(map(mul, b1, D))
+        for (a2, b2, e2, g2), v2 in right:
+            if g1 and g2:
+                g = tuple(map(add, g1, g2))
+                if not any(g):
+                    g = ()
+            else:
+                g = g1 or g2
+            key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)),
+                   e1 + e2 - sum(map(mul, bD, a2)), g)
+            v = out.get(key, 0) + v1 * v2
+            if v:
+                out[key] = v
+            else:  # no stored value is 0, so the key was there
+                del out[key]
+    return out
+
+
+def _element(m, D, flat):
+    """The element with the flat term map flat, taken as it is."""
+    out = QTorusElement.__new__(QTorusElement)
+    out.m, out.D, out.flat = m, D, flat
+    return out
+
+
 class QTorusElement:
     """Finite sum of normal-ordered monomials in the tensor quantum torus
-    with commutation x_k y_k = q^{d_k} y_k x_k per factor.
+    with commutation x_k y_k = q^{d_k} y_k x_k per factor; flat maps each
+    (a, b, q_exp, gamma) to the nonzero rational of that term."""
 
-    terms maps (a, b) pairs of integer tuples to coefficient dicts; zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("m", "D", "terms")
+    __slots__ = ("m", "D", "flat")
 
     def __init__(self, m, D, terms=None):
         self.m = m
         self.D = tuple(D)
         if len(self.D) != m:
             raise ShapeMismatch("diagonal length != factor count")
-        self.terms = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if len(a) != m or len(b) != m:
-                    raise ShapeMismatch("monomial length != factor count")
-                c = {k: v for k, v in c.items() if v}  # store no zero rational
-                if c:
-                    self.terms[(tuple(a), tuple(b))] = c
+        self.flat = {}
+        for (a, b), c in (terms or {}).items():
+            if len(a) != m or len(b) != m:
+                raise ShapeMismatch("monomial length != factor count")
+            a, b = tuple(a), tuple(b)
+            self.flat.update(((a, b, e, g), v) for (e, g), v in c.items() if v)
+
+    @property
+    def terms(self):
+        """The nested map {(a, b): {(q_exp, gamma): rational}}, built afresh."""
+        out = {}
+        for (a, b, e, g), v in self.flat.items():
+            out.setdefault((a, b), {})[e, g] = v
+        return out
+
+    def copy(self):
+        return _element(self.m, self.D, dict(self.flat))
 
     # -- constructors -------------------------------------------------------
 
@@ -210,53 +241,30 @@ class QTorusElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = QTorusElement(self.m, self.D)
-        out.terms = accumulate(accumulate({}, self.terms.items()), other.terms.items())
-        return out
+        return _element(self.m, self.D, add_scalars(dict(self.flat), other.flat.items()))
 
     def __neg__(self):
-        out = QTorusElement(self.m, self.D)
-        out.terms = {k: coeff_neg(c) for k, c in self.terms.items()}
-        return out
+        return _element(self.m, self.D, {k: -v for k, v in self.flat.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Product with normal ordering: on monomials
-        (x^a y^b)(x^a' y^b') = q^{-b^T D a'} x^{a+a'} y^{b+b'}."""
         self._check_compatible(other)
-        right = other.terms.items()
-        products = []
-        for (a1, b1), c1 in self.terms.items():
-            bD = tuple(map(mul, b1, self.D))
-            for (a2, b2), c2 in right:
-                products.append(((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
-                                 coeff_shift(coeff_mul(c1, c2), -sum(map(mul, bD, a2)))))
-        out = QTorusElement(self.m, self.D)
-        out.terms = accumulate({}, products)
-        return out
+        return _element(self.m, self.D, mul_into({}, self.flat, other.flat, self.D))
 
     def scale(self, coeff):
-        out = QTorusElement(self.m, self.D)
-        for k, c in self.terms.items():
-            nc = coeff_mul(c, coeff)
-            if nc:
-                out.terms[k] = nc
-        return out
+        return self * QTorusElement.monomial(self.m, self.D, (0,) * self.m, (0,) * self.m, coeff)
 
     def __pow__(self, k):
         if k < 0:
-            unit = self.as_unit()
-            if unit is None:
-                raise ValueError("negative power of a non-unit element")
             return self.inverse() ** (-k)
         if not k:
             return QTorusElement.one(self.m, self.D)
         out, base = None, self
         while True:  # square only while a higher bit is left
             if k & 1:
-                out = QTorusElement(self.m, self.D, base.terms) if out is None else out * base
+                out = base.copy() if out is None else out * base
             k >>= 1
             if not k:
                 return out
@@ -265,48 +273,40 @@ class QTorusElement:
     def __eq__(self, other):
         if not isinstance(other, QTorusElement):
             return NotImplemented
-        # no zero coefficient is stored, so equal elements have equal term maps
-        return self.m == other.m and self.D == other.D and self.terms == other.terms
+        # no zero rational is stored, so equal elements have equal flat maps
+        return self.m == other.m and self.D == other.D and self.flat == other.flat
 
     def is_zero(self):
-        return not self.terms
+        return not self.flat
 
     # -- units, supports ----------------------------------------------------
 
     def as_unit(self):
         """The ((a, b), coeff) of a one-term element with monomial invertible
         coefficient, else None."""
-        if len(self.terms) != 1:
+        if len(self.flat) != 1:
             return None
-        ((key, c),) = self.terms.items()
-        if len(c) != 1:
-            return None
-        return key, dict(c)
+        ((a, b, e, g), v), = self.flat.items()
+        return (a, b), {(e, g): v}
 
     def inverse(self):
-        """Inverse of a unit; raises for non-units."""
-        unit = self.as_unit()
-        if unit is None:
-            raise ValueError("element is not a unit")
-        (a, b), c = unit
-        # (x^a y^b)^{-1} = q^{-b^T D a} x^{-a} y^{-b}
-        shift = -sum(x * d * y for x, y, d in zip(b, a, self.D))
-        inv_a = tuple(-x for x in a)
-        inv_b = tuple(-x for x in b)
-        coeff = coeff_shift(coeff_invert(c), shift)
-        return QTorusElement.monomial(self.m, self.D, inv_a, inv_b, coeff)
+        """Inverse of a unit, the power -1; raises ValueError for non-units."""
+        if len(self.flat) != 1:
+            raise ValueError("negative power of a non-unit element")
+        ((a, b, e, g), v), = self.flat.items()
+        # (v q^e x^a y^b)^{-1} = v^{-1} q^{-e - b^T D a} x^{-a} y^{-b}
+        key = (tuple(map(neg, a)), tuple(map(neg, b)),
+               -e - sum(map(mul, map(mul, b, self.D), a)), tuple(map(neg, g)))
+        return _element(self.m, self.D, {key: Fraction(1) / v})
 
     def supp_x(self):
-        return {a for (a, _b) in self.terms.keys()}
+        return {a for (a, _b, _e, _g) in self.flat}
 
     def multiplicity(self, a):
         a = tuple(a)
-        return sum(1 for (aa, _bb) in self.terms.keys() if aa == a)
+        return len({b for (aa, b, _e, _g) in self.flat if aa == a})
 
     # -- serialization ------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def to_json(self):
         return {
@@ -314,7 +314,7 @@ class QTorusElement:
             "D": list(self.D),
             "terms": [
                 {"a": list(a), "b": list(b), "coeff": coeff_to_json(c)}
-                for (a, b), c in self.sorted_terms()
+                for (a, b), c in sorted(self.terms.items())  # each (a, b) once
             ],
         }
 
@@ -328,19 +328,11 @@ class QTorusElement:
         return cls(m, D, terms)
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         parts = []
-        for (a, b), c in self.sorted_terms():
-            mono = []
-            for k in range(self.m):
-                piece = ""
-                if a[k]:
-                    piece += f"x{k + 1}^{a[k]}" if a[k] != 1 else f"x{k + 1}"
-                if b[k]:
-                    piece += f"y{k + 1}^{b[k]}" if b[k] != 1 else f"y{k + 1}"
-                mono.append(piece or "1")
+        for (a, b), c in sorted(self.terms.items()):
+            mono = " | ".join("".join(f"{v}{k + 1}" + (f"^{p}" if p != 1 else "")
+                                      for v, p in (("x", a[k]), ("y", b[k])) if p) or "1"
+                              for k in range(self.m))
             cs = coeff_str(c)
-            pre = "" if cs == "1" else f"({cs})*"
-            parts.append(pre + "(" + " | ".join(mono) + ")")
-        return " + ".join(parts)
+            parts.append(("" if cs == "1" else f"({cs})*") + f"({mono})")
+        return " + ".join(parts) or "0"

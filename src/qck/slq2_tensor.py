@@ -31,9 +31,7 @@ from .qtorus import (
     coeff_add,
     coeff_invert,
     coeff_mul,
-    coeff_neg,
     coeff_qpow,
-    coeff_shift,
     coeff_str,
 )
 
@@ -128,11 +126,11 @@ def typical_action(spec, generator, i, d=1, formal=False):
         return p if power > 0 else coeff_invert(p)
 
     if generator in ("x11", "x22"):
-        if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):
-            c = coeff_add(coeff_qpow(0), coeff_neg(coeff_mul(z, z)))  # 1 - q^{2di}
+        if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):  # 1 - q^{2di}
+            c = coeff_add(coeff_qpow(0), coeff_mul(coeff_qpow(0, -1), coeff_mul(z, z)))
         elif kind == "Laurent" and generator == "x11":  # 1 + gamma eta q^{d(2i-1)}
             c = coeff_add(coeff_qpow(0), coeff_mul(coeff_mul(param(0), param(1)),
-                                                   coeff_mul(z, coeff_shift(z, -d))))
+                                                   coeff_mul(coeff_mul(z, z), coeff_qpow(-d))))
         else:
             c = coeff_qpow(0)
         return [(i - 1 if generator == "x11" else i + 1, c)] if c else []
@@ -141,9 +139,9 @@ def typical_action(spec, generator, i, d=1, formal=False):
     if generator == "x12":  # eta q^{di}, for LowestWeight gamma q^{di}
         return [(i, coeff_mul(param(0 if kind == "LowestWeight" else 1), z))]
     if kind == "HighestWeight":  # x21 e_i = -eta^{-1} q^{d(i+1)} e_i
-        return [(i, coeff_mul(coeff_neg(param(1, -1)), coeff_shift(z, d)))]
+        return [(i, coeff_mul(param(1, -1), coeff_mul(z, coeff_qpow(d, -1))))]
     if kind == "LowestWeight":  # x21 e_i = -gamma^{-1} q^{d(i-1)} e_i
-        return [(i, coeff_mul(coeff_neg(param(0, -1)), coeff_shift(z, -d)))]
+        return [(i, coeff_mul(param(0, -1), coeff_mul(z, coeff_qpow(-d, -1))))]
     return [(i, coeff_mul(param(0), z))]  # x21 e_i = gamma q^{di} e_i
 
 
@@ -256,9 +254,9 @@ class TensorModule:
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
         out = {}
-        for mono, c in u.terms.items():
-            accumulate(out, [(key, coeff_mul(pc, c))
-                             for key, pc in self.monomial_action(mono, vec).items()])
+        for (a, b, e, g), v in u.flat.items():
+            accumulate(out, [(key, coeff_mul(pc, {(e, g): v}))
+                             for key, pc in self.monomial_action((a, b), vec).items()])
         return out
 
     def basis_vector(self, n, coeff=None):

@@ -147,10 +147,13 @@ def split_double_word(datum, word):
 
 def parse_word(text):
     """Parse a comma-separated signed word such as '1,2,1,-1,-2'."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+    word = []
+    for letter in text.split(",") if text.strip() else ():
+        try:
+            word.append(int(letter))
+        except ValueError:
+            raise ValueError(f"word {text!r} has the letter {letter!r}, not an integer") from None
+    return tuple(word)
 
 
 def format_word(word):

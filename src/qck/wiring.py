@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import weyl
-from .qtorus import QTorusElement, accumulate, coeff_qpow
+from .qtorus import QTorusElement, accumulate, coeff_qpow, mul_into
 
 
 class SizeMismatch(ValueError):
@@ -138,11 +137,11 @@ def _transfer(datum, word, A):
                     [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:]) for a, b in weights]
                     if x or y else weights)
         ends = step
-    one = coeff_qpow(0)
     images[A] = {}
     for B in itertools.combinations(range(1, datum.n + 2), len(A)):
         images[A][B] = elem = QTorusElement(len(word), D)
-        elem.terms = accumulate({}, zip(ends.get(B, ()), itertools.repeat(one)))
+        for a, b in ends.get(B, ()):
+            elem.flat[a, b, 0, ()] = elem.flat.get((a, b, 0, ()), 0) + 1
     return images[A]
 
 
@@ -155,15 +154,14 @@ def _generators(datum, word):
 def generator_images(datum, word):
     """{(i, j): image of x_ij} for every pair of levels, as fresh elements."""
     gens = _generators(datum, tuple(word))
-    return {ij: QTorusElement(e.m, e.D, e.terms) for ij, e in gens.items()}
+    return {ij: e.copy() for ij, e in gens.items()}
 
 
 def minor_image(datum, word, A, B):
     """Image of the quantum minor with rows A and columns B (x_ij for A = (i,),
     B = (j,)): the sum of the weights of the vertex-disjoint path families."""
     A, B = _levels(datum, A, B)
-    e = _transfer(datum, tuple(word), A)[B]
-    return QTorusElement(e.m, e.D, e.terms)
+    return _transfer(datum, tuple(word), A)[B].copy()
 
 
 def minor_expansion(A, B):
@@ -177,23 +175,27 @@ def minor_expansion(A, B):
     return out
 
 
-def _row_expansion(datum, word, A, B):
-    """The oracle's image of minor(A|B) for sorted level tuples, kept for the
-    most recent (datum, word); callers must not mutate it."""
-    D, _columns, _images, memo = _word_images(datum, word)
+def _row_expansion(datum, word, ctx, A, B):
+    """The oracle's image of minor(A|B) for sorted level tuples, ctx being
+    _word_images(datum, word); callers must not mutate it."""
+    D, _columns, _images, memo = ctx
     if (A, B) in memo:
         return memo[A, B]
     if len(A) == 1:
-        out = _transfer(datum, word, A)[B]  # the generator image x_{a_1 b_1}
-    else:
-        out = QTorusElement(len(word), D) if A else QTorusElement.one(len(word), D)
-        for t, b in enumerate(B):
-            x = _row_expansion(datum, word, A[:1], (b,))
-            rest = _row_expansion(datum, word, A[1:], B[:t] + B[t + 1:])
-            if x.terms and rest.terms:
-                accumulate(out.terms, (x.scale(coeff_qpow(t, (-1) ** t)) * rest).terms.items())
-    memo[A, B] = out
+        memo[A, B] = out = _transfer(datum, word, A)[B]  # the generator image x_{a_1 b_1}
+        return out
+    memo[A, B] = out = QTorusElement(len(word), D) if A else QTorusElement.one(len(word), D)
+    for t, bt in enumerate(B):
+        x = _row_expansion(datum, word, ctx, A[:1], (bt,)).flat
+        rest = _row_expansion(datum, word, ctx, A[1:], B[:t] + B[t + 1:]).flat
+        if x and rest:
+            mul_into(out.flat, _shifted(x, t, (-1) ** t), rest, D)  # add (-q)^t x rest
     return out
+
+
+def _shifted(flat, e, v):
+    """The flat term map v q^e flat, v a nonzero rational."""
+    return {(a, b, qe + e, g): v * x for (a, b, qe, g), x in flat.items()}
 
 
 def minor_image_oracle(datum, word, A, B):
@@ -205,8 +207,8 @@ def minor_image_oracle(datum, word, A, B):
     coefficients are central and the torus product is associative.  It reads
     only the generator images and its own smaller expansions, never the
     transfer pass's larger minors."""
-    e = _row_expansion(datum, tuple(word), *_levels(datum, A, B))
-    return QTorusElement(e.m, e.D, e.terms)
+    word = tuple(word)
+    return _row_expansion(datum, word, _word_images(datum, word), *_levels(datum, A, B)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +375,24 @@ def relation_difference(lhs, rhs, act, d=1):
 
 def verify_relations(datum, word):
     """Check the quantum-matrix relations and det_q = 1 on the generator
-    images; returns a list of (description, ok) pairs.  det_q is evaluated
-    by the full minor's one path family, not by its permutation expansion."""
+    images; returns a list of (description, ok) pairs.  Every other relation
+    sums lhs - rhs into one flat term map, its words having two or more
+    letters; det_q is the full minor's one path family, not its expansion."""
     word = tuple(word)
-    g = _generators(datum, word)
-
-    def act(labels):
-        return functools.reduce(operator.mul, map(g.__getitem__, labels)).terms
-
+    g = {ij: e.flat for ij, e in _generators(datum, word).items()}
+    D = torus_diagonal(datum, word)
     *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
-    report = [(name, not relation_difference(lhs, rhs, act)) for name, lhs, rhs in rels]
+    report = []
+    for name, lhs, rhs in rels:
+        diff = {}  # lhs - rhs as a flat term map
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for c, (first, *middle, last) in side:  # c is a Laurent polynomial in q
+                for (e, _), v in c.items():
+                    term = _shifted(g[first], e, sign * v)
+                    for label in middle:
+                        term = mul_into({}, term, g[label], D)
+                    mul_into(diff, term, g[last], D)
+        report.append((name, not diff))
     full = tuple(range(1, datum.n + 2))
     det = _transfer(datum, word, full)[full]
     return report + [(det_name, det == QTorusElement.one(len(word), det.D))]

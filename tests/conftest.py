@@ -3,14 +3,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 
 from qck import appendix_congruence, intlinalg
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
-from qck.qtorus import QTorusElement, accumulate, coeff_mul, coeff_neg, coeff_qpow
+from qck.qtorus import (
+    QTorusElement,
+    accumulate,
+    coeff_mul,
+    coeff_qpow,
+    coeff_to_json,
+)
 
 
 def exact_det(M):
@@ -371,6 +377,33 @@ def split_cells(cells):
     return {key: values for key, values in cells.items() if len(values) > 1}
 
 
+def coeff_shift(c, qshift):
+    """The coefficient q^qshift c."""
+    return {(e + qshift, g): v for (e, g), v in c.items()}
+
+
+def nested_product(u, v):
+    """u * v as the nested map {(a, b): coefficient}, by the nested product
+    (test oracle for the flat product QTorusElement.__mul__): each pair of
+    monomials gives coeff_mul(c1, c2) shifted by q^{-b^T D a'}, and
+    accumulate sums the pairs."""
+    products = []
+    for (a1, b1), c1 in u.terms.items():
+        bD = tuple(map(mul, b1, u.D))
+        for (a2, b2), c2 in v.terms.items():
+            products.append(((tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                             coeff_shift(coeff_mul(c1, c2), -sum(map(mul, bD, a2)))))
+    return accumulate({}, products)
+
+
+def nested_to_json(m, D, terms):
+    """The JSON of the element with the nested term map terms, written from
+    that map (test oracle for QTorusElement.to_json)."""
+    return {"m": m, "D": list(D),
+            "terms": [{"a": list(a), "b": list(b), "coeff": coeff_to_json(c)}
+                      for (a, b), c in sorted(terms.items())]}
+
+
 def q_commute_index(mono_u, mono_v, D):
     """Exponent e with u v = q^e v u for monomials u = x^a y^b, v = x^a' y^b':
     e = a^T D b' - a'^T D b (test oracle for the matrix H)."""
@@ -638,7 +671,8 @@ def permutation_expansion_image(datum, word, A, B):
 
 def vec_sub(v1, v2):
     """v1 - v2 for module vectors {index: coefficient}."""
-    return accumulate(accumulate({}, v1.items()), [(k, coeff_neg(c)) for k, c in v2.items()])
+    minus_v2 = [(k, coeff_mul(c, coeff_qpow(0, -1))) for k, c in v2.items()]
+    return accumulate(accumulate({}, v1.items()), minus_v2)
 
 
 def vec_eq(v1, v2):

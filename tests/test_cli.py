@@ -85,6 +85,28 @@ def test_out_of_range_letter_is_named(capsys, argv, letter):
     assert err == f"error: letter {letter} out of range for rank 2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--word", "1"),
+    ("verify", "--suite", "psi"),
+    ("diagram", "--word", ""),
+])
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_rank_below_one_is_named(capsys, argv, rank):
+    code, out, err = run(capsys, *argv, "--rank", rank)
+    assert code == 2 and out == ""
+    assert err == f"error: --rank {rank} is not a positive integer\n"
+
+
+@pytest.mark.parametrize("argv, word, letter", [
+    (("analyze", "--word", "1,,2"), "1,,2", ""),
+    (("image", "--word", "1,x", "--minor", "1|1"), "1,x", "x"),
+])
+def test_malformed_word_names_the_letter(capsys, argv, word, letter):
+    code, out, err = run(capsys, *argv, "--rank", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: word {word!r} has the letter {letter!r}, not an integer\n"
+
+
 @pytest.mark.parametrize("flags, named", [
     (("--expr", "x11", "--minor", "12|12"), "not allowed with argument"),
     ((), "one of the arguments --expr --minor is required"),

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import q_commute_index
+from conftest import nested_product, nested_to_json, q_commute_index
 from qck import intlinalg, qtorus
-from qck.qtorus import QTorusElement, ShapeMismatch, coeff_from_json, coeff_qpow
+from qck.qtorus import (
+    QTorusElement,
+    ShapeMismatch,
+    accumulate,
+    coeff_from_json,
+    coeff_mul,
+    coeff_qpow,
+)
 
 
 def mono(m, D, a, b, qexp=0, c=1):
@@ -170,8 +177,8 @@ def test_powers_equal_repeated_products(monkeypatch):
     monkeypatch.setattr(QTorusElement, "__mul__", lambda s, o: products.append(1) or mul(s, o))
     powered = el ** 1
     assert products == [] and powered == el and powered is not el
-    powered.terms.clear()
-    assert el.terms
+    powered.flat.clear()
+    assert el.flat
     el ** 5  # two squarings and one product
     assert len(products) == 3
 
@@ -290,28 +297,77 @@ def test_ring_laws_on_cancelling_elements():
 
 
 def _scribble(*maps):
-    """Write a new entry into every coefficient of the given sparse maps."""
-    for terms in maps:
-        for c in terms.values():
-            c[(99, ())] = 7
+    """Overwrite every value of the given flat term maps and add a term."""
+    for flat in maps:
+        flat.update(dict.fromkeys(flat, 7))
+        flat[(0, 0), (0, 0), 99, ()] = 7
 
 
 def test_sums_and_products_own_their_coefficients():
-    import copy
-
     D = (1, 2)
-    for op in (QTorusElement.__add__, QTorusElement.__mul__):
+    for op in (QTorusElement.__add__, QTorusElement.__mul__, QTorusElement.__sub__):
         rng = random.Random(5)
         u, v = _cancelling_element(rng, 2, D), _cancelling_element(rng, 2, D)
         result = op(u, v)
-        before = copy.deepcopy(result.terms)
-        _scribble(u.terms, v.terms)
-        assert result.terms == before
+        before = dict(result.flat)
+        _scribble(u.flat, v.flat)
+        assert result.flat == before
         rng = random.Random(5)
         u, v = _cancelling_element(rng, 2, D), _cancelling_element(rng, 2, D)
-        u0, v0 = copy.deepcopy(u.terms), copy.deepcopy(v.terms)
-        _scribble(op(u, v).terms)
-        assert (u.terms, v.terms) == (u0, v0)
+        u0, v0 = dict(u.flat), dict(v.flat)
+        _scribble(op(u, v).flat)
+        assert (u.flat, v.flat) == (u0, v0)
+
+
+def test_terms_is_a_fresh_view():
+    u = _cancelling_element(random.Random(8), 2, (1, 2)) + mono(2, (1, 2), (1, 0), (0, 1), 2, 3)
+    flat = dict(u.flat)
+    view = u.terms
+    assert view == u.terms and view is not u.terms
+    for c in view.values():
+        c[(99, ())] = 7
+    view.clear()
+    assert u.flat == flat and u.terms != {}
+
+
+def _gamma_terms(rng, m):
+    """A nested term map: monomials with negative exponents, coefficients
+    with gamma tuples of length 2m, rationals of both signs."""
+    gammas = [()] + [tuple(rng.randint(-1, 1) for _ in range(2 * m)) for _ in range(2)]
+    return accumulate({}, [
+        ((tuple(rng.randint(-1, 0) for _ in range(m)), tuple(rng.randint(0, 1) for _ in range(m))),
+         {(rng.randint(-1, 0), g if any(g) else ()): rng.choice((1, -1, 2, Fraction(-1, 2)))})
+        for g in (rng.choice(gammas) for _ in range(rng.randint(1, 6)))])
+
+
+def _absolute(e):
+    """e with every rational replaced by its absolute value: its products
+    cancel nothing."""
+    terms = {k: {t: abs(v) for t, v in c.items()} for k, c in e.terms.items()}
+    return QTorusElement(e.m, e.D, terms)
+
+
+def test_flat_product_matches_the_nested_product():
+    rng = random.Random(21)
+    cancelled = 0
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        D = tuple(rng.randint(1, 3) for _ in range(m))
+        tu, tv = _gamma_terms(rng, m), _gamma_terms(rng, m)
+        if rng.random() < 0.5:  # (1 + t)(1 - t): the cross terms cancel
+            tu = accumulate({((0,) * m, (0,) * m): {(0, ()): 1}}, tu.items())
+            tv = {k: c if not any(k[0] + k[1]) else coeff_mul(c, coeff_qpow(0, -1))
+                  for k, c in tu.items()}
+        u, v = QTorusElement(m, D, tu), QTorusElement(m, D, tv)
+        expected = nested_product(u, v)
+        prod = u * v
+        assert prod.terms == expected and prod == QTorusElement(m, D, expected)
+        cancelled += len(prod.flat) < len((_absolute(u) * _absolute(v)).flat)
+        for terms, e in ((tu, u), (tv, v), (expected, prod)):
+            assert e.terms == terms
+            assert QTorusElement(m, D, e.terms) == e
+            assert e.to_json() == nested_to_json(m, D, terms)
+    assert cancelled > 50
 
 
 def test_coeff_from_json_adds_repeated_terms():

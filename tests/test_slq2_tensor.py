@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ball_tensor_relations, ball_typical_relations, random_double_word
+from conftest import ball_tensor_relations, ball_typical_relations, coeff_shift, random_double_word
 from qck import slq2_tensor as sq
 from qck import weyl, wiring
-from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow, coeff_shift
+from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow
 
 
 def test_typical_action_examples():
