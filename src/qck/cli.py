@@ -168,31 +168,35 @@ def _parse_params(text, m):
     if not text:
         return params
     for piece in text.split(","):
-        name, _, value = piece.partition("=")
+        name, eq, value = piece.partition("=")
         name = name.strip()
-        if not name.startswith("g"):
-            raise ValueError(f"bad parameter name {name!r}")
+        if not (eq and name[:1] == "g" and name[1:].isdecimal()):
+            raise ValueError(f"--params piece {piece!r} is not gk=rational:q-exponent")
         k = int(name[1:]) - 1
         if not 0 <= k < m:
-            raise ValueError(f"parameter {name} out of range")
-        params[k] = _param(value)
+            raise ValueError(f"--params {name} is out of range: the word has {m} letters")
+        if params[k] is not None:
+            raise ValueError(f"--params sets {name} twice")
+        params[k] = _param(value, "--params " + name)
     return params
 
 
-def _param(value):
-    """'rational:q-exponent' as the coefficient c q^e."""
+def _param(value, flag):
+    """'rational:q-exponent' as the coefficient c q^e; flag names the option
+    in error messages."""
     num, _, qexp = value.partition(":")
     try:
-        c = Fraction(num)
+        c, e = Fraction(num), int(qexp or 0)
     except ZeroDivisionError:
-        raise ValueError(f"parameter {value!r} has denominator 0") from None
-    e = int(qexp) if qexp else 0
+        raise ValueError(f"{flag} value {value!r} has denominator 0") from None
+    except ValueError:
+        raise ValueError(f"{flag} value {value!r} is not rational:q-exponent") from None
     return {(e, ()): c if c.denominator != 1 else c.numerator}
 
 
 def cmd_module(args):
     from . import slq2_tensor, wiring
-    from .qtorus import coeff_to_json
+    from .qtorus import coeff_to_json, group_coefficients
     datum = _datum(args)
     if args.action == "act":
         word = _word(args)
@@ -201,9 +205,8 @@ def cmd_module(args):
         )
         elem = wiring.expression_image(datum, word, args.expr)
         out = mod.element_action(elem, _vector(mod, json.loads(args.vector)))
-        payload = [
-            {"n": list(n), "coeff": coeff_to_json(c)} for n, c in sorted(out.items())
-        ]
+        out = group_coefficients(out)
+        payload = [{"n": list(n), "coeff": coeff_to_json(c)} for (n,), c in sorted(out.items())]
         _emit(payload, f"action result with {len(out)} basis term(s)")
         return EXIT_OK
     # verify; --tensor does not use --kind, but an unknown kind is still an error
@@ -216,7 +219,8 @@ def cmd_module(args):
         _emit(rep, f"tensor relations on {args.word}: "
                    f"{'PASS' if rep['ok'] else 'FAIL'} ({rep['checked']} vectors)")
         return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
-    gamma, eta = (_param(v) if v else None for v in (args.gamma, args.eta))
+    gamma, eta = (_param(v, flag) if v else None
+                  for v, flag in ((args.gamma, "--gamma"), (args.eta, "--eta")))
     spec = slq2_tensor.TypicalModuleSpec(args.kind, gamma, eta)
     rep = slq2_tensor.verify_typical_relations(spec, args.truncate)
     _emit(rep, f"{args.kind} relations: {'PASS' if rep['ok'] else 'FAIL'}")
@@ -237,13 +241,13 @@ def _nonnegative(text):
 def _vector(mod, data):
     """The module vector of --vector, a list of {"n": [...], "coeff": [...]}
     items; items with equal n add up."""
-    from .qtorus import accumulate, coeff_from_json, json_fields
+    from .qtorus import add_scalars, coeff_from_json, json_fields
     if not isinstance(data, list):
         raise ValueError(f"--vector is {data!r}, not a list of items")
     vec = {}
     for item in data:
         n, coeff = json_fields(item, "--vector item", n="ints", coeff=list)
-        accumulate(vec, mod.basis_vector(n, coeff_from_json(coeff)).items())
+        add_scalars(vec, mod.basis_vector(n, coeff_from_json(coeff)).items())
     return vec
 
 

@@ -4,17 +4,16 @@ Elements are finite sums of normal-ordered monomials x^a y^b with a, b in
 Z^m, where factor k satisfies x_k y_k = q^{d_k} y_k x_k.  Coefficients are
 Laurent polynomials in q over Q, optionally carrying monomials in formal
 parameters gamma_1, gamma_2, ...; a coefficient maps (q_exponent,
-gamma_exponent_tuple) to exact rationals (ints or Fractions), never to 0.
+gamma_exponent_tuple) to exact rationals (ints or Fractions), never to 0,
+and an all-zero gamma is spelled ().
 
-An element stores one flat map {(a, b, q_exponent, gamma): rational}.  A
+An element stores one flat map {(a, b, q_exponent, gamma): rational}, as a
+module vector of slq2_tensor is {(n, q_exponent, gamma): rational}.  A
 product (mul_into) and a sum (add_scalars) each fill a new map of immutable
-rationals, shared with no operand.  QTorusElement.terms is the nested map
-{(a, b): coefficient} of the same sum, built afresh on each read: writing
-to it leaves the element as it was.
-
-Module vectors {index: coefficient} stay nested, built by `accumulate`,
-which copies a coefficient on entry and then updates it in place: start
-from a vector v with `accumulate({}, v.items())`, never with `dict(v)`.
+rationals, shared with no operand.  group_coefficients gives the nested
+map {lead: coefficient} of such a flat map, built afresh on each call:
+QTorusElement.terms is {(a, b): coefficient}, and writing to it leaves the
+element as it was.
 """
 
 from __future__ import annotations
@@ -35,39 +34,14 @@ def coeff_qpow(e, mult=1):
     return {(e, ()): mult} if mult else {}
 
 
-def coeff_add(c1, c2):
-    return add_scalars(dict(c1), c2.items())
-
-
 def add_scalars(out, items):
     """Add the (key, rational) pairs of items into the map out and return
     out; a key whose value sums to zero is dropped."""
     for key, v in items:
-        nv = out.get(key, 0) + v
+        nv = out[key] + v if key in out else v
         if nv:
             out[key] = nv
         elif key in out:
-            del out[key]
-    return out
-
-
-def accumulate(out, items):
-    """Add the (key, coefficient) pairs of items into the sparse map out and
-    return out; a key whose coefficient sums to zero is dropped.  A
-    coefficient is copied on entry, then merged into in place."""
-    for key, c in items:
-        cur = out.get(key)
-        if cur is None:
-            if c:
-                out[key] = dict(c)
-            continue
-        for k, v in c.items():
-            nv = cur.get(k, 0) + v
-            if nv:
-                cur[k] = nv
-            else:
-                del cur[k]
-        if not cur:
             del out[key]
     return out
 
@@ -143,6 +117,15 @@ def json_fields(data, what, **kinds):
     return values
 
 
+def group_coefficients(flat):
+    """The nested map {lead: {(q_exp, gamma): rational}} of the flat map
+    {(*lead, q_exp, gamma): rational}, built afresh."""
+    out = {}
+    for key, v in flat.items():
+        out.setdefault(key[:-2], {})[key[-2:]] = v
+    return out
+
+
 def coeff_str(c):
     if not c:
         return "0"
@@ -210,15 +193,12 @@ class QTorusElement:
             if len(a) != m or len(b) != m:
                 raise ShapeMismatch("monomial length != factor count")
             a, b = tuple(a), tuple(b)
-            self.flat.update(((a, b, e, g), v) for (e, g), v in c.items() if v)
+            add_scalars(self.flat, (((a, b, e, g if any(g) else ()), v) for (e, g), v in c.items()))
 
     @property
     def terms(self):
         """The nested map {(a, b): {(q_exp, gamma): rational}}, built afresh."""
-        out = {}
-        for (a, b, e, g), v in self.flat.items():
-            out.setdefault((a, b), {})[e, g] = v
-        return out
+        return group_coefficients(self.flat)
 
     def copy(self):
         return _element(self.m, self.D, dict(self.flat))
@@ -323,9 +303,12 @@ class QTorusElement:
         """The element written by to_json, terms with equal (a, b) added up;
         malformed input raises ValueError naming the field."""
         m, D, items = json_fields(data, "torus element", m=int, D="ints", terms=list)
-        fields = (json_fields(t, "torus term", a="ints", b="ints", coeff=list) for t in items)
-        terms = accumulate({}, (((tuple(a), tuple(b)), coeff_from_json(c)) for a, b, c in fields))
-        return cls(m, D, terms)
+        flat = {}
+        for t in items:
+            a, b, c = json_fields(t, "torus term", a="ints", b="ints", coeff=list)
+            add_scalars(flat, (((tuple(a), tuple(b), *k), v)
+                               for k, v in coeff_from_json(c).items()))
+        return cls(m, D, group_coefficients(flat))
 
     def __repr__(self):
         parts = []

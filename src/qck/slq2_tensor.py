@@ -5,6 +5,12 @@ stay formal by default (coefficients then carry monomials in g1 = gamma,
 g2 = eta for a single module, or g1..gm for the tensor factors), and may be
 specialized to exact scalar * q-power values.
 
+A module vector is one flat map {(n, q_exponent, gamma): rational}, no
+value 0 and an all-zero gamma spelled (), the shape of QTorusElement.flat;
+n is an int for a rank-1 module and a tuple for a tensor module.  Every sum
+of vectors goes through qtorus.add_scalars or an inline scalar loop, into a
+new map that shares nothing with its operands.
+
 Tensor modules use Borel-lifted one-sided factors only: x^a shifts the basis
 index down by a, and y^b acts diagonally by prod_k gamma_k^{b_k} q^{b^T D n}.
 
@@ -23,17 +29,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import weyl, wiring
-from .qtorus import (
-    accumulate,
-    coeff_add,
-    coeff_invert,
-    coeff_mul,
-    coeff_qpow,
-    coeff_str,
-)
+from .qtorus import add_scalars, coeff_invert, coeff_mul, coeff_qpow, coeff_str
 
 KINDS = ("Mminus", "Mplus", "Laurent", "HighestWeight", "LowestWeight")
 
@@ -127,12 +126,12 @@ def typical_action(spec, generator, i, d=1, formal=False):
 
     if generator in ("x11", "x22"):
         if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):  # 1 - q^{2di}
-            c = coeff_add(coeff_qpow(0), coeff_mul(coeff_qpow(0, -1), coeff_mul(z, z)))
+            t = coeff_mul(coeff_qpow(0, -1), coeff_mul(z, z))
         elif kind == "Laurent" and generator == "x11":  # 1 + gamma eta q^{d(2i-1)}
-            c = coeff_add(coeff_qpow(0), coeff_mul(coeff_mul(param(0), param(1)),
-                                                   coeff_mul(coeff_mul(z, z), coeff_qpow(-d))))
+            t = coeff_mul(coeff_mul(param(0), param(1)), coeff_mul(coeff_mul(z, z), coeff_qpow(-d)))
         else:
-            c = coeff_qpow(0)
+            t = {}
+        c = add_scalars(coeff_qpow(0), t.items())
         return [(i - 1 if generator == "x11" else i + 1, c)] if c else []
     if (generator, kind) in (("x12", "Mminus"), ("x21", "Mplus")):
         return []
@@ -146,10 +145,15 @@ def typical_action(spec, generator, i, d=1, formal=False):
 
 
 def apply_generator(spec, generator, vec, d=1, formal=False):
-    """Linear extension of typical_action to module vectors {index: coeff};
-    with formal=True an index j stands for e_{i0+j}, i0 formal."""
-    return accumulate({}, [(j, coeff_mul(c, ac)) for i, c in vec.items()
-                           for j, ac in typical_action(spec, generator, i, d=d, formal=formal)])
+    """Linear extension of typical_action to flat module vectors
+    {(i, q_exp, gamma): rational}; with formal=True an index j stands for
+    e_{i0+j}, i0 formal."""
+    out = {}
+    acts = {i: typical_action(spec, generator, i, d=d, formal=formal) for i in {key[0] for key in vec}}
+    for (i, e, g), v in vec.items():
+        for j, c in acts[i]:
+            add_scalars(out, (((j, *k), x) for k, x in coeff_mul({(e, g): v}, c).items()))
+    return out
 
 
 def _word_action(start, apply):
@@ -186,10 +190,10 @@ def verify_typical_relations(spec, N, d=1):
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
-    act = _word_action({0: coeff_qpow(0)}, lambda ij, vec: apply_generator(
+    act = _word_action({(0, 0, ()): 1}, lambda ij, vec: apply_generator(
         spec, "x%d%d" % ij, vec, d=d, formal=True))
     bad = [(name, diff) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
-           if (diff := wiring.relation_difference(lhs, rhs, act, d=d))]
+           if (diff := relation_difference(lhs, rhs, act, d=d))]
     excluded = spec.illegal_laurent_index(d=d, bound=N)
     failures = []
     for i in range(lo, hi + 1):
@@ -221,53 +225,57 @@ class TensorModule:
             _check_param(f"g{k + 1}", p)
         self.params = list(params)
 
-    def _gamma_power(self, b):
-        """Coefficient of prod_k gamma_k^{b_k}."""
-        g = [0] * self.m
-        extra = coeff_qpow(0)
-        for k, bk in enumerate(b):
-            if bk == 0:
-                continue
-            if self.params[k] is None:
-                g[k] = bk
-            else:
-                c = self.params[k] if bk > 0 else coeff_invert(self.params[k])
-                for _ in range(abs(bk)):
-                    extra = coeff_mul(extra, c)
-        if any(g):
-            extra = coeff_mul(extra, {(0, tuple(g)): 1})
-        return extra
-
-    def monomial_action(self, mono, vec):
-        """x^a y^b acting on {n: coeff}: y^b is diagonal, x^a shifts."""
-        a, b = mono
-        if len(a) != self.m or len(b) != self.m:
-            raise ValueError("monomial length != factor count")
-        gcoeff = self._gamma_power(b)
-        bD = tuple(map(mul, b, self.D))
-        return accumulate({}, [(tuple(map(sub, n, a)),
-                                coeff_mul(coeff_mul(c, gcoeff), coeff_qpow(sum(map(mul, bD, n)))))
-                               for n, c in vec.items()])
+    def _gamma_power(self, b, e, g, v):
+        """v q^e gamma^g prod_k gamma_k^{b_k} as one monomial (q_exp, gamma,
+        rational): a specialised gamma_k is one monomial (_check_param)."""
+        gs = [g, (0,) * self.m]
+        for k, (p, bk) in enumerate(zip(self.params, b)):
+            if p is None:
+                gs.append((0,) * k + (bk,))
+            elif bk:
+                ((pe, pg), pv), = (p if bk > 0 else coeff_invert(p)).items()
+                bk = abs(bk)
+                e, v = e + bk * pe, v * pv ** bk
+                gs.append(tuple(bk * x for x in pg))
+        g = tuple(map(sum, itertools.zip_longest(*gs, fillvalue=0)))
+        return e, g if any(g) else (), v
 
     def element_action(self, u, vec):
-        """Linear extension over the terms of a torus element."""
+        """u acting on the flat vector vec = {(n, q_exp, gamma): rational}:
+        x^a y^b sends e_n to gamma^b q^{b^T D n} e_{n-a}, where gamma^b is
+        prod_k gamma_k^{b_k}."""
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
         out = {}
-        for (a, b, e, g), v in u.flat.items():
-            accumulate(out, [(key, coeff_mul(pc, {(e, g): v}))
-                             for key, pc in self.monomial_action((a, b), vec).items()])
+        vec = vec.items()
+        for (a, b, e1, g1), v1 in u.flat.items():
+            e1, g1, v1 = self._gamma_power(b, e1, g1, v1)
+            bD = tuple(map(mul, b, self.D))
+            for (n, e2, g2), v2 in vec:
+                if g1 and g2:
+                    g = tuple(map(add, g1, g2))
+                    if not any(g):
+                        g = ()
+                else:
+                    g = g1 or g2
+                key = (tuple(map(sub, n, a)), e1 + e2 + sum(map(mul, bD, n)), g)
+                v = out.get(key, 0) + v1 * v2
+                if v:
+                    out[key] = v
+                else:  # no stored value is 0, so the key was there
+                    del out[key]
         return out
 
     def basis_vector(self, n, coeff=None):
-        """coeff e_n, by default e_n; a formal coeff carries m gamma exponents."""
+        """coeff e_n as a flat vector, by default e_n; a formal coeff carries
+        m gamma exponents."""
         n = tuple(n)
         if len(n) != self.m:
             raise ValueError(f"index {list(n)} has length {len(n)}, the word has {self.m} letters")
         coeff = coeff_qpow(0) if coeff is None else coeff
         if any(g and len(g) != self.m for _e, g in coeff):
             raise ValueError(f"coefficient {coeff_str(coeff)} needs {self.m} gamma exponents")
-        return accumulate({}, [(n, coeff)])
+        return add_scalars({}, (((n, e, g if any(g) else ()), v) for (e, g), v in coeff.items()))
 
 
 def verify_tensor_relations(datum, word, N, params=None):
@@ -285,16 +293,11 @@ def verify_tensor_relations(datum, word, N, params=None):
     mod = TensorModule(datum, word, params=params)
     m = mod.m
 
-    def slot(k):
-        return tuple(int(t == k) for t in range(2 * m))
-
-    mod.params = [
-        coeff_mul(p if p is not None else {(0, slot(k)): 1}, {(0, slot(m + k)): 1})
-        for k, p in enumerate(mod.params)
-    ]
+    mod.params = [coeff_mul(p or _formal(k, 2 * m), _formal(m + k, 2 * m))
+                  for k, p in enumerate(mod.params)]
     g = wiring.generator_images(datum, word)
     act = _word_action(mod.basis_vector((0,) * m), lambda ij, vec: mod.element_action(g[ij], vec))
-    diffs = [(name, wiring.relation_difference(lhs, rhs, act))
+    diffs = [(name, relation_difference(lhs, rhs, act))
              for name, lhs, rhs in wiring.quantum_matrix_relations(datum.n + 1)]
 
     bad = [(name, diff) for name, diff in diffs if diff]
@@ -304,16 +307,24 @@ def verify_tensor_relations(datum, word, N, params=None):
     return {"ok": not failures, "failures": failures, "checked": max(2 * N + 1, 0) ** m}
 
 
+def relation_difference(lhs, rhs, act, d=1):
+    """lhs - rhs of one relation of wiring.quantum_matrix_relations as a flat
+    vector, where act(word) is the flat vector of a word and q is read as
+    q^d."""
+    out = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for c, word in side:
+            acted = act(word).items()
+            for (e, _), v in c.items():  # table coefficients are Laurent polynomials in q
+                e, v = d * e, sign * v
+                add_scalars(out, (((n, qe + e, g), x * v) for (n, qe, g), x in acted))
+    return out
+
+
 def _nonzero_at(diff, zq):
     """Whether a formal difference survives the substitution of the q-powers
     zq for its Z slots, the last len(zq) gamma slots: each key
-    (e, gamma + Z) becomes (e + sum_k Z_k zq_k, gamma)."""
-    for c in diff.values():
-        out = {}
-        for (e, g), v in c.items():
-            k = len(g) - len(zq)  # a key with no gamma slots has g = ()
-            key = (e + sum(map(mul, g[k:], zq)), g[:k] if any(g[:k]) else ())
-            out[key] = out.get(key, 0) + v
-        if any(out.values()):
-            return True
-    return False
+    (n, e, gamma + Z) becomes (n, e + sum_k Z_k zq_k, gamma)."""
+    k = -len(zq)  # a key with no gamma slots has g = ()
+    return bool(add_scalars({}, (((n, e + sum(map(mul, g[k:], zq)), g[:k] if any(g[:k]) else ()), v)
+                                 for (n, e, g), v in diff.items())))

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import weyl
-from .qtorus import QTorusElement, accumulate, coeff_qpow, mul_into
+from .qtorus import QTorusElement, coeff_qpow, mul_into
 
 
 class SizeMismatch(ValueError):
@@ -357,20 +357,6 @@ def quantum_matrix_relations(n1):
            for c, labels in minor_expansion(tuple(levels), tuple(levels))]
     rels.append(("det_q = 1", det, [(one, ())]))
     return tuple(rels)
-
-
-def relation_difference(lhs, rhs, act, d=1):
-    """lhs - rhs of one relation as a sparse map {key: coefficient}, where
-    act(word) is the sparse map of a word and q is read as q^d."""
-    out = {}
-    for sign, side in ((1, lhs), (-1, rhs)):
-        for c, word in side:
-            acted = act(word).items()
-            for (e, _), v in c.items():  # table coefficients are Laurent polynomials in q
-                e, v = d * e, sign * v
-                accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
-                                 for key, cx in acted])
-    return out
 
 
 def verify_relations(datum, word):

@@ -12,7 +12,7 @@ from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
 from qck.qtorus import (
     QTorusElement,
-    accumulate,
+    coeff_invert,
     coeff_mul,
     coeff_qpow,
     coeff_to_json,
@@ -377,6 +377,28 @@ def split_cells(cells):
     return {key: values for key, values in cells.items() if len(values) > 1}
 
 
+def accumulate(out, items):
+    """Add the (key, coefficient) pairs of items into the sparse map out and
+    return out; a key whose coefficient sums to zero is dropped.  A
+    coefficient is copied on entry, then merged into in place (the nested
+    sum of the test oracles)."""
+    for key, c in items:
+        cur = out.get(key)
+        if cur is None:
+            if c:
+                out[key] = dict(c)
+            continue
+        for k, v in c.items():
+            nv = cur.get(k, 0) + v
+            if nv:
+                cur[k] = nv
+            else:
+                del cur[k]
+        if not cur:
+            del out[key]
+    return out
+
+
 def coeff_shift(c, qshift):
     """The coefficient q^qshift c."""
     return {(e + qshift, g): v for (e, g), v in c.items()}
@@ -669,6 +691,89 @@ def permutation_expansion_image(datum, word, A, B):
     return out
 
 
+def flat_vector(vec):
+    """The flat module vector {(n, q_exp, gamma): rational} of the nested
+    vector {n: coefficient}."""
+    return {(n, e, g): v for n, c in vec.items() for (e, g), v in c.items()}
+
+
+def nested_gamma_power(mod, b):
+    """Coefficient of prod_k gamma_k^{b_k} in the tensor module mod, built
+    by repeated coeff_mul (test oracle for TensorModule._gamma_power)."""
+    g = [0] * mod.m
+    extra = coeff_qpow(0)
+    for k, bk in enumerate(b):
+        if bk == 0:
+            continue
+        if mod.params[k] is None:
+            g[k] = bk
+        else:
+            c = mod.params[k] if bk > 0 else coeff_invert(mod.params[k])
+            for _ in range(abs(bk)):
+                extra = coeff_mul(extra, c)
+    if any(g):
+        extra = coeff_mul(extra, {(0, tuple(g)): 1})
+    return extra
+
+
+def nested_monomial_action(mod, mono, vec):
+    """x^a y^b acting on the nested vector {n: coeff}: y^b is diagonal, x^a
+    shifts."""
+    a, b = mono
+    gcoeff = nested_gamma_power(mod, b)
+    bD = tuple(map(mul, b, mod.D))
+    return accumulate({}, [(tuple(map(sub, n, a)),
+                            coeff_mul(coeff_mul(c, gcoeff), coeff_qpow(sum(map(mul, bD, n)))))
+                           for n, c in vec.items()])
+
+
+def nested_element_action(mod, u, vec):
+    """The torus element u acting on the nested vector vec, term by term
+    (test oracle for TensorModule.element_action)."""
+    out = {}
+    for (a, b), c in u.terms.items():
+        accumulate(out, [(key, coeff_mul(pc, c))
+                         for key, pc in nested_monomial_action(mod, (a, b), vec).items()])
+    return out
+
+
+def nested_apply_generator(spec, generator, vec, d=1, formal=False):
+    """Linear extension of typical_action to nested vectors {index: coeff}
+    (test oracle for slq2_tensor.apply_generator)."""
+    return accumulate({}, [(j, coeff_mul(c, ac)) for i, c in vec.items()
+                           for j, ac in sq.typical_action(spec, generator, i, d=d, formal=formal)])
+
+
+def nested_relation_difference(lhs, rhs, act, d=1):
+    """lhs - rhs of one relation as a nested vector, where act(word) is the
+    nested vector of a word and q is read as q^d (test oracle for
+    slq2_tensor.relation_difference)."""
+    out = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for c, word in side:
+            acted = act(word).items()
+            for (e, _), v in c.items():
+                e, v = d * e, sign * v
+                accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
+                                 for key, cx in acted])
+    return out
+
+
+def nested_nonzero_at(diff, zq):
+    """Whether the nested difference diff survives the substitution of the
+    q-powers zq for its last len(zq) gamma slots (test oracle for
+    slq2_tensor._nonzero_at)."""
+    for c in diff.values():
+        out = {}
+        for (e, g), v in c.items():
+            k = len(g) - len(zq)  # a key with no gamma slots has g = ()
+            key = (e + sum(map(mul, g[k:], zq)), g[:k] if any(g[:k]) else ())
+            out[key] = out.get(key, 0) + v
+        if any(out.values()):
+            return True
+    return False
+
+
 def vec_sub(v1, v2):
     """v1 - v2 for module vectors {index: coefficient}."""
     minus_v2 = [(k, coeff_mul(c, coeff_qpow(0, -1))) for k, c in v2.items()]
@@ -680,8 +785,8 @@ def vec_eq(v1, v2):
 
 
 def ball_tensor_relations(datum, word, N, params=None):
-    """The tensor relation suite acted out on every basis vector with
-    max |n_k| <= N (test oracle for the formal-Z check of
+    """The tensor relation suite acted out by the nested action on every
+    basis vector with max |n_k| <= N (test oracle for the formal-Z check of
     slq2_tensor.verify_tensor_relations)."""
     mod = sq.TensorModule(datum, word, params=params)
     n1 = datum.n + 1
@@ -705,13 +810,13 @@ def ball_tensor_relations(datum, word, N, params=None):
     failures = []
     ball = list(itertools.product(range(-N, N + 1), repeat=mod.m))
     for n in ball:
-        base = mod.basis_vector(n)
+        base = {n: coeff_qpow(0)}
         acted = {}
 
         def act2(u1, u2):
             key = (id(u1), id(u2))
             if key not in acted:
-                acted[key] = mod.element_action(u1, mod.element_action(u2, base))
+                acted[key] = nested_element_action(mod, u1, nested_element_action(mod, u2, base))
             return acted[key]
 
         for name, lhs_pairs, rhs_pairs, qexp in instances:
@@ -744,7 +849,7 @@ def ball_tensor_relations(datum, word, N, params=None):
             inv = weyl.inversion_count(tau)
             term = dict(base)
             for s in range(n1 - 1, -1, -1):
-                term = mod.element_action(g[(s + 1, tau[s] + 1)], term)
+                term = nested_element_action(mod, g[(s + 1, tau[s] + 1)], term)
             term = {key: coeff_mul(c, {(inv, ()): (-1) ** inv}) for key, c in term.items()}
             accumulate(det, term.items())
         if not vec_eq(det, base):
@@ -753,9 +858,9 @@ def ball_tensor_relations(datum, word, N, params=None):
 
 
 def ball_typical_relations(spec, N, d=1):
-    """The rank-1 relation suite acted out on each basis vector e_i of the
-    truncated domain (test oracle for the formal-Z check of
-    slq2_tensor.verify_typical_relations)."""
+    """The rank-1 relation suite acted out by the nested action on each basis
+    vector e_i of the truncated domain (test oracle for the formal-Z check
+    of slq2_tensor.verify_typical_relations)."""
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
@@ -764,9 +869,9 @@ def ball_typical_relations(spec, N, d=1):
     bad = spec.illegal_laurent_index(d=d, bound=N)
     for i in range(lo, hi + 1):
         act = sq._word_action({i: coeff_qpow(0)},
-                              lambda ij, vec: sq.apply_generator(spec, "x%d%d" % ij, vec, d=d))
+                              lambda ij, vec: nested_apply_generator(spec, "x%d%d" % ij, vec, d=d))
         failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
-                     if wiring.relation_difference(lhs, rhs, act, d=d)]
+                     if nested_relation_difference(lhs, rhs, act, d=d)]
         if i == bad:
             failures.append(("laurent coefficient 1 + gamma eta q^{2i-1} vanishes", i))
     return {"ok": not failures, "failures": failures, "range": (lo, hi)}

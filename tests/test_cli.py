@@ -478,8 +478,8 @@ def test_module_verify_gamma_parameter(capsys):
     assert code == 0
     assert json.loads(out) == {"ok": True, "failures": [], "range": [-3, 3]}
     assert err == "Laurent relations: PASS\n"
-    assert cli._param("1/2:1") == {(1, ()): Fraction(1, 2)}
-    assert cli._param("-3") == {(0, ()): -3}
+    assert cli._param("1/2:1", "--gamma") == {(1, ()): Fraction(1, 2)}
+    assert cli._param("-3", "--gamma") == {(0, ()): -3}
 
 
 @pytest.mark.parametrize("value", ["x", "1:x", "1/0"])
@@ -487,6 +487,47 @@ def test_module_verify_malformed_gamma_exits_2(capsys, value):
     code, out, err = run(capsys, "module", "verify", "--kind", "Laurent", "--gamma", value)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+TENSOR_VERIFY = ("module", "verify", "--tensor", "--rank", "1", "--word", "-1,1", "--truncate", "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (TENSOR_VERIFY + ("--params", "gx=1"), "--params piece 'gx=1' is not gk=rational:q-exponent"),
+    (TENSOR_VERIFY + ("--params", "g1=abc"), "--params g1 value 'abc' is not rational:q-exponent"),
+    (TENSOR_VERIFY + ("--params", "g1"), "--params piece 'g1' is not gk=rational:q-exponent"),
+    (TENSOR_VERIFY + ("--params", "g1=1:x"), "--params g1 value '1:x' is not rational:q-exponent"),
+    (TENSOR_VERIFY + ("--params", "g1=1,g1=2"), "--params sets g1 twice"),
+    (TENSOR_VERIFY + ("--params", "g3=1"), "--params g3 is out of range: the word has 2 letters"),
+    (TENSOR_VERIFY + ("--params", "g2=1/0"), "--params g2 value '1/0' has denominator 0"),
+    (("module", "verify", "--kind", "Laurent", "--gamma", "1/0"),
+     "--gamma value '1/0' has denominator 0"),
+    (("module", "verify", "--kind", "Laurent", "--gamma", "abc"),
+     "--gamma value 'abc' is not rational:q-exponent"),
+    (("module", "verify", "--kind", "Laurent", "--gamma", "1:x"),
+     "--gamma value '1:x' is not rational:q-exponent"),
+    (("module", "verify", "--kind", "Laurent", "--eta", "2:1.5"),
+     "--eta value '2:1.5' is not rational:q-exponent"),
+])
+def test_malformed_module_parameter_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("params, golden", [
+    (None, "module_act_minor1212.json"),
+    ("g1=2:1,g3=-1/2,g5=3:-2", "module_act_minor1212_params.json"),
+])
+def test_module_act_golden_files(capsys, params, golden):
+    # three items, two with the same n, formal gammas on the reference word
+    vector = ('[{"n":[0,0,0,0,0],"coeff":[{"q":0,"gamma":[],"num":1,"den":1}]},'
+              '{"n":[1,-1,0,2,0],"coeff":[{"q":1,"gamma":[1,0,0,0,-1],"num":-2,"den":3}]},'
+              '{"n":[0,0,0,0,0],"coeff":[{"q":-2,"gamma":[0,1,0,0,0],"num":5,"den":1}]}]')
+    argv = ["module", "act", "--rank", "2", "--word", "1,2,1,-1,-2", "--expr", "minor(12|12)",
+            "--vector", vector] + (["--params", params] if params else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "action result with 6 basis term(s)\n")
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_python_m_qck_cli_runs_without_runpy_warning():

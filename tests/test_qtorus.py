@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nested_product, nested_to_json, q_commute_index
+from conftest import accumulate, nested_product, nested_to_json, q_commute_index
 from qck import intlinalg, qtorus
 from qck.qtorus import (
     QTorusElement,
     ShapeMismatch,
-    accumulate,
     coeff_from_json,
     coeff_mul,
     coeff_qpow,
@@ -262,10 +261,10 @@ def _cancelling_element(rng, m, D):
 
 
 def test_accumulate_merges_and_drops_cancelled_keys():
-    out = qtorus.accumulate({}, [("u", {(0, ()): 1}), ("v", {(1, ()): 2})])
-    assert qtorus.accumulate(out, [("u", {(0, ()): -1}), ("v", {(0, ()): 3})]) is out
+    out = accumulate({}, [("u", {(0, ()): 1}), ("v", {(1, ()): 2})])
+    assert accumulate(out, [("u", {(0, ()): -1}), ("v", {(0, ()): 3})]) is out
     assert out == {"v": {(1, ()): 2, (0, ()): 3}}
-    assert qtorus.accumulate(out, [("v", {(1, ()): -2, (0, ()): -3}), ("w", {})]) == {}
+    assert accumulate(out, [("v", {(1, ()): -2, (0, ()): -3}), ("w", {})]) == {}
 
 
 def test_constructor_stores_no_zero_rational():
@@ -274,6 +273,17 @@ def test_constructor_stores_no_zero_rational():
     u = QTorusElement(1, (1,), {((0,), (0,)): {(1, ()): 1, (0, ()): 0}})
     assert u.terms == {((0,), (0,)): {(1, ()): 1}}
     assert u + QTorusElement(1, (1,), {((0,), (0,)): {(2, ()): 0}}) == u
+
+
+def test_an_all_zero_gamma_is_spelled_empty():
+    u = QTorusElement(1, (1,), {((1,), (0,)): {(0, (0, 0)): 1}})
+    v = QTorusElement(1, (1,), {((1,), (0,)): {(0, ()): 1}})
+    one = QTorusElement.one(1, (1,))
+    assert u == v
+    assert u * one == v * one
+    assert u.to_json() == v.to_json()
+    both = QTorusElement(1, (1,), {((1,), (0,)): {(0, (0, 0)): 1, (0, ()): 1}})
+    assert both.flat == {((1,), (0,), 0, ()): 2}
 
 
 def test_ring_laws_on_cancelling_elements():

@@ -3,10 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ball_tensor_relations, ball_typical_relations, coeff_shift, random_double_word
+from operator import mul
+
+from conftest import (
+    accumulate,
+    ball_tensor_relations,
+    ball_typical_relations,
+    coeff_shift,
+    flat_vector,
+    nested_apply_generator,
+    nested_element_action,
+    nested_nonzero_at,
+    nested_relation_difference,
+    random_double_word,
+)
 from qck import slq2_tensor as sq
 from qck import weyl, wiring
-from qck.qtorus import QTorusElement, coeff_mul, coeff_qpow
+from qck.qtorus import QTorusElement, coeff_invert, coeff_mul, coeff_qpow, group_coefficients
 
 
 def test_typical_action_examples():
@@ -132,22 +145,22 @@ def test_laurent_legal_specializations_pass():
         assert sq.verify_typical_relations(spec, 12)["ok"]
 
 
+def _monomial_action(mod, a, b, vec):
+    return mod.element_action(QTorusElement.monomial(mod.m, mod.D, a, b), vec)
+
+
 def test_monomial_action_examples(A1):
     mod = sq.TensorModule(A1, (-1, 1))
-    assert mod.monomial_action(((1, 1), (0, 0)), mod.basis_vector((0, 0))) == {
-        (-1, -1): {(0, ()): 1}
-    }
-    got = mod.monomial_action(((0, 0), (2, 0)), mod.basis_vector((5, 0)))
-    assert got == {(5, 0): {(10, (2, 0)): 1}}
-    assert mod.monomial_action(((0, 0), (0, 0)), mod.basis_vector((3, -4))) == {
-        (3, -4): {(0, ()): 1}
-    }
+    assert _monomial_action(mod, (1, 1), (0, 0), mod.basis_vector((0, 0))) == {((-1, -1), 0, ()): 1}
+    got = _monomial_action(mod, (0, 0), (2, 0), mod.basis_vector((5, 0)))
+    assert got == {((5, 0), 10, (2, 0)): 1}
+    assert _monomial_action(mod, (0, 0), (0, 0), mod.basis_vector((3, -4))) == {((3, -4), 0, ()): 1}
 
 
 def test_monomial_action_specialized_parameters(A1):
     mod = sq.TensorModule(A1, (-1, 1), params=[{(0, ()): 3}, None])
-    got = mod.monomial_action(((0, 0), (2, 1)), mod.basis_vector((1, 1)))
-    assert got == {(1, 1): {(3, (0, 1)): 9}}
+    got = _monomial_action(mod, (0, 0), (2, 1), mod.basis_vector((1, 1)))
+    assert got == {((1, 1), 3, (0, 1)): 9}
 
 
 def test_action_q_commute_operator_identity(A2):
@@ -163,11 +176,11 @@ def test_action_q_commute_operator_identity(A2):
         b = tuple(rng.randint(-2, 2) for _ in range(m))
         n = tuple(rng.randint(-3, 3) for _ in range(m))
         v = mod.basis_vector(n)
-        lhs = mod.monomial_action((a, (0,) * m), mod.monomial_action(((0,) * m, b), v))
-        rhs = mod.monomial_action(((0,) * m, b), mod.monomial_action((a, (0,) * m), v))
+        zero = (0,) * m
+        lhs = _monomial_action(mod, a, zero, _monomial_action(mod, zero, b, v))
+        rhs = _monomial_action(mod, zero, b, _monomial_action(mod, a, zero, v))
         e = sum(x * d * y for x, d, y in zip(a, mod.D, b))
-        rhs = {k: coeff_mul(c, coeff_qpow(e)) for k, c in rhs.items()}
-        assert lhs == rhs
+        assert lhs == {(k, qe + e, g): c for (k, qe, g), c in rhs.items()}
 
 
 def test_element_action_is_multiplicative(A2):
@@ -209,7 +222,7 @@ def test_reference_word_action_three_terms(A2):
     mod = sq.TensorModule(A2, word)
     img = wiring.minor_image(A2, word, (1,), (2,))
     out = mod.element_action(img, mod.basis_vector((0,) * 5))
-    assert len(out) == 3  # one basis term per image monomial
+    assert len(group_coefficients(out)) == 3  # one basis term per image monomial
 
 
 def test_tensor_relations_small(A1, A2):
@@ -326,26 +339,24 @@ def test_tensor_module_rejects_non_type_a():
 
 
 def _scribble(*vectors):
-    """Write a new entry into every coefficient of the given vectors."""
+    """Overwrite every value of the given flat vectors and add a term."""
     for vec in vectors:
-        for c in vec.values():
-            c[(99, ())] = 7
+        vec.update(dict.fromkeys(vec, 7))
+        vec[99, 0, ()] = 7
 
 
-def _owns_its_coefficients(op, make_operands):
-    """op's result shares no coefficient with its operands, either way."""
-    import copy
-
+def _owns_its_terms(op, make_operands):
+    """op's result shares no map with its operands, either way."""
     operands = make_operands()
     result = op(*operands)
     assert result
-    before = copy.deepcopy(result)
+    before = dict(result)
     _scribble(*operands)
     assert result == before
     operands = make_operands()
-    saved = copy.deepcopy(operands)
+    saved = [dict(v) for v in operands]
     _scribble(op(*operands))
-    assert operands == saved
+    assert list(operands) == saved
 
 
 def test_module_vectors_own_their_coefficients(A1):
@@ -354,19 +365,26 @@ def test_module_vectors_own_their_coefficients(A1):
     spec = sq.TypicalModuleSpec(kind="Laurent")
 
     def vectors():
-        return ({0: {(0, ()): 1}, 1: {(1, (1, 0)): 2}}, {1: {(0, ()): 3}, 2: {(2, ()): -1}})
+        return ({(0, 0, ()): 1, (1, 1, (1, 0)): 2}, {(1, 0, ()): 3, (2, 2, ()): -1})
 
     def module_vector():
-        return ({(0, 0): {(0, ()): 1}, (1, -1): {(1, (1, 0)): 2}},)
+        return ({((0, 0), 0, ()): 1, ((1, -1), 1, (1, 0)): 2},)
 
     one, q = coeff_qpow(0), coeff_qpow(1)
-    _owns_its_coefficients(  # v1 - q v2, acting on the two vectors by lookup
-        lambda v1, v2: wiring.relation_difference([(one, "a")], [(q, "b")], {"a": v1, "b": v2}.get),
+    _owns_its_terms(  # v1 - q v2, acting on the two vectors by lookup
+        lambda v1, v2: sq.relation_difference([(one, "a")], [(q, "b")], {"a": v1, "b": v2}.get),
         vectors)
-    _owns_its_coefficients(lambda v: sq.apply_generator(spec, "x21", v),
-                           lambda: vectors()[:1])
-    _owns_its_coefficients(lambda v: mod.element_action(g[(1, 1)], v), module_vector)
-    _owns_its_coefficients(lambda v: mod.element_action(g[(2, 2)], v), module_vector)
+    _owns_its_terms(lambda v: sq.apply_generator(spec, "x21", v), lambda: vectors()[:1])
+    for u in (g[(1, 1)], g[(2, 2)], QTorusElement.one(2, mod.D)):
+        _owns_its_terms(lambda v: mod.element_action(u, v), module_vector)
+    # a memoised word action stays as it was returned while longer words reuse it
+    for act in (sq._word_action(module_vector()[0], lambda ij, v: mod.element_action(g[ij], v)),
+                sq._word_action(vectors()[0],
+                                lambda ij, v: sq.apply_generator(spec, "x%d%d" % ij, v))):
+        first = {w: dict(act(w)) for w in (((1, 1),), ((2, 2), (1, 1)))}
+        act(((1, 2), (2, 2), (1, 1)))
+        act(((2, 1), (1, 1)))
+        assert all(act(w) == v for w, v in first.items())
 
 
 @pytest.mark.parametrize("spec", [
@@ -389,10 +407,122 @@ def test_tensor_module_rejects_a_zero_parameter(A1):
 
 def test_basis_vector_checks_index_and_gamma_lengths(A1):
     mod = sq.TensorModule(A1, (-1, 1))
-    assert mod.basis_vector((1, 2), {(1, (0, 1)): 2}) == {(1, 2): {(1, (0, 1)): 2}}
+    assert mod.basis_vector((1, 2), {(1, (0, 1)): 2}) == {((1, 2), 1, (0, 1)): 2}
     assert mod.basis_vector((1, 2), {}) == {}
     for n in ((0,), (0, 0, 0)):
         with pytest.raises(ValueError, match="length"):
             mod.basis_vector(n)
     with pytest.raises(ValueError, match="2 gamma exponents"):
         mod.basis_vector((0, 0), {(0, (1,)): 1})
+
+
+def test_basis_vector_spells_an_all_zero_gamma_empty(A1):
+    mod = sq.TensorModule(A1, (-1, 1))
+    e0 = {((0, 0), 0, ()): 1}
+    assert mod.basis_vector((0, 0), {(0, (0, 0)): 1}) == mod.basis_vector((0, 0)) == e0
+    assert mod.basis_vector((0, 0), {(0, (0, 0)): 1, (0, ()): -1}) == {}
+
+
+def _nested_vector(rng, index, nslots):
+    """A nested vector {n: coefficient} of up to four terms: indices from
+    index(), gammas () or of nslots slots, rationals of both signs."""
+    vec = {}
+    for _ in range(rng.randint(1, 4)):
+        g = tuple(rng.randint(-1, 1) for _ in range(nslots))
+        accumulate(vec, [(index(), {(rng.randint(-2, 2), g if any(g) else ()):
+                                    rng.choice((1, -1, 2, Fraction(-1, 3)))})])
+    return vec
+
+
+def _random_coeff(rng, m):
+    g = tuple(rng.randint(-1, 1) for _ in range(m))
+    return {(rng.randint(-2, 2), g if any(g) else ()): rng.choice((1, -2, Fraction(3, 2)))}
+
+
+def test_flat_tensor_action_matches_the_nested_action(A1, A2, A3):
+    rng = random.Random(22)
+    cancelled = 0
+    for datum in (A1, A2, A3):
+        words = [w for w in weyl.all_double_words(datum, 4) if w]
+        for word in rng.sample(words, min(5, len(words))):
+            m = len(word)
+            g = list(wiring.generator_images(datum, word).values())
+            specialised = [{(rng.randint(-2, 2), ()): rng.choice((2, -1, Fraction(1, 3)))}
+                           for _ in range(m)]
+            mixed = [p if rng.random() < 0.5 else None for p in specialised]
+            for params in (None, specialised, mixed):
+                mod = sq.TensorModule(datum, word, params=params)
+
+                def index():
+                    return tuple(rng.randint(-3, 3) for _ in range(m))
+
+                for u in (rng.choice(g), rng.choice(g) * rng.choice(g)):
+                    vec = _nested_vector(rng, index, m)
+                    got = mod.element_action(u, flat_vector(vec))
+                    assert got == flat_vector(nested_element_action(mod, u, vec))
+                # u = t1 + t2 on e_n + c e_{n'}: t1 e_n and c t2 e_{n'} cancel
+                (a1, b1), (a2, b2) = [(index(), index()) for _ in range(2)]
+                if a1 == a2:
+                    continue
+                t1, t2 = (QTorusElement.monomial(m, mod.D, a, b, _random_coeff(rng, m))
+                          for a, b in ((a1, b1), (a2, b2)))
+                n = index()
+                n2 = tuple(x - y + z for x, y, z in zip(n, a1, a2))
+                (_, c1), = nested_element_action(mod, t1, {n: coeff_qpow(0)}).items()
+                (_, c2), = nested_element_action(mod, t2, {n2: coeff_qpow(0)}).items()
+                c = coeff_mul(coeff_qpow(0, -1), coeff_mul(c1, coeff_invert(c2)))
+                vec = {n: coeff_qpow(0), n2: c}
+                got = mod.element_action(t1 + t2, flat_vector(vec))
+                assert got == flat_vector(nested_element_action(mod, t1 + t2, vec))
+                assert len(group_coefficients(got)) == 2
+                cancelled += 1
+    assert cancelled > 20
+
+
+def test_flat_rank1_action_matches_the_nested_action():
+    rng = random.Random(23)
+    params = [(None, None), ({(1, ()): 2}, {(-2, ()): Fraction(1, 3)}), ({(0, ()): -1}, None)]
+    for kind in sq.KINDS:
+        for gamma, eta in params:
+            spec = sq.TypicalModuleSpec(kind, gamma, eta)
+            for formal, nslots in ((False, 2), (True, 3)):
+                indices = [i for i in range(-3, 4) if formal or spec.in_domain(i)]
+                for d in (1, 2):
+                    vec = _nested_vector(rng, lambda: rng.choice(indices), nslots)
+                    for generator in sq.GENERATORS:
+                        got = sq.apply_generator(spec, generator, flat_vector(vec),
+                                                 d=d, formal=formal)
+                        expected = nested_apply_generator(spec, generator, vec, d=d, formal=formal)
+                        assert got == flat_vector(expected)
+
+
+def test_flat_relation_difference_and_substitution_match_the_nested_ones():
+    rng = random.Random(24)
+    for n1 in (2, 3):
+        m = n1 - 1
+        for _, lhs, rhs in wiring.quantum_matrix_relations(n1):
+            vectors = {word: _nested_vector(rng, lambda: rng.randint(-2, 2), 2 * m)
+                       for _, word in lhs + rhs}
+            d = rng.randint(1, 2)
+            got = sq.relation_difference(lhs, rhs, lambda w: flat_vector(vectors[w]), d=d)
+            assert got == flat_vector(nested_relation_difference(lhs, rhs, vectors.get, d=d))
+    survived = cancelled = 0
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        zq = tuple(rng.randint(-2, 2) for _ in range(m))
+        diff = _nested_vector(rng, lambda: tuple(rng.randint(-2, 2) for _ in range(m)), 2 * m)
+        cancel = rng.random() < 0.5
+        if cancel:  # each term meets a partner that takes it to 0 after the substitution
+            partners = []
+            for n, c in diff.items():
+                for (e, g), v in c.items():
+                    g = g or (0,) * (2 * m)
+                    z = tuple(rng.randint(-1, 1) for _ in range(m))
+                    e2 = e + sum(map(mul, g[m:], zq)) - sum(map(mul, z, zq))
+                    partners.append((n, {(e2, g[:m] + z if any(g[:m] + z) else ()): -v}))
+            accumulate(diff, partners)
+        flat = flat_vector(diff)
+        assert sq._nonzero_at(flat, zq) == nested_nonzero_at(diff, zq) == (not cancel)
+        survived += not cancel
+        cancelled += cancel and bool(diff)
+    assert survived > 50 and cancelled > 50
