@@ -65,13 +65,11 @@ def _root_inner(datum, c1, c2):
 
 def build_word_matrices(datum, word):
     word = tuple(word)
-    for i in word:
-        datum._check_index(i)
+    if not weyl.is_reduced(datum, word):
+        raise NonReducedWord(f"{word} is not reduced")
     l = len(word)
     n = datum.n
     betas = weyl.beta_roots(datum, word)
-    if not all(any(c > 0 for c in beta) for beta in betas):  # the positive-root criterion
-        raise NonReducedWord(f"{word} is not reduced")
 
     B = intlinalg.zeros(l, l)
     Bt = intlinalg.zeros(l, l)

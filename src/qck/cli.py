@@ -195,7 +195,7 @@ def _param(value, flag):
 
 
 def cmd_module(args):
-    from . import slq2_tensor, wiring
+    from . import slq2_tensor, weyl, wiring
     from .qtorus import coeff_to_json, group_coefficients
     datum = _datum(args)
     if args.action == "act":
@@ -211,12 +211,16 @@ def cmd_module(args):
         return EXIT_OK
     # verify; --tensor does not use --kind, but an unknown kind is still an error
     slq2_tensor.TypicalModuleSpec(args.kind)
+    for flag in ("--gamma", "--eta") if args.tensor else ("--word", "--params"):
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} is not used {'with' if args.tensor else 'without'} --tensor")
     if args.tensor:
-        word = _word(args)
+        text = args.word or ""
+        word = weyl.parse_word(text)
         rep = slq2_tensor.verify_tensor_relations(
             datum, word, args.truncate, params=_parse_params(args.params, len(word))
         )
-        _emit(rep, f"tensor relations on {args.word}: "
+        _emit(rep, f"tensor relations on {text}: "
                    f"{'PASS' if rep['ok'] else 'FAIL'} ({rep['checked']} vectors)")
         return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
     gamma, eta = (_param(v, flag) if v else None
@@ -349,14 +353,14 @@ def build_parser():
     m2.add_argument("--rank", type=int, default=1)
     m2.add_argument("--kind", default="Laurent")
     m2.add_argument("--tensor", action="store_true")
-    m2.add_argument("--word", default="")
+    m2.add_argument("--word")
     m2.add_argument("--truncate", type=_nonnegative, default=20,
                     help="rank-1: check indices -N..N; --tensor: every n is checked at "
                          "once, N sets only the reported ball max|n_k| <= N and the "
                          "failure search")
-    m2.add_argument("--gamma", default="", help="rational:q-exponent")
-    m2.add_argument("--eta", default="")
-    m2.add_argument("--params", default="")
+    m2.add_argument("--gamma", help="rational:q-exponent")
+    m2.add_argument("--eta")
+    m2.add_argument("--params")
     m2.set_defaults(func=cmd_module)
 
     p = sub.add_parser("verify", help="verification suites over word families")

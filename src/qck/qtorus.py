@@ -65,12 +65,18 @@ def coeff_mul(c1, c2):
     return out
 
 
+def _reciprocal(v):
+    """1 / v for a nonzero rational v, an int when it is one."""
+    f = Fraction(1) / v
+    return f if f.denominator != 1 else f.numerator
+
+
 def coeff_invert(c):
     """Inverse of an invertible coefficient (a single q-gamma monomial)."""
     if len(c) != 1:
         raise ValueError("coefficient is not a monomial, cannot invert")
     ((e, g), v), = c.items()
-    return {(-e, tuple(-x for x in g)): Fraction(1, 1) / v}
+    return {(-e, tuple(-x for x in g)): _reciprocal(v)}
 
 
 def coeff_to_json(c):
@@ -277,7 +283,7 @@ class QTorusElement:
         # (v q^e x^a y^b)^{-1} = v^{-1} q^{-e - b^T D a} x^{-a} y^{-b}
         key = (tuple(map(neg, a)), tuple(map(neg, b)),
                -e - sum(map(mul, map(mul, b, self.D), a)), tuple(map(neg, g)))
-        return _element(self.m, self.D, {key: Fraction(1) / v})
+        return _element(self.m, self.D, {key: _reciprocal(v)})
 
     def supp_x(self):
         return {a for (a, _b, _e, _g) in self.flat}

@@ -1,28 +1,28 @@
 """Typical rank-1 modules and tensor modules on the basis e_n.
 
-The five typical module kinds act by explicit basis formulas; parameters
-stay formal by default (coefficients then carry monomials in g1 = gamma,
-g2 = eta for a single module, or g1..gm for the tensor factors), and may be
-specialized to exact scalar * q-power values.
+Every module here is a torus module pulled back along generator images:
+x^a y^b in the tensor quantum torus of D sends e_n to
+gamma^b q^{b^T D n} e_{n-a} (torus_action), gamma^b = prod_k gamma_k^{b_k}.
+A tensor module takes the images of wiring.generator_images; a typical
+C_q[SL_2] module takes typical_images, in the one-factor torus
+x y = q^d y x.  Parameters stay formal by default (coefficients then carry
+monomials in g1 = gamma, g2 = eta for a single module, or g1..gm for the
+tensor factors), and may be specialized to exact scalar * q-power values.
 
 A module vector is one flat map {(n, q_exponent, gamma): rational}, no
 value 0 and an all-zero gamma spelled (), the shape of QTorusElement.flat;
-n is an int for a rank-1 module and a tuple for a tensor module.  Every sum
-of vectors goes through qtorus.add_scalars or an inline scalar loop, into a
-new map that shares nothing with its operands.
-
-Tensor modules use Borel-lifted one-sided factors only: x^a shifts the basis
-index down by a, and y^b acts diagonally by prod_k gamma_k^{b_k} q^{b^T D n}.
+n is a tuple with one entry per torus factor.  Every sum of vectors goes
+through qtorus.add_scalars or an inline scalar loop, into a new map that
+shares nothing with its operands.
 
 Both relation suites are checked once, on a formal basis vector, so one
-check covers every index.  For a tensor module e_n is e_0 with gamma_k
-replaced by gamma_k Z_k, Z_k = q^{d_k n_k}; for a rank-1 module e_i is
-formal, with Z = q^{d i} in a third gamma slot after gamma and eta.  Only a
+check covers every index.  Acting on e_n is acting on e_0 with each
+gamma_k replaced by gamma_k Z_k, Z_k = q^{d_k n_k}; a rank-1 module has
+gamma_1 = 1 and Z in a third gamma slot after gamma and eta.  Only a
 failing relation is searched, over the ball max |n_k| <= N or the truncated
 rank-1 domain, by substituting the Z (_nonzero_at), to name the failing
 vectors; the tensor report's `checked` still counts the (2N+1)^m ball
-vectors.  The rank-1 formulas exist once (typical_action), in terms of the
-coefficient that stands for q^{d i}.
+vectors.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ from .qtorus import add_scalars, coeff_invert, coeff_mul, coeff_qpow, coeff_str
 
 KINDS = ("Mminus", "Mplus", "Laurent", "HighestWeight", "LowestWeight")
 
-GENERATORS = ("x11", "x12", "x21", "x22")
-
-
-class IndexOutOfDomain(IndexError):
-    pass
-
 
 def _check_param(name, p):
     """A specialised parameter is one nonzero rational times a q-power, the
@@ -51,10 +45,9 @@ def _check_param(name, p):
                          "times a power of q")
 
 
-def _formal(index, nslots, power=1):
-    g = [0] * nslots
-    g[index] = power
-    return {(0, tuple(g)): 1}
+def _formal(index, nslots):
+    """The formal parameter in gamma slot index of nslots."""
+    return {(0, tuple(int(k == index) for k in range(nslots))): 1}
 
 
 @dataclass(frozen=True)
@@ -80,10 +73,6 @@ class TypicalModuleSpec:
             return (None, 0)
         return (None, None)
 
-    def in_domain(self, i):
-        lo, hi = self.index_domain()
-        return (lo is None or i >= lo) and (hi is None or i <= hi)
-
     def illegal_laurent_index(self, d=1, bound=50):
         """For Laurent kind with both parameters specialized: the basis index
         i in [-bound, bound] where 1 + gamma*eta*q^{d(2i-1)} vanishes, if any."""
@@ -101,58 +90,73 @@ class TypicalModuleSpec:
         return i if abs(i) <= bound else None
 
 
-def typical_action(spec, generator, i, d=1, formal=False):
-    """Action of one quantum-matrix generator on the basis vector e_i, as a
-    list of (index, coefficient) pairs.  d scales q to the node's q_i.
-
-    formal=True acts on e_{i0+i} of a formal index i0 instead: Z = q^{d i0}
-    is gamma slot 2, after gamma and eta, so q^{d(i0+i)} is Z q^{d i}, and
-    every formal coefficient has three gamma slots or none.  The domain is
-    then not checked: the factor 1 - q^{2di} that leads out of it vanishes
-    at its end.  The formulas are written once, in terms of z, the
-    coefficient that stands for q^{d i}."""
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
-    if not formal and not spec.in_domain(i):
-        raise IndexOutOfDomain(f"index {i} outside the domain of {spec.kind}")
-    kind, nslots = spec.kind, 3 if formal else 2
-    z = {(d * i, (0, 0, 1) if formal else ()): 1}
-
-    def param(k, power=1):  # gamma (k = 0) or eta (k = 1), to the power +-1
-        p = (spec.gamma, spec.eta)[k]
-        if p is None:
-            return _formal(k, nslots, power)
-        return p if power > 0 else coeff_invert(p)
-
-    if generator in ("x11", "x22"):
-        if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):  # 1 - q^{2di}
-            t = coeff_mul(coeff_qpow(0, -1), coeff_mul(z, z))
-        elif kind == "Laurent" and generator == "x11":  # 1 + gamma eta q^{d(2i-1)}
-            t = coeff_mul(coeff_mul(param(0), param(1)), coeff_mul(coeff_mul(z, z), coeff_qpow(-d)))
-        else:
-            t = {}
-        c = add_scalars(coeff_qpow(0), t.items())
-        return [(i - 1 if generator == "x11" else i + 1, c)] if c else []
-    if (generator, kind) in (("x12", "Mminus"), ("x21", "Mplus")):
-        return []
-    if generator == "x12":  # eta q^{di}, for LowestWeight gamma q^{di}
-        return [(i, coeff_mul(param(0 if kind == "LowestWeight" else 1), z))]
-    if kind == "HighestWeight":  # x21 e_i = -eta^{-1} q^{d(i+1)} e_i
-        return [(i, coeff_mul(param(1, -1), coeff_mul(z, coeff_qpow(d, -1))))]
-    if kind == "LowestWeight":  # x21 e_i = -gamma^{-1} q^{d(i-1)} e_i
-        return [(i, coeff_mul(param(0, -1), coeff_mul(z, coeff_qpow(-d, -1))))]
-    return [(i, coeff_mul(param(0), z))]  # x21 e_i = gamma q^{di} e_i
+def typical_images(spec, d=1):
+    """The images {(i, j): flat term map} of the four generators in the
+    one-factor torus x y = q^d y x, which acts by x e_i = e_{i-1} and
+    y e_i = q^{di} e_i.  A formal gamma or eta is gamma slot 0 or 1 of
+    three, slot 2 being left to Z.  The images are
+      x11 = x + tau x y^2, tau = -1 (HighestWeight), gamma eta q^{-d}
+            (Laurent), else 0;
+      x22 = x^{-1} - x^{-1} y^2 (LowestWeight), else x^{-1};
+      x12 = 0 (Mminus), gamma y (LowestWeight), else eta y;
+      x21 = 0 (Mplus), -eta^{-1} q^d y (HighestWeight),
+            -gamma^{-1} q^{-d} y (LowestWeight), else gamma y.
+    The factor 1 - q^{2di} of x11 e_i (HighestWeight) or x22 e_i
+    (LowestWeight) vanishes at the end of the domain, so no image leads
+    out of it."""
+    kind = spec.kind
+    gamma, eta = (_formal(k, 3) if p is None else p for k, p in enumerate((spec.gamma, spec.eta)))
+    tau = {"HighestWeight": coeff_qpow(0, -1),
+           "Laurent": coeff_mul(coeff_mul(gamma, eta), coeff_qpow(-d))}.get(kind, {})
+    x12 = {"Mminus": {}, "LowestWeight": gamma}.get(kind, eta)
+    x21 = {"Mplus": {}, "HighestWeight": coeff_mul(coeff_invert(eta), coeff_qpow(d, -1)),
+           "LowestWeight": coeff_mul(coeff_invert(gamma), coeff_qpow(-d, -1))}.get(kind, gamma)
+    x22 = {"LowestWeight": coeff_qpow(0, -1)}.get(kind, {})
+    images = {  # generator -> {(a, b): coefficient of x^a y^b}
+        (1, 1): {(1, 0): coeff_qpow(0), (1, 2): tau},
+        (1, 2): {(0, 1): x12},
+        (2, 1): {(0, 1): x21},
+        (2, 2): {(-1, 0): coeff_qpow(0), (-1, 2): x22},
+    }
+    return {ij: {((a,), (b,), e, g): v for (a, b), c in terms.items() for (e, g), v in c.items()}
+            for ij, terms in images.items()}
 
 
-def apply_generator(spec, generator, vec, d=1, formal=False):
-    """Linear extension of typical_action to flat module vectors
-    {(i, q_exp, gamma): rational}; with formal=True an index j stands for
-    e_{i0+j}, i0 formal."""
+def torus_action(D, params, flat, vec):
+    """The torus element with flat term map flat acting on the flat vector
+    vec = {(n, q_exp, gamma): rational}: x^a y^b sends e_n to
+    gamma^b q^{b^T D n} e_{n-a}, where gamma^b is prod_k gamma_k^{b_k} and
+    params[k] is gamma_k, None for a formal g{k+1}."""
+    m = len(D)
     out = {}
-    acts = {i: typical_action(spec, generator, i, d=d, formal=formal) for i in {key[0] for key in vec}}
-    for (i, e, g), v in vec.items():
-        for j, c in acts[i]:
-            add_scalars(out, (((j, *k), x) for k, x in coeff_mul({(e, g): v}, c).items()))
+    vec = vec.items()
+    for (a, b, e1, g1), v1 in flat.items():
+        # gamma^g1 gamma^b as one monomial: a specialised gamma_k is one (_check_param)
+        gs = [g1, (0,) * m]
+        for k, (p, bk) in enumerate(zip(params, b)):
+            if p is None:
+                gs.append((0,) * k + (bk,))
+            elif bk:
+                ((pe, pg), pv), = (p if bk > 0 else coeff_invert(p)).items()
+                bk = abs(bk)
+                e1, v1 = e1 + bk * pe, v1 * pv ** bk
+                gs.append(tuple(bk * x for x in pg))
+        g1 = tuple(map(sum, itertools.zip_longest(*gs, fillvalue=0)))
+        g1 = g1 if any(g1) else ()
+        bD = tuple(map(mul, b, D))
+        for (n, e2, g2), v2 in vec:
+            if g1 and g2:
+                g = tuple(map(add, g1, g2))
+                if not any(g):
+                    g = ()
+            else:
+                g = g1 or g2
+            key = (tuple(map(sub, n, a)), e1 + e2 + sum(map(mul, bD, n)), g)
+            v = out.get(key, 0) + v1 * v2
+            if v:
+                out[key] = v
+            else:  # no stored value is 0, so the key was there
+                del out[key]
     return out
 
 
@@ -175,10 +179,10 @@ def verify_typical_relations(spec, N, d=1):
     [lo, hi] = the kind's domain cut to [-N, N]: the n1 = 2 relation table of
     wiring, with q read as q^d.
 
-    Each relation's difference is built once, on a formal e_i with
-    Z = q^{d i} (typical_action with formal=True; index j stands for
-    e_{i+j}).  The difference is a Laurent polynomial in Z, so a zero one
-    proves the relation at every i; a nonzero one is searched over
+    Each relation's difference is built once, by torus_action on a formal
+    e_i with Z = q^{d i} (index j stands for e_{i+j}).  The difference is a
+    Laurent polynomial in Z, so a zero one proves the relation at every i;
+    a nonzero one is searched over
     [lo, hi] by setting Z = q^{d i}, which finds exactly the failures of
     acting on each e_i.
 
@@ -190,8 +194,9 @@ def verify_typical_relations(spec, N, d=1):
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
-    act = _word_action({(0, 0, ()): 1}, lambda ij, vec: apply_generator(
-        spec, "x%d%d" % ij, vec, d=d, formal=True))
+    images, params = typical_images(spec, d), [_formal(2, 3)]
+    act = _word_action({((0,), 0, ()): 1},
+                       lambda ij, vec: torus_action((d,), params, images[ij], vec))
     bad = [(name, diff) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
            if (diff := relation_difference(lhs, rhs, act, d=d))]
     excluded = spec.illegal_laurent_index(d=d, bound=N)
@@ -225,46 +230,12 @@ class TensorModule:
             _check_param(f"g{k + 1}", p)
         self.params = list(params)
 
-    def _gamma_power(self, b, e, g, v):
-        """v q^e gamma^g prod_k gamma_k^{b_k} as one monomial (q_exp, gamma,
-        rational): a specialised gamma_k is one monomial (_check_param)."""
-        gs = [g, (0,) * self.m]
-        for k, (p, bk) in enumerate(zip(self.params, b)):
-            if p is None:
-                gs.append((0,) * k + (bk,))
-            elif bk:
-                ((pe, pg), pv), = (p if bk > 0 else coeff_invert(p)).items()
-                bk = abs(bk)
-                e, v = e + bk * pe, v * pv ** bk
-                gs.append(tuple(bk * x for x in pg))
-        g = tuple(map(sum, itertools.zip_longest(*gs, fillvalue=0)))
-        return e, g if any(g) else (), v
-
     def element_action(self, u, vec):
-        """u acting on the flat vector vec = {(n, q_exp, gamma): rational}:
-        x^a y^b sends e_n to gamma^b q^{b^T D n} e_{n-a}, where gamma^b is
-        prod_k gamma_k^{b_k}."""
+        """u acting on the flat vector vec by torus_action with this
+        module's parameters."""
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
-        out = {}
-        vec = vec.items()
-        for (a, b, e1, g1), v1 in u.flat.items():
-            e1, g1, v1 = self._gamma_power(b, e1, g1, v1)
-            bD = tuple(map(mul, b, self.D))
-            for (n, e2, g2), v2 in vec:
-                if g1 and g2:
-                    g = tuple(map(add, g1, g2))
-                    if not any(g):
-                        g = ()
-                else:
-                    g = g1 or g2
-                key = (tuple(map(sub, n, a)), e1 + e2 + sum(map(mul, bD, n)), g)
-                v = out.get(key, 0) + v1 * v2
-                if v:
-                    out[key] = v
-                else:  # no stored value is 0, so the key was there
-                    del out[key]
-        return out
+        return torus_action(self.D, self.params, u.flat, vec)
 
     def basis_vector(self, n, coeff=None):
         """coeff e_n as a flat vector, by default e_n; a formal coeff carries
@@ -292,11 +263,11 @@ def verify_tensor_relations(datum, word, N, params=None):
     `checked` counts the (2N+1)^m ball vectors either way."""
     mod = TensorModule(datum, word, params=params)
     m = mod.m
-
-    mod.params = [coeff_mul(p or _formal(k, 2 * m), _formal(m + k, 2 * m))
-                  for k, p in enumerate(mod.params)]
+    lifted = [coeff_mul(p or _formal(k, 2 * m), _formal(m + k, 2 * m))
+              for k, p in enumerate(mod.params)]
     g = wiring.generator_images(datum, word)
-    act = _word_action(mod.basis_vector((0,) * m), lambda ij, vec: mod.element_action(g[ij], vec))
+    act = _word_action(mod.basis_vector((0,) * m),
+                       lambda ij, vec: torus_action(mod.D, lifted, g[ij].flat, vec))
     diffs = [(name, relation_difference(lhs, rhs, act))
              for name, lhs, rhs in wiring.quantum_matrix_relations(datum.n + 1)]
 

@@ -12,6 +12,7 @@ from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
 from qck.qtorus import (
     QTorusElement,
+    add_scalars,
     coeff_invert,
     coeff_mul,
     coeff_qpow,
@@ -699,7 +700,8 @@ def flat_vector(vec):
 
 def nested_gamma_power(mod, b):
     """Coefficient of prod_k gamma_k^{b_k} in the tensor module mod, built
-    by repeated coeff_mul (test oracle for TensorModule._gamma_power)."""
+    by repeated coeff_mul (test oracle for gamma^b in
+    slq2_tensor.torus_action)."""
     g = [0] * mod.m
     extra = coeff_qpow(0)
     for k, bk in enumerate(b):
@@ -737,11 +739,47 @@ def nested_element_action(mod, u, vec):
     return out
 
 
-def nested_apply_generator(spec, generator, vec, d=1, formal=False):
-    """Linear extension of typical_action to nested vectors {index: coeff}
-    (test oracle for slq2_tensor.apply_generator)."""
+def typical_action(spec, generator, i, d=1):
+    """Action of one quantum-matrix generator on the basis vector e_i of a
+    typical rank-1 module, as a list of (index, coefficient) pairs, q read
+    as q^d and a formal gamma or eta in gamma slot 0 or 1 of two: the
+    explicit basis formulas, in terms of z = q^{d i} (test oracle for
+    slq2_tensor.typical_images)."""
+    lo, hi = spec.index_domain()
+    if (lo is not None and i < lo) or (hi is not None and i > hi):
+        raise IndexError(f"index {i} outside the domain of {spec.kind}")
+    kind, z = spec.kind, coeff_qpow(d * i)
+
+    def param(k, power=1):  # gamma (k = 0) or eta (k = 1), to the power +-1
+        p = (spec.gamma, spec.eta)[k]
+        if p is None:
+            return {(0, (power, 0) if k == 0 else (0, power)): 1}
+        return p if power > 0 else coeff_invert(p)
+
+    if generator in ("x11", "x22"):
+        if kind == ("HighestWeight" if generator == "x11" else "LowestWeight"):  # 1 - q^{2di}
+            t = coeff_mul(coeff_qpow(0, -1), coeff_mul(z, z))
+        elif kind == "Laurent" and generator == "x11":  # 1 + gamma eta q^{d(2i-1)}
+            t = coeff_mul(coeff_mul(param(0), param(1)), coeff_mul(coeff_mul(z, z), coeff_qpow(-d)))
+        else:
+            t = {}
+        c = add_scalars(coeff_qpow(0), t.items())
+        return [(i - 1 if generator == "x11" else i + 1, c)] if c else []
+    if (generator, kind) in (("x12", "Mminus"), ("x21", "Mplus")):
+        return []
+    if generator == "x12":  # eta q^{di}, for LowestWeight gamma q^{di}
+        return [(i, coeff_mul(param(0 if kind == "LowestWeight" else 1), z))]
+    if kind == "HighestWeight":  # x21 e_i = -eta^{-1} q^{d(i+1)} e_i
+        return [(i, coeff_mul(param(1, -1), coeff_mul(z, coeff_qpow(d, -1))))]
+    if kind == "LowestWeight":  # x21 e_i = -gamma^{-1} q^{d(i-1)} e_i
+        return [(i, coeff_mul(param(0, -1), coeff_mul(z, coeff_qpow(-d, -1))))]
+    return [(i, coeff_mul(param(0), z))]  # x21 e_i = gamma q^{di} e_i
+
+
+def nested_apply_generator(spec, generator, vec, d=1):
+    """Linear extension of typical_action to nested vectors {index: coeff}."""
     return accumulate({}, [(j, coeff_mul(c, ac)) for i, c in vec.items()
-                           for j, ac in sq.typical_action(spec, generator, i, d=d, formal=formal)])
+                           for j, ac in typical_action(spec, generator, i, d=d)])
 
 
 def nested_relation_difference(lhs, rhs, act, d=1):

@@ -25,8 +25,8 @@ def test_build_word_matrices_a2_examples(A2):
 
 
 def test_build_word_matrices_rejects_non_reduced(A2):
-    # reducedness is read off the betas (positive-root criterion), after the
-    # letter-range check, in type A and in G2
+    # reducedness and the letter-range check both come from weyl.is_reduced,
+    # in type A and in G2
     G2 = weyl.RootDatum(n=2, cartan=((2, -1), (-3, 2)), d=(3, 1))
     for datum, word in ((A2, (1, 1)), (A2, (1, 2, 1, 2)), (G2, (2, 2)), (G2, (1, 2) * 3 + (1,))):
         assert not weyl.is_reduced(datum, word)

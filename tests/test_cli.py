@@ -323,6 +323,19 @@ def test_module_verify_tensor(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, flag, mode", [
+    (("--tensor", "--word", "-1,1", "--gamma", "5"), "--gamma", "with"),
+    (("--tensor", "--word", "-1,1", "--eta", "7"), "--eta", "with"),
+    (("--tensor", "--gamma", ""), "--gamma", "with"),
+    (("--kind", "Mminus", "--word", "1,2"), "--word", "without"),
+    (("--kind", "Mminus", "--params", "g1=3"), "--params", "without"),
+    (("--word", ""), "--word", "without"),
+])
+def test_module_verify_rejects_a_flag_its_mode_ignores(capsys, argv, flag, mode):
+    code, out, err = run(capsys, "module", "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} is not used {mode} --tensor\n")
+
+
 def test_module_act(capsys):
     vector = json.dumps([{"n": [0, 0], "coeff": [{"q": 0, "gamma": [], "num": 1, "den": 1}]}])
     code, out, _ = run(

@@ -9,6 +9,7 @@ from qck.qtorus import (
     QTorusElement,
     ShapeMismatch,
     coeff_from_json,
+    coeff_invert,
     coeff_mul,
     coeff_qpow,
 )
@@ -136,6 +137,15 @@ def test_unit_inverse_exact():
         u = mono(m, D, a, b, rng.randint(-3, 3), Fraction(rng.randint(1, 5), rng.randint(1, 5)))
         assert u * u.inverse() == QTorusElement.one(m, D)
         assert u.inverse() * u == QTorusElement.one(m, D)
+
+
+def test_unit_inverses_keep_integer_values():
+    # 1/v is an int whenever it is one, a Fraction otherwise
+    for v, inv in ((1, 1), (-1, -1), (Fraction(1, 2), 2), (Fraction(-1, 3), -3),
+                   (2, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2))):
+        (value,) = coeff_invert({(1, (0, 1)): v}).values()
+        (flat_value,) = mono(2, (1, 1), (1, 0), (0, 2), 1, v).inverse().flat.values()
+        assert value == flat_value == inv and type(value) is type(flat_value) is type(inv)
 
 
 def test_supports_and_multiplicity():

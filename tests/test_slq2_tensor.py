@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from operator import mul
 
+import conftest
 from conftest import (
     accumulate,
     ball_tensor_relations,
@@ -16,34 +18,53 @@ from conftest import (
     nested_nonzero_at,
     nested_relation_difference,
     random_double_word,
+    typical_action,
 )
 from qck import slq2_tensor as sq
 from qck import weyl, wiring
 from qck.qtorus import QTorusElement, coeff_invert, coeff_mul, coeff_qpow, group_coefficients
 
 
+def _image_action(spec, ij, vec, d=1):
+    """The image of x_ij in typical_images acting on the nested rank-1
+    vector vec = {i: coefficient}, gamma and eta in two gamma slots as in
+    the oracle typical_action; the result is such a nested vector."""
+    flat = {((i,), e, g + (0,) if g else ()): v for i, c in vec.items() for (e, g), v in c.items()}
+    out = sq.torus_action((d,), [coeff_qpow(0)], sq.typical_images(spec, d)[ij], flat)
+    return {i: c for ((i,),), c in group_coefficients({(n, e, g[:2]): v
+                                                     for (n, e, g), v in out.items()}).items()}
+
+
 def test_typical_action_examples():
     mm = sq.TypicalModuleSpec(kind="Mminus")
-    assert sq.typical_action(mm, "x21", 3) == [(3, {(3, (1, 0)): 1})]
-    assert sq.typical_action(mm, "x12", 3) == []
+    assert _image_action(mm, (2, 1), {3: coeff_qpow(0)}) == {3: {(3, (1, 0)): 1}}
+    assert _image_action(mm, (1, 2), {3: coeff_qpow(0)}) == {}
 
     hw = sq.TypicalModuleSpec(kind="HighestWeight")
-    assert sq.typical_action(hw, "x11", 0) == []
-    assert sq.typical_action(hw, "x11", 2) == [(1, {(0, ()): 1, (4, ()): -1})]
+    assert _image_action(hw, (1, 1), {0: coeff_qpow(0)}) == {}
+    assert _image_action(hw, (1, 1), {2: coeff_qpow(0)}) == {1: {(0, ()): 1, (4, ()): -1}}
 
     la = sq.TypicalModuleSpec(kind="Laurent")
     # x11 e_1 = (1 + gamma eta q) e_0
-    assert sq.typical_action(la, "x11", 1) == [(0, {(0, ()): 1, (1, (1, 1)): 1})]
+    assert _image_action(la, (1, 1), {1: coeff_qpow(0)}) == {0: {(0, ()): 1, (1, (1, 1)): 1}}
+    # the images themselves, gamma and eta in slots 0 and 1 of three
+    assert sq.typical_images(la, 2)[(1, 1)] == {((1,), (0,), 0, ()): 1,
+                                                ((1,), (2,), -2, (1, 1, 0)): 1}
+    lw = sq.TypicalModuleSpec("LowestWeight", gamma={(1, ()): 2})
+    assert sq.typical_images(lw)[(2, 1)] == {((0,), (1,), -2, ()): Fraction(-1, 2)}
 
 
 def test_index_domains():
+    # the images never lead out of the domain; the oracle refuses to leave it
     hw = sq.TypicalModuleSpec(kind="HighestWeight")
-    with pytest.raises(sq.IndexOutOfDomain):
-        sq.typical_action(hw, "x22", -1)
+    assert _image_action(hw, (1, 1), {0: coeff_qpow(0)}) == {}
+    with pytest.raises(IndexError, match="outside the domain"):
+        typical_action(hw, "x22", -1)
     lw = sq.TypicalModuleSpec(kind="LowestWeight")
-    assert sq.typical_action(lw, "x22", 0) == []
-    with pytest.raises(sq.IndexOutOfDomain):
-        sq.typical_action(lw, "x11", 1)
+    assert _image_action(lw, (2, 2), {0: coeff_qpow(0)}) == {}
+    assert typical_action(lw, "x22", 0) == []
+    with pytest.raises(IndexError, match="outside the domain"):
+        typical_action(lw, "x11", 1)
 
 
 @pytest.mark.parametrize("kind", sq.KINDS)
@@ -60,24 +81,31 @@ def test_typical_relations_scaled_q(d):
 
 @pytest.mark.parametrize("generator, factor, failing", [
     # x11 -> q x11 breaks the two relations with x11 on one side only
-    ("x11", lambda z: coeff_qpow(1), lambda i: ["[x11, x22] commutator", "det_q = 1"]),
+    ("x11", lambda: (1, 0), lambda i: ["[x11, x22] commutator", "det_q = 1"]),
     # x12 e_i = eta q^{2i} e_i breaks both q-commutations of x12 with x11
     # and x22; the commutator and det_q see x12 only on e_i, so hold at i = 0
-    ("x12", lambda z: z, lambda i: ["x11 x12 = q x12 x11", "x12 x22 = q x22 x12"]
+    ("x12", lambda: (0, 1), lambda i: ["x11 x12 = q x12 x11", "x12 x22 = q x22 x12"]
      + (["[x11, x22] commutator", "det_q = 1"] if i else [])),
 ])
 def test_corrupted_rank1_action_fails_the_named_relations(monkeypatch, generator, factor, failing):
-    # factor(z) multiplies the action, z standing for q^i (Z q^i on the
-    # formal e_{i0+i} of the check), so the corruption reaches the formal
-    # check and the per-index oracle alike
-    action = sq.typical_action
+    # factor() = (s, t): the image of the generator is multiplied on the
+    # right by q^s y^t, and the oracle's action on e_i by q^{s + t i}, so
+    # the corruption reaches the formal check and the per-index oracle alike
+    s, t = factor()
+    images, action = sq.typical_images, typical_action
+    label = (int(generator[1]), int(generator[2]))
 
-    def corrupted(spec, gen, i, d=1, formal=False):
-        out = action(spec, gen, i, d=d, formal=formal)
-        z = {(i, (0, 0, 1) if formal else ()): 1}
-        return [(j, coeff_mul(c, factor(z))) for j, c in out] if gen == generator else out
+    def corrupted_images(spec, d=1):
+        out = images(spec, d)
+        out[label] = {(a, (b + t,), e + s, g): v for (a, (b,), e, g), v in out[label].items()}
+        return out
 
-    monkeypatch.setattr(sq, "typical_action", corrupted)
+    def corrupted_action(spec, gen, i, d=1):
+        out = action(spec, gen, i, d=d)
+        return [(j, coeff_mul(c, coeff_qpow(s + t * i))) for j, c in out] if gen == generator else out
+
+    monkeypatch.setattr(sq, "typical_images", corrupted_images)
+    monkeypatch.setattr(conftest, "typical_action", corrupted_action)
     spec = sq.TypicalModuleSpec(kind="Laurent")
     rep = sq.verify_typical_relations(spec, 2)
     assert rep["failures"] == [(name, i) for i in range(-2, 3) for name in failing(i)]
@@ -110,13 +138,13 @@ def test_formal_rank1_check_agrees_with_per_index_oracle():
 
 def test_formal_rank1_check_work_does_not_grow_with_N(monkeypatch):
     calls = []
-    action = sq.typical_action
+    action = sq.torus_action
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return action(*args, **kwargs)
+        return action(*args)
 
-    monkeypatch.setattr(sq, "typical_action", counted)
+    monkeypatch.setattr(sq, "torus_action", counted)
     for kind in sq.KINDS:
         counts = []
         for N in (1, 20):
@@ -315,13 +343,13 @@ def test_corrupted_images_fail_like_the_oracle(monkeypatch, rank, word, N, label
 
 def test_formal_check_work_does_not_grow_with_N(monkeypatch, A2):
     calls = []
-    action = sq.TensorModule.element_action
+    action = sq.torus_action
 
-    def counted(self, u, vec):
+    def counted(*args):
         calls.append(1)
-        return action(self, u, vec)
+        return action(*args)
 
-    monkeypatch.setattr(sq.TensorModule, "element_action", counted)
+    monkeypatch.setattr(sq, "torus_action", counted)
     counts = []
     for N in (1, 6):
         calls.clear()
@@ -362,10 +390,13 @@ def _owns_its_terms(op, make_operands):
 def test_module_vectors_own_their_coefficients(A1):
     mod = sq.TensorModule(A1, (-1, 1))
     g = wiring.generator_images(A1, (-1, 1))
-    spec = sq.TypicalModuleSpec(kind="Laurent")
+    images = sq.typical_images(sq.TypicalModuleSpec(kind="Laurent"))
+
+    def rank1(ij, v):
+        return sq.torus_action((1,), [coeff_qpow(0)], images[ij], v)
 
     def vectors():
-        return ({(0, 0, ()): 1, (1, 1, (1, 0)): 2}, {(1, 0, ()): 3, (2, 2, ()): -1})
+        return ({((0,), 0, ()): 1, ((1,), 1, (1, 0, 0)): 2}, {((1,), 0, ()): 3, ((2,), 2, ()): -1})
 
     def module_vector():
         return ({((0, 0), 0, ()): 1, ((1, -1), 1, (1, 0)): 2},)
@@ -374,13 +405,12 @@ def test_module_vectors_own_their_coefficients(A1):
     _owns_its_terms(  # v1 - q v2, acting on the two vectors by lookup
         lambda v1, v2: sq.relation_difference([(one, "a")], [(q, "b")], {"a": v1, "b": v2}.get),
         vectors)
-    _owns_its_terms(lambda v: sq.apply_generator(spec, "x21", v), lambda: vectors()[:1])
+    _owns_its_terms(lambda v: rank1((2, 1), v), lambda: vectors()[:1])
     for u in (g[(1, 1)], g[(2, 2)], QTorusElement.one(2, mod.D)):
         _owns_its_terms(lambda v: mod.element_action(u, v), module_vector)
     # a memoised word action stays as it was returned while longer words reuse it
     for act in (sq._word_action(module_vector()[0], lambda ij, v: mod.element_action(g[ij], v)),
-                sq._word_action(vectors()[0],
-                                lambda ij, v: sq.apply_generator(spec, "x%d%d" % ij, v))):
+                sq._word_action(vectors()[0], rank1)):
         first = {w: dict(act(w)) for w in (((1, 1),), ((2, 2), (1, 1)))}
         act(((1, 2), (2, 2), (1, 1)))
         act(((2, 1), (1, 1)))
@@ -479,21 +509,33 @@ def test_flat_tensor_action_matches_the_nested_action(A1, A2, A3):
     assert cancelled > 20
 
 
+def _domain(spec, N):
+    """The indices of the kind's domain cut to [-N, N]."""
+    lo, hi = spec.index_domain()
+    return range(-N if lo is None else max(lo, -N), (N if hi is None else min(hi, N)) + 1)
+
+
 def test_flat_rank1_action_matches_the_nested_action():
+    # the images acting on vectors of several terms, against the oracle
     rng = random.Random(23)
     params = [(None, None), ({(1, ()): 2}, {(-2, ()): Fraction(1, 3)}), ({(0, ()): -1}, None)]
     for kind in sq.KINDS:
         for gamma, eta in params:
             spec = sq.TypicalModuleSpec(kind, gamma, eta)
-            for formal, nslots in ((False, 2), (True, 3)):
-                indices = [i for i in range(-3, 4) if formal or spec.in_domain(i)]
-                for d in (1, 2):
-                    vec = _nested_vector(rng, lambda: rng.choice(indices), nslots)
-                    for generator in sq.GENERATORS:
-                        got = sq.apply_generator(spec, generator, flat_vector(vec),
-                                                 d=d, formal=formal)
-                        expected = nested_apply_generator(spec, generator, vec, d=d, formal=formal)
-                        assert got == flat_vector(expected)
+            indices = list(_domain(spec, 3))
+            for d in (1, 2):
+                vec = _nested_vector(rng, lambda: rng.choice(indices), 2)
+                for i, j in itertools.product((1, 2), repeat=2):
+                    expected = nested_apply_generator(spec, f"x{i}{j}", vec, d=d)
+                    assert _image_action(spec, (i, j), vec, d=d) == expected
+
+
+def test_typical_images_act_like_the_basis_formulas():
+    for spec, d, N in _rank1_cases():
+        for i in _domain(spec, N):
+            for gi, gj in itertools.product((1, 2), repeat=2):
+                expected = accumulate({}, typical_action(spec, f"x{gi}{gj}", i, d=d))
+                assert _image_action(spec, (gi, gj), {i: coeff_qpow(0)}, d=d) == expected
 
 
 def test_flat_relation_difference_and_substitution_match_the_nested_ones():

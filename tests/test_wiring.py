@@ -88,6 +88,8 @@ def test_reference_word_unit_images(A2):
     assert u2 == mono((-3, 1, -3, -1, -1), (0, 0, 0, 2, 0), qexp=2)
     unit = u2.as_unit()
     assert unit is not None and unit[0][0] == (-3, 1, -3, -1, -1)
+    inv = wiring.expression_image(A2, REF_WORD, "minor(23|23)^-1")
+    assert inv.flat and all(type(v) is int for v in inv.flat.values())
 
 
 def test_identity_family_and_determinant(A3):
