@@ -175,7 +175,7 @@ def mul_into(out, left, right, D):
     return out
 
 
-def _element(m, D, flat):
+def from_flat(m, D, flat):
     """The element with the flat term map flat, taken as it is."""
     out = QTorusElement.__new__(QTorusElement)
     out.m, out.D, out.flat = m, D, flat
@@ -207,7 +207,7 @@ class QTorusElement:
         return group_coefficients(self.flat)
 
     def copy(self):
-        return _element(self.m, self.D, dict(self.flat))
+        return from_flat(self.m, self.D, dict(self.flat))
 
     # -- constructors -------------------------------------------------------
 
@@ -227,17 +227,17 @@ class QTorusElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return _element(self.m, self.D, add_scalars(dict(self.flat), other.flat.items()))
+        return from_flat(self.m, self.D, add_scalars(dict(self.flat), other.flat.items()))
 
     def __neg__(self):
-        return _element(self.m, self.D, {k: -v for k, v in self.flat.items()})
+        return from_flat(self.m, self.D, {k: -v for k, v in self.flat.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        return _element(self.m, self.D, mul_into({}, self.flat, other.flat, self.D))
+        return from_flat(self.m, self.D, mul_into({}, self.flat, other.flat, self.D))
 
     def scale(self, coeff):
         return self * QTorusElement.monomial(self.m, self.D, (0,) * self.m, (0,) * self.m, coeff)
@@ -283,7 +283,7 @@ class QTorusElement:
         # (v q^e x^a y^b)^{-1} = v^{-1} q^{-e - b^T D a} x^{-a} y^{-b}
         key = (tuple(map(neg, a)), tuple(map(neg, b)),
                -e - sum(map(mul, map(mul, b, self.D), a)), tuple(map(neg, g)))
-        return _element(self.m, self.D, {key: _reciprocal(v)})
+        return from_flat(self.m, self.D, {key: _reciprocal(v)})
 
     def supp_x(self):
         return {a for (a, _b, _e, _g) in self.flat}

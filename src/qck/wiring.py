@@ -12,7 +12,8 @@ of vertex-disjoint path families from A to B (the quantum Lindstrom lemma);
 the generator x_ij is the 1x1 minor ({i}|{j}), and so is the factor x_ij of
 an expression.  One left-to-right transfer pass over the columns from a
 start set A gives the images for every B at once (the planar-network view
-of Fomin-Zelevinsky).  The passes are kept for the most recent (datum, word)
+of Fomin-Zelevinsky), each column read from a move table keyed by level and
+column data only.  The passes are kept for the most recent (datum, word)
 only, each run on first use: a single query runs one pass, and a sweep over
 one word's minors and relations runs each start set once.  An independent
 oracle expands each minor along its first row in the generator images
@@ -21,16 +22,18 @@ type A only; every entry point that takes a datum rejects other data.
 
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
 which the torus suite here and the module suites of slq2_tensor evaluate.
+The torus suite and the oracle skip each product with a zero generator image.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import weyl
-from .qtorus import QTorusElement, coeff_qpow, mul_into
+from .qtorus import QTorusElement, coeff_qpow, from_flat, mul_into
 
 
 class SizeMismatch(ValueError):
@@ -87,14 +90,27 @@ def _column_moves(level, crossing, sign):
     return moves
 
 
-def _levels(datum, A, B):
-    """A and B as sorted tuples of distinct levels, of one size, in 1..n+1."""
+@functools.lru_cache(maxsize=None)
+def _column_steps(levels, crossing, sign):
+    """((next_levels, x, y), ...): each way a family on the sorted levels crosses
+    one column with its paths apart, x and y its weight's exponent sums."""
+    steps = []
+    for moves in itertools.product(*(_column_moves(lv, crossing, sign) for lv in levels)):
+        nxt = tuple(lv for lv, _w in moves)
+        if len(set(nxt)) == len(nxt):  # else two paths would meet
+            steps.append((nxt, sum(w[0] for _lv, w in moves), sum(w[1] for _lv, w in moves)))
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=1024)
+def _levels(n1, A, B):
+    """A and B as sorted tuples of distinct levels, of one size, in 1..n1."""
     A, B = tuple(sorted(set(A))), tuple(sorted(set(B)))
     if len(A) != len(B):
         raise SizeMismatch(f"|A| = {len(A)} != |B| = {len(B)}")
     for lv in A + B:
-        if not 1 <= lv <= datum.n + 1:
-            raise IndexError(f"level {lv} out of range 1..{datum.n + 1}")
+        if not 1 <= lv <= n1:
+            raise IndexError(f"level {lv} out of range 1..{n1}")
     return A, B
 
 
@@ -127,28 +143,22 @@ def _transfer(datum, word, A):
     for k, (crossing, sign) in enumerate(columns):
         step = {}
         for levels, weights in ends.items():
-            for moves in itertools.product(*(_column_moves(lv, crossing, sign) for lv in levels)):
-                nxt = tuple(lv for lv, _w in moves)
-                if len(set(nxt)) < len(nxt):
-                    continue  # two paths would meet
-                x = sum(w[0] for _lv, w in moves)
-                y = sum(w[1] for _lv, w in moves)
+            for nxt, x, y in _column_steps(levels, crossing, sign):
                 step.setdefault(nxt, []).extend(
                     [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:]) for a, b in weights]
                     if x or y else weights)
         ends = step
-    images[A] = {}
-    for B in itertools.combinations(range(1, datum.n + 2), len(A)):
-        images[A][B] = elem = QTorusElement(len(word), D)
-        for a, b in ends.get(B, ()):
-            elem.flat[a, b, 0, ()] = elem.flat.get((a, b, 0, ()), 0) + 1
-    return images[A]
+    images[A] = out = {B: from_flat(len(word), D, {})
+                       for B in itertools.combinations(range(1, datum.n + 2), len(A))}
+    for B, weights in ends.items():  # families of equal weight add up
+        out[B].flat.update(Counter((a, b, 0, ()) for a, b in weights))
+    return out
 
 
 def _generators(datum, word):
     """{(i, j): image of x_ij} from the memo; callers must not mutate them."""
-    levels = range(1, datum.n + 2)
-    return {(i, j): _transfer(datum, word, (i,))[(j,)] for i in levels for j in levels}
+    return {(i, j): img for i in range(1, datum.n + 2)
+            for (j,), img in _transfer(datum, word, (i,)).items()}
 
 
 def generator_images(datum, word):
@@ -160,7 +170,7 @@ def generator_images(datum, word):
 def minor_image(datum, word, A, B):
     """Image of the quantum minor with rows A and columns B (x_ij for A = (i,),
     B = (j,)): the sum of the weights of the vertex-disjoint path families."""
-    A, B = _levels(datum, A, B)
+    A, B = _levels(datum.n + 1, tuple(A), tuple(B))
     return _transfer(datum, tuple(word), A)[B].copy()
 
 
@@ -176,21 +186,21 @@ def minor_expansion(A, B):
 
 
 def _row_expansion(datum, word, ctx, A, B):
-    """The oracle's image of minor(A|B) for sorted level tuples, ctx being
-    _word_images(datum, word); callers must not mutate it."""
-    D, _columns, _images, memo = ctx
-    if (A, B) in memo:
-        return memo[A, B]
-    if len(A) == 1:
-        memo[A, B] = out = _transfer(datum, word, A)[B]  # the generator image x_{a_1 b_1}
-        return out
-    memo[A, B] = out = QTorusElement(len(word), D) if A else QTorusElement.one(len(word), D)
-    for t, bt in enumerate(B):
-        x = _row_expansion(datum, word, ctx, A[:1], (bt,)).flat
-        rest = _row_expansion(datum, word, ctx, A[1:], B[:t] + B[t + 1:]).flat
-        if x and rest:
-            mul_into(out.flat, _shifted(x, t, (-1) ** t), rest, D)  # add (-q)^t x rest
-    return out
+    """The oracle's image of minor(A|B) for sorted levels, from the 1-element
+    passes and the memo of ctx = _word_images(datum, word); do not mutate it."""
+    D, _columns, images, memo = ctx
+    if (A, B) not in memo:
+        row = A and (images.get(A[:1]) or _transfer(datum, word, A[:1]))  # {(b,): x_{a_1 b}}
+        if len(A) == 1:
+            return row[B]
+        flat = {} if A else dict(QTorusElement.one(len(word), D).flat)
+        for t, bt in enumerate(B):
+            x = row[bt,].flat
+            rest = x and _row_expansion(datum, word, ctx, A[1:], B[:t] + B[t + 1:]).flat
+            if rest:
+                mul_into(flat, _shifted(x, t, (-1) ** t), rest, D)  # add (-q)^t x rest
+        memo[A, B] = from_flat(len(word), D, flat)
+    return memo[A, B]
 
 
 def _shifted(flat, e, v):
@@ -208,7 +218,8 @@ def minor_image_oracle(datum, word, A, B):
     only the generator images and its own smaller expansions, never the
     transfer pass's larger minors."""
     word = tuple(word)
-    return _row_expansion(datum, word, _word_images(datum, word), *_levels(datum, A, B)).copy()
+    A, B = _levels(datum.n + 1, tuple(A), tuple(B))
+    return _row_expansion(datum, word, _word_images(datum, word), A, B).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,8 @@ def verify_relations(datum, word):
     for name, lhs, rhs in rels:
         diff = {}  # lhs - rhs as a flat term map
         for sign, side in ((1, lhs), (-1, rhs)):
-            for c, (first, *middle, last) in side:  # c is a Laurent polynomial in q
+            # c is a Laurent polynomial in q; a word with a zero factor has image 0
+            for c, (first, *middle, last) in (t for t in side if all(map(g.__getitem__, t[1]))):
                 for (e, _), v in c.items():
                     term = _shifted(g[first], e, sign * v)
                     for label in middle:

@@ -269,6 +269,30 @@ def test_image_scaled_by_q_fails_the_commutators_it_enters_once(monkeypatch, A2,
     assert report[-1] == ("det_q = 1", True)  # det_q is the path family, not the images
 
 
+def test_a_zero_image_made_nonzero_fails_the_relations_it_enters(monkeypatch, A2):
+    # on the word (1, 2) the images of x21, x31 and x32 are 0, and the suite
+    # skips words with a zero factor; making x21 a monomial breaks every
+    # relation with a word of x21 and nonzero images only, so the skip reads
+    # the images it is given.  x21 x31 = q x31 x21 and [x21, x32] still hold,
+    # as x31 and x32 stay 0.
+    word = (1, 2)
+    images = wiring.generator_images(A2, word)
+    assert [ij for ij, u in images.items() if u.is_zero()] == [(2, 1), (3, 1), (3, 2)]
+    assert all(ok for _name, ok in wiring.verify_relations(A2, word))
+    generators = wiring._generators
+
+    def corrupted(datum, word):
+        x21 = QTorusElement.monomial(2, (1, 1), (1, 1), (2, 2))
+        return {**generators(datum, word), (2, 1): x21}
+
+    monkeypatch.setattr(wiring, "_generators", corrupted)
+    report = wiring.verify_relations(A2, word)
+    assert [name for name, ok in report if not ok] == [
+        "x11 x21 = q x21 x11", "x21 x22 = q x22 x21", "x21 x23 = q x23 x21",
+        "x12 x21 = x21 x12", "x13 x21 = x21 x13",
+        "[x11, x22] commutator", "[x11, x23] commutator", "[x21, x33] commutator"]
+
+
 def test_generator_terms_are_weight_strings(A2, A3):
     # every term of a generator image is certified by a weight string from
     # the natural weight of the row index to that of the column index
@@ -367,8 +391,7 @@ def test_each_test_starts_with_an_empty_oracle_memo(A2, run):
     assert wiring._word_images.cache_info().currsize == 0
     assert wiring._word_images(A2, REF_WORD)[3] == {}
     wiring.minor_image_oracle(A2, REF_WORD, (1, 2), (2, 3))
-    assert set(wiring._word_images(A2, REF_WORD)[3]) == {
-        ((1, 2), (2, 3)), ((1,), (2,)), ((2,), (3,)), ((1,), (3,)), ((2,), (2,))}
+    assert set(wiring._word_images(A2, REF_WORD)[3]) == {((1, 2), (2, 3))}
 
 
 def test_one_pass_per_start_set_and_none_on_a_second_sweep(A3, monkeypatch):
@@ -387,17 +410,44 @@ def test_one_pass_per_start_set_and_none_on_a_second_sweep(A3, monkeypatch):
 
     sweep()
     assert set(wiring._word_images(A3, word)[2]) == {A for A, _B in minors}
-    moves = []
-    column_moves = wiring._column_moves
+    steps = []  # every read of the move table, cached or not: a pass reads it per column
+    column_steps = wiring._column_steps
 
     def counting(*args):
-        moves.append(args)
-        return column_moves(*args)
+        steps.append(args)
+        return column_steps(*args)
 
-    monkeypatch.setattr(wiring, "_column_moves", counting)
+    monkeypatch.setattr(wiring, "_column_steps", counting)
     words = wiring._word_images.cache_info().misses
     sweep()
-    assert moves == [] and wiring._word_images.cache_info().misses == words
+    assert steps == [] and wiring._word_images.cache_info().misses == words
+    wiring._word_images.cache_clear()  # a pass run afresh reads the table through the spy
+    wiring.minor_image(A3, word, (1,), (2,))
+    assert len(steps) >= len(word)  # at least one state per column
+
+
+def test_move_and_level_tables_are_keyed_by_level_data_only(A2, monkeypatch):
+    # after every rank-2 double word of length <= 4, the move table holds one
+    # entry per (sorted levels, crossing, sign) asked for, at most C(3, k) * 2
+    # crossings * 2 signs of each size k, and the level memo one per minor
+    wiring._column_steps.cache_clear()
+    wiring._levels.cache_clear()
+    asked = set()
+    column_steps = wiring._column_steps
+
+    def recording(*args):
+        asked.add(args)
+        return column_steps(*args)
+
+    monkeypatch.setattr(wiring, "_column_steps", recording)
+    minors = _every_minor(A2)
+    for word in weyl.all_double_words(A2, 4):
+        for A, B in minors:
+            wiring.minor_image(A2, word, A, B)
+    assert column_steps.cache_info().currsize == len(asked)
+    for k in range(4):
+        assert 0 < sum(len(levels) == k for levels, _c, _s in asked) <= math.comb(3, k) * 2 * 2
+    assert wiring._levels.cache_info().currsize == len(minors)
 
 
 def test_non_type_a_data_rejected(A2):
