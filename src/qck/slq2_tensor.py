@@ -11,18 +11,18 @@ tensor factors), and may be specialized to exact scalar * q-power values.
 
 A module vector is one flat map {(n, q_exponent, gamma): rational}, no
 value 0 and an all-zero gamma spelled (), the shape of QTorusElement.flat;
-n is a tuple with one entry per torus factor.  Every sum of vectors goes
-through qtorus.add_scalars or an inline scalar loop, into a new map that
-shares nothing with its operands.
+n is a tuple with one entry per torus factor.  torus_action adds into a
+given map, the shape of qtorus.mul_into; every other sum goes through
+qtorus.add_scalars, into a map that shares nothing with its operands.
 
-Both relation suites are checked once, on a formal basis vector, so one
-check covers every index.  Acting on e_n is acting on e_0 with each
-gamma_k replaced by gamma_k Z_k, Z_k = q^{d_k n_k}; a rank-1 module has
-gamma_1 = 1 and Z in a third gamma slot after gamma and eta.  Only a
-failing relation is searched, over the ball max |n_k| <= N or the truncated
-rank-1 domain, by substituting the Z (_nonzero_at), to name the failing
-vectors; the tensor report's `checked` still counts the (2N+1)^m ball
-vectors.
+Both relation suites evaluate the table once, by wiring.relation_differences
+with torus_action on a formal basis vector, so one check covers every
+index.  Acting on e_n is acting on e_0 with each gamma_k replaced by
+gamma_k Z_k, Z_k = q^{d_k n_k}; a rank-1 module has gamma_1 = 1 and Z in a
+third gamma slot after gamma and eta.  Only a failing relation is searched,
+over the ball max |n_k| <= N or the truncated rank-1 domain (N >= 0), by
+substituting the Z (_nonzero_at), to name the failing vectors; the tensor
+report's `checked` still counts the (2N+1)^m ball vectors.
 """
 
 from __future__ import annotations
@@ -122,13 +122,13 @@ def typical_images(spec, d=1):
             for ij, terms in images.items()}
 
 
-def torus_action(D, params, flat, vec):
-    """The torus element with flat term map flat acting on the flat vector
-    vec = {(n, q_exp, gamma): rational}: x^a y^b sends e_n to
-    gamma^b q^{b^T D n} e_{n-a}, where gamma^b is prod_k gamma_k^{b_k} and
-    params[k] is gamma_k, None for a formal g{k+1}."""
+def torus_action(out, flat, vec, D, params):
+    """Add the torus element with flat term map flat acting on the flat
+    vector vec = {(n, q_exp, gamma): rational} into out and return out, the
+    shape of qtorus.mul_into: x^a y^b sends e_n to gamma^b q^{b^T D n} e_{n-a},
+    where gamma^b is prod_k gamma_k^{b_k} and params[k] is gamma_k, None for
+    a formal g{k+1}."""
     m = len(D)
-    out = {}
     vec = vec.items()
     for (a, b, e1, g1), v1 in flat.items():
         # gamma^g1 gamma^b as one monomial: a specialised gamma_k is one (_check_param)
@@ -160,20 +160,6 @@ def torus_action(D, params, flat, vec):
     return out
 
 
-def _word_action(start, apply):
-    """act(word): the vector x_{l_1} ... x_{l_r} start, letters applied right
-    to left by apply(label, vec) and memoised on every suffix."""
-    acted = {(): start}
-
-    def act(word):
-        for r in range(len(word) - 1, -1, -1):
-            if word[r:] not in acted:
-                acted[word[r:]] = apply(word[r], acted[word[r + 1:]])
-        return acted[word]
-
-    return act
-
-
 def verify_typical_relations(spec, N, d=1):
     """Check the rank-1 relations exactly on e_i over the truncated domain
     [lo, hi] = the kind's domain cut to [-N, N]: the n1 = 2 relation table of
@@ -191,14 +177,16 @@ def verify_typical_relations(spec, N, d=1):
     failure pins the excluded parameter values gamma eta = -q^{2k+1}.
     Failures are listed by i, then in table order.
     """
+    if N < 0:
+        raise ValueError(f"truncation N = {N} is negative")
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
-    images, params = typical_images(spec, d), [_formal(2, 3)]
-    act = _word_action({((0,), 0, ()): 1},
-                       lambda ij, vec: torus_action((d,), params, images[ij], vec))
-    bad = [(name, diff) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
-           if (diff := relation_difference(lhs, rhs, act, d=d))]
+    params = [_formal(2, 3)]
+    diffs = wiring.relation_differences(
+        wiring.quantum_matrix_relations(2), typical_images(spec, d), {((0,), 0, ()): 1},
+        lambda out, image, vec: torus_action(out, image, vec, (d,), params), d)
+    bad = [(name, diff) for name, diff in diffs if diff]
     excluded = spec.illegal_laurent_index(d=d, bound=N)
     failures = []
     for i in range(lo, hi + 1):
@@ -235,7 +223,7 @@ class TensorModule:
         module's parameters."""
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
-        return torus_action(self.D, self.params, u.flat, vec)
+        return torus_action({}, u.flat, vec, self.D, self.params)
 
     def basis_vector(self, n, coeff=None):
         """coeff e_n as a flat vector, by default e_n; a formal coeff carries
@@ -261,35 +249,21 @@ def verify_tensor_relations(datum, word, N, params=None):
     (n first, then the relations in order) by setting Z_k = q^{d_k n_k},
     which finds exactly the failures of acting on each ball vector.
     `checked` counts the (2N+1)^m ball vectors either way."""
+    if N < 0:
+        raise ValueError(f"truncation N = {N} is negative")
     mod = TensorModule(datum, word, params=params)
     m = mod.m
     lifted = [coeff_mul(p or _formal(k, 2 * m), _formal(m + k, 2 * m))
               for k, p in enumerate(mod.params)]
-    g = wiring.generator_images(datum, word)
-    act = _word_action(mod.basis_vector((0,) * m),
-                       lambda ij, vec: torus_action(mod.D, lifted, g[ij].flat, vec))
-    diffs = [(name, relation_difference(lhs, rhs, act))
-             for name, lhs, rhs in wiring.quantum_matrix_relations(datum.n + 1)]
-
+    g = {ij: e.flat for ij, e in wiring.generator_images(datum, word).items()}
+    diffs = wiring.relation_differences(
+        wiring.quantum_matrix_relations(datum.n + 1), g, mod.basis_vector((0,) * m),
+        lambda out, image, vec: torus_action(out, image, vec, mod.D, lifted))
     bad = [(name, diff) for name, diff in diffs if diff]
     ball = itertools.product(range(-N, N + 1), repeat=m) if bad else ()
     failures = list(itertools.islice(((name, n) for n in ball for name, diff in bad
                                       if _nonzero_at(diff, tuple(map(mul, mod.D, n)))), 20))
-    return {"ok": not failures, "failures": failures, "checked": max(2 * N + 1, 0) ** m}
-
-
-def relation_difference(lhs, rhs, act, d=1):
-    """lhs - rhs of one relation of wiring.quantum_matrix_relations as a flat
-    vector, where act(word) is the flat vector of a word and q is read as
-    q^d."""
-    out = {}
-    for sign, side in ((1, lhs), (-1, rhs)):
-        for c, word in side:
-            acted = act(word).items()
-            for (e, _), v in c.items():  # table coefficients are Laurent polynomials in q
-                e, v = d * e, sign * v
-                add_scalars(out, (((n, qe + e, g), x * v) for (n, qe, g), x in acted))
-    return out
+    return {"ok": not failures, "failures": failures, "checked": (2 * N + 1) ** m}
 
 
 def _nonzero_at(diff, zq):

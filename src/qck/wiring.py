@@ -21,8 +21,9 @@ alone, its smaller expansions memoised beside the passes.  The diagrams are
 type A only; every entry point that takes a datum rejects other data.
 
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
-which the torus suite here and the module suites of slq2_tensor evaluate.
-The torus suite and the oracle skip each product with a zero generator image.
+which one evaluator (relation_differences) turns into differences for the
+torus suite here and the module suites of slq2_tensor alike.  It and the
+oracle skip each product with a zero generator image.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import weyl
-from .qtorus import QTorusElement, coeff_qpow, from_flat, mul_into
+from .qtorus import QTorusElement, add_scalars, coeff_qpow, from_flat, mul_into
 
 
 class SizeMismatch(ValueError):
@@ -370,30 +371,53 @@ def quantum_matrix_relations(n1):
     return tuple(rels)
 
 
+def relation_differences(rels, images, start, apply_into, d=1):
+    """(name, lhs - rhs) for each relation (name, lhs, rhs) of
+    quantum_matrix_relations, the difference a flat map and q read as q^d:
+    the one evaluator of the torus and module suites.  A word's value is its
+    letters' flat images applied right to left to start by
+    apply_into(out, image, vec), which adds image vec into out.  A term's
+    coefficient is folded into its first letter's image, so the product goes
+    straight into the difference and only proper suffixes are memoised; a
+    word with a zero image is skipped, and the empty word is c start.  The
+    memo is a local map, not a closure, so it dies with the call.  images
+    and start are left as they are."""
+    acted = {(): start}
+    diffs = []
+    for name, lhs, rhs in rels:
+        diff = {}
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for c, word in side:
+                if not all(map(images.__getitem__, word)):  # a zero factor: the value is 0
+                    continue
+                for r in range(len(word) - 1, 0, -1):
+                    if word[r:] not in acted:
+                        acted[word[r:]] = apply_into({}, images[word[r]], acted[word[r + 1:]])
+                rest = acted[word[1:]]
+                for (e, _), v in c.items():  # c is a Laurent polynomial in q
+                    if word:
+                        apply_into(diff, _shifted(images[word[0]], d * e, sign * v), rest)
+                    else:  # start's keys end in (q_exp, gamma) too
+                        add_scalars(diff, ((k[:-2] + (k[-2] + d * e, k[-1]), sign * v * x)
+                                           for k, x in start.items()))
+        diffs.append((name, diff))
+    return diffs
+
+
 def verify_relations(datum, word):
     """Check the quantum-matrix relations and det_q = 1 on the generator
-    images; returns a list of (description, ok) pairs.  Every other relation
-    sums lhs - rhs into one flat term map, its words having two or more
-    letters; det_q is the full minor's one path family, not its expansion."""
+    images; returns a list of (description, ok) pairs.  The relations other
+    than det_q go through relation_differences with the torus product; det_q
+    is the full minor's one path family, not its expansion."""
     word = tuple(word)
     g = {ij: e.flat for ij, e in _generators(datum, word).items()}
-    D = torus_diagonal(datum, word)
+    one = QTorusElement.one(len(word), torus_diagonal(datum, word))
     *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
-    report = []
-    for name, lhs, rhs in rels:
-        diff = {}  # lhs - rhs as a flat term map
-        for sign, side in ((1, lhs), (-1, rhs)):
-            # c is a Laurent polynomial in q; a word with a zero factor has image 0
-            for c, (first, *middle, last) in (t for t in side if all(map(g.__getitem__, t[1]))):
-                for (e, _), v in c.items():
-                    term = _shifted(g[first], e, sign * v)
-                    for label in middle:
-                        term = mul_into({}, term, g[label], D)
-                    mul_into(diff, term, g[last], D)
-        report.append((name, not diff))
+    diffs = relation_differences(rels, g, one.flat,
+                                 lambda out, image, vec: mul_into(out, image, vec, one.D))
     full = tuple(range(1, datum.n + 2))
     det = _transfer(datum, word, full)[full]
-    return report + [(det_name, det == QTorusElement.one(len(word), det.D))]
+    return [(name, not diff) for name, diff in diffs] + [(det_name, det == one)]
 
 
 # ---------------------------------------------------------------------------

@@ -785,7 +785,7 @@ def nested_apply_generator(spec, generator, vec, d=1):
 def nested_relation_difference(lhs, rhs, act, d=1):
     """lhs - rhs of one relation as a nested vector, where act(word) is the
     nested vector of a word and q is read as q^d (test oracle for
-    slq2_tensor.relation_difference)."""
+    wiring.relation_differences)."""
     out = {}
     for sign, side in ((1, lhs), (-1, rhs)):
         for c, word in side:
@@ -795,6 +795,21 @@ def nested_relation_difference(lhs, rhs, act, d=1):
                 accumulate(out, [(key, {(qe + e, g): x * v for (qe, g), x in cx.items()})
                                  for key, cx in acted])
     return out
+
+
+def nested_word_action(start, apply):
+    """act(word): the nested vector x_{l_1} ... x_{l_r} start, walked right
+    to left one apply(label, vec) at a time, each word on its own with no
+    shared suffixes (test oracle for the word values of
+    wiring.relation_differences)."""
+    @functools.lru_cache(maxsize=None)
+    def act(word):
+        vec = start
+        for label in reversed(word):
+            vec = apply(label, vec)
+        return vec
+
+    return act
 
 
 def nested_nonzero_at(diff, zq):
@@ -906,8 +921,8 @@ def ball_typical_relations(spec, N, d=1):
     failures = []
     bad = spec.illegal_laurent_index(d=d, bound=N)
     for i in range(lo, hi + 1):
-        act = sq._word_action({i: coeff_qpow(0)},
-                              lambda ij, vec: nested_apply_generator(spec, "x%d%d" % ij, vec, d=d))
+        act = nested_word_action({i: coeff_qpow(0)},
+                                 lambda ij, vec: nested_apply_generator(spec, "x%d%d" % ij, vec, d=d))
         failures += [(name, i) for name, lhs, rhs in wiring.quantum_matrix_relations(2)
                      if nested_relation_difference(lhs, rhs, act, d=d)]
         if i == bad:

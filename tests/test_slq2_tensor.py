@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
     nested_element_action,
     nested_nonzero_at,
     nested_relation_difference,
+    nested_word_action,
     random_double_word,
     typical_action,
 )
@@ -30,7 +32,7 @@ def _image_action(spec, ij, vec, d=1):
     vector vec = {i: coefficient}, gamma and eta in two gamma slots as in
     the oracle typical_action; the result is such a nested vector."""
     flat = {((i,), e, g + (0,) if g else ()): v for i, c in vec.items() for (e, g), v in c.items()}
-    out = sq.torus_action((d,), [coeff_qpow(0)], sq.typical_images(spec, d)[ij], flat)
+    out = sq.torus_action({}, sq.typical_images(spec, d)[ij], flat, (d,), [coeff_qpow(0)])
     return {i: c for ((i,),), c in group_coefficients({(n, e, g[:2]): v
                                                      for (n, e, g), v in out.items()}).items()}
 
@@ -140,9 +142,9 @@ def test_formal_rank1_check_work_does_not_grow_with_N(monkeypatch):
     calls = []
     action = sq.torus_action
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return action(*args)
+        return action(*args, **kwargs)
 
     monkeypatch.setattr(sq, "torus_action", counted)
     for kind in sq.KINDS:
@@ -287,11 +289,47 @@ def test_formal_check_agrees_with_ball_oracle(A1, A2, A3):
 def test_formal_check_edge_truncations(A1, A2):
     specialised = [{(1, ()): 2}, {(0, ()): -1}]
     for datum, word, N, params in (
-        (A2, (), 2, None), (A2, (), -1, None), (A2, (1,), -1, None),
+        (A2, (), 2, None), (A2, (), 0, None), (A2, (1,), 0, None),
         (A1, (-1, 1), 0, specialised), (A2, (-1, 2), 3, [{(-3, ()): 1}, None]),
     ):
         rep = sq.verify_tensor_relations(datum, word, N, params=params)
         assert rep == ball_tensor_relations(datum, word, N, params=params), (word, N)
+
+
+def test_a_negative_truncation_is_refused(A2):
+    # gamma eta = -q fails at i = 0, so a run that checked nothing would hide it
+    spec = sq.TypicalModuleSpec("Laurent", gamma={(1, ()): -1}, eta={(0, ()): 1})
+    assert not sq.verify_typical_relations(spec, 3)["ok"]
+    with pytest.raises(ValueError, match="N = -3"):
+        sq.verify_typical_relations(spec, -3)
+    for word in ((-1, 2), (), (1,)):
+        with pytest.raises(ValueError, match="N = -1"):
+            sq.verify_tensor_relations(A2, word, -1)
+
+
+@pytest.mark.parametrize("kind", sq.KINDS)
+def test_doubling_row_one_fails_only_the_constant_term_of_det_q(monkeypatch, A2, kind):
+    # every q-commutation and commutator is homogeneous in row 1 and each
+    # det_q term has one row-1 letter, so only det_q = 1 sees the factor 2
+    images, generators, tensor_images = sq.typical_images, wiring._generators, wiring.generator_images
+
+    def doubled(g):
+        return {ij: {k: 2 * v for k, v in u.items()} if ij[0] == 1 else u for ij, u in g.items()}
+
+    def doubled_elements(g):
+        return {ij: u.scale(coeff_qpow(0, 2)) if ij[0] == 1 else u for ij, u in g.items()}
+
+    monkeypatch.setattr(sq, "typical_images", lambda spec, d=1: doubled(images(spec, d)))
+    spec = sq.TypicalModuleSpec(kind=kind)
+    rep = sq.verify_typical_relations(spec, 3)
+    assert rep["failures"] == [("det_q = 1", i) for i in _domain(spec, 3)]
+    monkeypatch.setattr(wiring, "generator_images", lambda *args: doubled_elements(tensor_images(*args)))
+    rep = sq.verify_tensor_relations(A2, (1, 2, -1), 1)
+    ball = itertools.product(range(-1, 2), repeat=3)
+    assert rep["failures"] == [("det_q = 1", n) for n in itertools.islice(ball, 20)]
+    # the torus suite's det_q reads the full minor's path family, not the images
+    monkeypatch.setattr(wiring, "_generators", lambda *args: doubled_elements(generators(*args)))
+    assert all(ok for _name, ok in wiring.verify_relations(A2, (1, 2, -1)))
 
 
 def _corrupt(label, how):
@@ -345,9 +383,9 @@ def test_formal_check_work_does_not_grow_with_N(monkeypatch, A2):
     calls = []
     action = sq.torus_action
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return action(*args)
+        return action(*args, **kwargs)
 
     monkeypatch.setattr(sq, "torus_action", counted)
     counts = []
@@ -391,9 +429,8 @@ def test_module_vectors_own_their_coefficients(A1):
     mod = sq.TensorModule(A1, (-1, 1))
     g = wiring.generator_images(A1, (-1, 1))
     images = sq.typical_images(sq.TypicalModuleSpec(kind="Laurent"))
-
-    def rank1(ij, v):
-        return sq.torus_action((1,), [coeff_qpow(0)], images[ij], v)
+    rank1 = functools.partial(sq.torus_action, D=(1,), params=[coeff_qpow(0)])
+    tensor = functools.partial(sq.torus_action, D=mod.D, params=mod.params)
 
     def vectors():
         return ({((0,), 0, ()): 1, ((1,), 1, (1, 0, 0)): 2}, {((1,), 0, ()): 3, ((2,), 2, ()): -1})
@@ -401,20 +438,20 @@ def test_module_vectors_own_their_coefficients(A1):
     def module_vector():
         return ({((0, 0), 0, ()): 1, ((1, -1), 1, (1, 0)): 2},)
 
-    one, q = coeff_qpow(0), coeff_qpow(1)
-    _owns_its_terms(  # v1 - q v2, acting on the two vectors by lookup
-        lambda v1, v2: sq.relation_difference([(one, "a")], [(q, "b")], {"a": v1, "b": v2}.get),
-        vectors)
-    _owns_its_terms(lambda v: rank1((2, 1), v), lambda: vectors()[:1])
+    _owns_its_terms(lambda v: rank1({}, images[2, 1], v), lambda: vectors()[:1])
     for u in (g[(1, 1)], g[(2, 2)], QTorusElement.one(2, mod.D)):
         _owns_its_terms(lambda v: mod.element_action(u, v), module_vector)
-    # a memoised word action stays as it was returned while longer words reuse it
-    for act in (sq._word_action(module_vector()[0], lambda ij, v: mod.element_action(g[ij], v)),
-                sq._word_action(vectors()[0], rank1)):
-        first = {w: dict(act(w)) for w in (((1, 1),), ((2, 2), (1, 1)))}
-        act(((1, 2), (2, 2), (1, 1)))
-        act(((2, 1), (1, 1)))
-        assert all(act(w) == v for w, v in first.items())
+    # a + 1 - q b a acting on start: an empty word, and a suffix memoised
+    # while a longer word reuses it
+    one, q = coeff_qpow(0), coeff_qpow(1)
+    rels = [("r", [(one, ("a",)), (one, ())], [(q, ("b", "a"))])]
+    for apply_into, start, a, b in ((tensor, module_vector()[0], g[(1, 1)].flat, g[(2, 2)].flat),
+                                    (rank1, vectors()[0], images[1, 1], images[2, 1])):
+        def evaluated(start, a, b):
+            (_name, diff), = wiring.relation_differences(rels, {"a": a, "b": b}, start, apply_into)
+            return diff
+
+        _owns_its_terms(evaluated, lambda: (dict(start), dict(a), dict(b)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -538,16 +575,30 @@ def test_typical_images_act_like_the_basis_formulas():
                 assert _image_action(spec, (gi, gj), {i: coeff_qpow(0)}, d=d) == expected
 
 
-def test_flat_relation_difference_and_substitution_match_the_nested_ones():
+def test_flat_relation_difference_and_substitution_match_the_nested_ones(A1, A2):
+    # the one evaluator on random images, one of them 0, against the nested
+    # right-to-left walk on the n1 = 2 and n1 = 3 tables, det_q included
     rng = random.Random(24)
-    for n1 in (2, 3):
-        m = n1 - 1
-        for _, lhs, rhs in wiring.quantum_matrix_relations(n1):
-            vectors = {word: _nested_vector(rng, lambda: rng.randint(-2, 2), 2 * m)
-                       for _, word in lhs + rhs}
-            d = rng.randint(1, 2)
-            got = sq.relation_difference(lhs, rhs, lambda w: flat_vector(vectors[w]), d=d)
-            assert got == flat_vector(nested_relation_difference(lhs, rhs, vectors.get, d=d))
+    nonzero = 0
+    for datum, word in ((A1, (-1, 1)), (A2, (1, 2, -1))) * 3:
+        m, labels = len(word), list(itertools.product(range(1, datum.n + 2), repeat=2))
+        mod = sq.TensorModule(datum, word)
+        images = {ij: QTorusElement(m, mod.D) for ij in labels}
+        for ij in rng.sample(labels, len(labels) - 1):
+            for _ in range(rng.randint(1, 3)):
+                a, b = (tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(2))
+                images[ij] += QTorusElement.monomial(m, mod.D, a, b, _random_coeff(rng, m))
+        start = _nested_vector(rng, lambda: tuple(rng.randint(-2, 2) for _ in range(m)), m)
+        d = rng.randint(1, 2)
+        rels = wiring.quantum_matrix_relations(datum.n + 1)
+        got = wiring.relation_differences(rels, {ij: u.flat for ij, u in images.items()},
+                                          flat_vector(start),
+                                          functools.partial(sq.torus_action, D=mod.D, params=mod.params), d)
+        act = nested_word_action(start, lambda ij, vec: nested_element_action(mod, images[ij], vec))
+        assert got == [(name, flat_vector(nested_relation_difference(lhs, rhs, act, d=d)))
+                       for name, lhs, rhs in rels]
+        nonzero += sum(bool(diff) for _name, diff in got)
+    assert nonzero > 20
     survived = cancelled = 0
     for _ in range(200):
         m = rng.randint(1, 3)

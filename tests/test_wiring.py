@@ -7,7 +7,7 @@ import pytest
 from conftest import (enumerate_families, family_sum, family_weight, monomial_to_string,
                       natural_weight, permutation_expansion_image, random_double_word)
 from qck import weyl, wiring
-from qck.qtorus import QTorusElement, coeff_qpow
+from qck.qtorus import QTorusElement, coeff_qpow, mul_into
 
 REF_WORD = (1, 2, 1, -1, -2)
 REF_D = (1, 1, 1, 1, 1)
@@ -291,6 +291,22 @@ def test_a_zero_image_made_nonzero_fails_the_relations_it_enters(monkeypatch, A2
         "x11 x21 = q x21 x11", "x21 x22 = q x22 x21", "x21 x23 = q x23 x21",
         "x12 x21 = x21 x12", "x13 x21 = x21 x13",
         "[x11, x22] commutator", "[x11, x23] commutator", "[x21, x33] commutator"]
+
+
+def test_relation_differences_leave_the_memo_images_as_they_are(A2):
+    # the torus suite hands the evaluator the pass memo's own maps; with the
+    # full table, det_q's expansion included, every difference is 0
+    word = (1, 2, 1, -1)
+    g = {ij: e.flat for ij, e in wiring._generators(A2, word).items()}
+    saved = {ij: dict(flat) for ij, flat in g.items()}
+    one = QTorusElement.one(len(word), wiring.torus_diagonal(A2, word))
+    diffs = wiring.relation_differences(wiring.quantum_matrix_relations(3), g, one.flat,
+                                        lambda out, image, vec: mul_into(out, image, vec, one.D))
+    assert [diff for _name, diff in diffs] == [{}] * len(wiring.quantum_matrix_relations(3))
+    for _name, diff in diffs:  # no difference shares a map with images or start
+        diff[(0,), (0,), 0, ()] = 7
+    assert g == saved and one == QTorusElement.one(len(word), one.D)
+    assert all(e.flat is g[ij] for ij, e in wiring._generators(A2, word).items())
 
 
 def test_generator_terms_are_weight_strings(A2, A3):
