@@ -46,23 +46,17 @@ def add_scalars(out, items):
     return out
 
 
+def _gamma_sum(g1, g2):
+    """The gamma exponent of a product, an all-zero sum spelled ()."""
+    if not (g1 and g2):
+        return g1 or g2
+    g = tuple(map(add, g1, g2))
+    return g if any(g) else ()
+
+
 def coeff_mul(c1, c2):
-    out = {}
-    for (e1, g1), v1 in c1.items():
-        for (e2, g2), v2 in c2.items():
-            if g1 and g2:
-                g = tuple(a + b for a, b in zip(g1, g2))
-                if not any(g):
-                    g = ()
-            else:
-                g = g1 or g2
-            key = (e1 + e2, g)
-            nv = out.get(key, 0) + v1 * v2
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
+    return add_scalars({}, (((e1 + e2, _gamma_sum(g1, g2)), v1 * v2)
+                            for (e1, g1), v1 in c1.items() for (e2, g2), v2 in c2.items()))
 
 
 def _reciprocal(v):
@@ -239,9 +233,6 @@ class QTorusElement:
         self._check_compatible(other)
         return from_flat(self.m, self.D, mul_into({}, self.flat, other.flat, self.D))
 
-    def scale(self, coeff):
-        return self * QTorusElement.monomial(self.m, self.D, (0,) * self.m, (0,) * self.m, coeff)
-
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
@@ -261,9 +252,6 @@ class QTorusElement:
             return NotImplemented
         # no zero rational is stored, so equal elements have equal flat maps
         return self.m == other.m and self.D == other.D and self.flat == other.flat
-
-    def is_zero(self):
-        return not self.flat
 
     # -- units, supports ----------------------------------------------------
 
@@ -303,18 +291,6 @@ class QTorusElement:
                 for (a, b), c in sorted(self.terms.items())  # each (a, b) once
             ],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        """The element written by to_json, terms with equal (a, b) added up;
-        malformed input raises ValueError naming the field."""
-        m, D, items = json_fields(data, "torus element", m=int, D="ints", terms=list)
-        flat = {}
-        for t in items:
-            a, b, c = json_fields(t, "torus term", a="ints", b="ints", coeff=list)
-            add_scalars(flat, (((tuple(a), tuple(b), *k), v)
-                               for k, v in coeff_from_json(c).items()))
-        return cls(m, D, group_coefficients(flat))
 
     def __repr__(self):
         parts = []

@@ -73,7 +73,7 @@ class TypicalModuleSpec:
             return (None, 0)
         return (None, None)
 
-    def illegal_laurent_index(self, d=1, bound=50):
+    def illegal_laurent_index(self, d, bound):
         """For Laurent kind with both parameters specialized: the basis index
         i in [-bound, bound] where 1 + gamma*eta*q^{d(2i-1)} vanishes, if any."""
         if self.kind != "Laurent" or self.gamma is None or self.eta is None:

@@ -26,7 +26,6 @@ all read the record, so each of these is built, and H reduced, once per word.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from operator import mul, sub
@@ -116,7 +115,7 @@ class StringMatrices:
     word: its split, W1, W2 and rank(W1 - W2), the Psi matrices, the torus
     matrices, and (built on first use) LambdaInv, OmegaTilde and H_form, the
     skew normal form of H.  Held in the one-entry memo of `_context`, so
-    nothing in it may be mutated; `string_matrices` hands out copies."""
+    nothing in it may be mutated."""
 
     word: tuple
     w1: tuple
@@ -160,12 +159,6 @@ def _context(datum, word):
     rank_diff = intlinalg.rank_over_Q([list(map(sub, r1, r2)) for r1, r2 in zip(W1, W2)])
     return StringMatrices(word, w1, w2, supp, W1, W2, psi, reduced, rank_diff,
                           *_torus_matrices(datum, word))
-
-
-def string_matrices(datum, word):
-    """Exact structural matrices of the localized algebra for a double word,
-    as a fresh copy."""
-    return copy.deepcopy(_context(datum, tuple(word)))
 
 
 @dataclass

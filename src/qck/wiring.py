@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -227,36 +228,21 @@ def minor_image_oracle(datum, word, A, B):
 # expression grammar: expr := factor ("*" factor)*;
 #                     factor := atom ("^" integer)?;
 #                     atom := "x" digit digit | "minor(" digits "|" digits ")";
-# x_ij parses as minor(i|j).
+# x_ij parses as minor(i|j).  A token is an integer (an optional "-" and
+# decimal digits), "minor", or one character; whitespace separates tokens.
+_TOKEN = re.compile(r"(-?\d+)|minor|\S")
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "*^|()":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit() or ch == "-":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if text[i:j] in ("-", ""):
-                raise ParseError("bad integer", i)
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif text[i : i + 5] == "minor":
-            tokens.append(("minor", "minor", i))
-            i += 5
-        elif ch == "x":
-            tokens.append(("x", "x", i))
-            i += 1
+    for match in _TOKEN.finditer(text):
+        tok, at = match.group(), match.start()
+        if match.group(1):
+            tokens.append(("int", tok, at))
+        elif tok == "minor" or tok in "*^|()x":
+            tokens.append((tok, tok, at))
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError("bad integer" if tok == "-" else f"unexpected character {tok!r}", at)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -441,8 +427,9 @@ def render_ascii(diagram):
     return "\n".join(rows)
 
 
-def render_svg(diagram, cell=40, margin=20):
+def render_svg(diagram):
     """Minimal SVG rendering: horizontal wires plus one diagonal per column."""
+    cell, margin = 40, 20  # pixels per column and per level, and around the wires
     m = len(diagram.word)
     n1 = diagram.levels
     width = 2 * margin + cell * max(m, 1)

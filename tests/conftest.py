@@ -683,13 +683,18 @@ def permutation_expansion_image(datum, word, A, B):
     D = wiring.torus_diagonal(datum, word)
     out = QTorusElement(len(word), D)
     for c, labels in wiring.minor_expansion(tuple(sorted(A)), tuple(sorted(B))):
-        term = QTorusElement.one(len(word), D).scale(c)
+        term = QTorusElement.monomial(len(word), D, (0,) * len(word), (0,) * len(word), c)
         for label in labels:
             term = term * gens[label]
-            if term.is_zero():
+            if not term.flat:
                 break
         out = out + term
     return out
+
+
+def scaled(u, coeff):
+    """u times the scalar coeff, a coefficient {(q_exp, gamma): rational}."""
+    return u * QTorusElement.monomial(u.m, u.D, (0,) * u.m, (0,) * u.m, coeff)
 
 
 def flat_vector(vec):

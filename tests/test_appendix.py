@@ -101,7 +101,6 @@ def test_congruence_check_builds_word_matrices_once_per_sign_class(monkeypatch, 
         return real(datum, word)
 
     monkeypatch.setattr(ac, "build_word_matrices", counting)
-    monkeypatch.setattr(ac.strings, "string_matrices", None)  # the torus H is built without it
     for word in ((), (1, -2, 3, -1, 2)):  # () has two equal sign classes
         calls.clear()
         ac._sign_class.cache_clear()
@@ -207,7 +206,7 @@ def test_non_congruent_ht_reports_its_own_multipliers(monkeypatch, A3, scale, ag
     minus, plus, _ = weyl.split_double_word(A3, word)
     mp, mm = real_build(A3, plus), real_build(A3, minus)
     assert [[scale * x for x in row] for row in ac._h_tilde(3, mp, mm)] in seen and len(seen) == 3
-    assert ac.strings.string_matrices(A3, word).H in seen
+    assert ac.strings._context(A3, word).H in seen
     assert not rep["q_congruence"] and not rep["ok"]
     assert rep["multipliers_agree"] is agree
     assert rep["multipliers"] == real_form(ac._script_h(3, mp, mm)).multipliers

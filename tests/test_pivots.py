@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_double_word, word_to_permutation
+from conftest import random_double_word, scaled, word_to_permutation
 from qck import pivots, weyl, wiring
 from qck.qtorus import QTorusElement
 
@@ -42,8 +42,7 @@ def test_is_pivot_structural_errors():
 def test_is_pivot_invariant_under_scalar(A2):
     u = wiring.minor_image(A2, REF_WORD, (1, 2), (1, 2))
     a = (-1, -1, -1, -1, -1)
-    scaled = u.scale({(3, ()): -7})
-    assert pivots.is_pivot(scaled, a, {1, 2, 5}, 2) == pivots.is_pivot(u, a, {1, 2, 5}, 2)
+    assert pivots.is_pivot(scaled(u, {(3, ()): -7}), a, {1, 2, 5}, 2) == pivots.is_pivot(u, a, {1, 2, 5}, 2)
 
 
 def test_certificate_structure_validation():

@@ -20,6 +20,7 @@ from conftest import (
     nested_relation_difference,
     nested_word_action,
     random_double_word,
+    scaled,
     typical_action,
 )
 from qck import slq2_tensor as sq
@@ -317,7 +318,7 @@ def test_doubling_row_one_fails_only_the_constant_term_of_det_q(monkeypatch, A2,
         return {ij: {k: 2 * v for k, v in u.items()} if ij[0] == 1 else u for ij, u in g.items()}
 
     def doubled_elements(g):
-        return {ij: u.scale(coeff_qpow(0, 2)) if ij[0] == 1 else u for ij, u in g.items()}
+        return {ij: scaled(u, coeff_qpow(0, 2)) if ij[0] == 1 else u for ij, u in g.items()}
 
     monkeypatch.setattr(sq, "typical_images", lambda spec, d=1: doubled(images(spec, d)))
     spec = sq.TypicalModuleSpec(kind=kind)

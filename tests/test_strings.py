@@ -49,7 +49,7 @@ def test_string_monomial_element(A1):
 
 def test_exponents_generator_strings_match_phi(A2):
     word = (1, 2, 1, -1, -2)
-    mats = strings.string_matrices(A2, word)
+    mats = strings._context(A2, word)
     gens = generator_strings(A2, word)
     n, m = A2.n, len(word)
     for idx, ws in enumerate(gens):
@@ -83,7 +83,7 @@ def test_monomial_to_string_roundtrip(A1):
 
 
 def test_string_matrices_rank_one(A1):
-    mats = strings.string_matrices(A1, (-1, 1))
+    mats = strings._context(A1, (-1, 1))
     assert mats.Omega == [[1], [1]]
     assert mats.Lambda == [[1, 0], [2, -1]]
     assert mats.OmegaTilde == [[1], [1]]
@@ -91,7 +91,7 @@ def test_string_matrices_rank_one(A1):
 
 
 def test_string_matrices_empty(A2):
-    mats = strings.string_matrices(A2, ())
+    mats = strings._context(A2, ())
     assert mats.H == intlinalg.zeros(2, 2)
     assert phi(mats) == []
     assert mats.Omega == []
@@ -99,7 +99,7 @@ def test_string_matrices_empty(A2):
 
 def test_string_matrices_rejects_non_reduced(A2):
     with pytest.raises(weyl.NonReducedWord):
-        strings.string_matrices(A2, (1, 1))
+        strings._context(A2, (1, 1))
 
 
 def test_lambda_unimodular_and_h_skew(A3):
@@ -108,7 +108,7 @@ def test_lambda_unimodular_and_h_skew(A3):
 
     for _ in range(30):
         word = random_double_word(A3, rng, 6)
-        mats = strings.string_matrices(A3, word)
+        mats = strings._context(A3, word)
         if len(word):
             assert abs(exact_det(mats.Lambda)) == 1
         assert intlinalg.is_skew_symmetric(mats.H)
@@ -119,7 +119,7 @@ def test_lambda_inverse_matches_fraction_inverse(A3):
     for datum in (A3, weyl.type_a(4)):
         for _ in range(25):
             word = random_double_word(datum, rng, 10)
-            mats = strings.string_matrices(datum, word)
+            mats = strings._context(datum, word)
             inv = intlinalg.invert_unitriangular(mats.Lambda)
             assert inv == invert_rational(mats.Lambda)
             assert mats.LambdaInv == inv
@@ -143,7 +143,7 @@ def test_invariants_builds_string_matrices_once(monkeypatch, A3):
 
 def test_h_matches_q_commute_of_generator_strings(A2):
     word = (1, 2, 1, -1, -2)
-    mats = strings.string_matrices(A2, word)
+    mats = strings._context(A2, word)
     gens = generator_strings(A2, word)
     monos = [exponents(A2, ws) for ws in gens]
     for i, mi in enumerate(monos):
@@ -195,7 +195,7 @@ def test_cprime_multiplier_value_against_direct_lattice(A2):
     # independent route: the induced form on the annihilator computed from a
     # hand-built generator lattice for the reference word
     word = (1, 2, 1, -1, -2)
-    mats = strings.string_matrices(A2, word)
+    mats = strings._context(A2, word)
     PhiTilde = phi_tilde(mats, A2.n)
     G = skew_gram(mats.D)
     L = intlinalg.transpose(hermite_column_basis(PhiTilde))
@@ -315,31 +315,3 @@ def test_one_word_builds_its_context_once(monkeypatch, A3):
     ac.congruence_check(A3, word)
     assert counts == {"_weyl_walk": 1, "split_double_word": 1,
                       "_torus_matrices": 1, "skew_normal_form": 3}
-
-
-def test_string_matrices_hands_out_a_copy(A3):
-    word = (1, 2, -1, 3, -2, 1)
-
-    def results():
-        return (strings.invariants(A3, word), strings.psi_check(A3, word),
-                ac.congruence_check(A3, word), strings.cprime_multipliers(A3, word))
-
-    names = ("W1", "W2", "Psi", "ReducedPsi", "Omega", "Lambda", "H", "OmegaTilde", "LambdaInv")
-
-    def matrices(mats):
-        return {name: getattr(mats, name) for name in names}
-
-    before, first = matrices(strings.string_matrices(A3, word)), results()
-    lattice = phi_tilde(strings.string_matrices(A3, word), A3.n)
-    form = strings.string_matrices(A3, word).H_form
-    mats = strings.string_matrices(A3, word)
-    for name in names:
-        for row in getattr(mats, name):
-            row[:] = [x + 7 for x in row]
-    for row in mats.H_form.Q:
-        row[:] = [x + 7 for x in row]
-    mats.H_form.multipliers.append(7)
-    assert matrices(strings.string_matrices(A3, word)) == before
-    assert strings.string_matrices(A3, word).H_form == form
-    assert phi_tilde(strings.string_matrices(A3, word), A3.n) == lattice
-    assert results() == first
