@@ -10,9 +10,15 @@ Products build each output row as a combination of the rows of the right
 factor, skipping zero coefficients: the matrices here are block-sparse or
 unitriangular.  Both normal forms pick as pivot the first entry of least
 nonzero absolute value and stop looking at the first unit, which no later
-entry can beat.  The skew normal form verifies Q^T H Q on its strict upper
-triangle: H is checked to be skew on entry, so Q^T H Q is skew too and that
-triangle decides the identity exactly.
+entry can beat.  One Smith core tracks only the transforms its caller
+reads: invariant_factors neither U nor V, kernel_basis only V.
+
+The skew normal form carries R = Q^-1, so a congruence step is one row
+operation on R, and a pivot that divides its two rows clears both in one
+rank-2 pass.  It verifies H = R^T N R, N = diag(m1 S, ..., ml S, 0), on
+its strict lower triangle in O(l n^2): H is checked to be skew on entry,
+so both sides are skew and that triangle decides the identity exactly.  Q
+is built, and checked by R Q = I, only when read.
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ def zeros(r, c):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = zeros(n, n)
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def copy_matrix(M):
@@ -176,36 +185,36 @@ def _least_nonzero(A, rows, first_col):
     return best
 
 
-def smith_normal_form(M):
-    """(U, D, V) with U M V = D, U, V unimodular, D diagonal, d1 | d2 | ...
-
-    Diagonal entries are nonnegative and satisfy the divisibility chain; the
-    identity U*M*V == D holds exactly.
-    """
+def _smith(M, track_u, track_v):
+    """(U, D, Vt) with U M Vt^T = D by the elimination of smith_normal_form;
+    U is None unless track_u, Vt (V^T, whose rows are the columns of V)
+    None unless track_v."""
     r, c = shape(M)
     D = copy_matrix(M)
-    U = identity(r)
-    V = identity(c)
+    U = identity(r) if track_u else None
+    Vt = identity(c) if track_v else None
 
     def row_op(i, j, f):  # row_i -= f*row_j
         D[i] = [a - f * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - f * b for a, b in zip(U[i], U[j])]
+        if U is not None:
+            U[i] = [a - f * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, f):  # col_i -= f*col_j
         for row in D:
             row[i] -= f * row[j]
-        for row in V:
-            row[i] -= f * row[j]
+        if Vt is not None:
+            Vt[i] = [a - f * b for a, b in zip(Vt[i], Vt[j])]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        if Vt is not None:
+            Vt[i], Vt[j] = Vt[j], Vt[i]
 
     t = 0
     while t < min(r, c):
@@ -239,14 +248,25 @@ def smith_normal_form(M):
                     row_op(t, off[0], -1)  # mix the offending row into the pivot row
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
+            if U is not None:
+                U[t] = [-x for x in U[t]]
         t += 1
-    return U, D, V
+    return U, D, Vt
+
+
+def smith_normal_form(M):
+    """(U, D, V) with U M V = D, U, V unimodular, D diagonal, d1 | d2 | ...
+
+    Diagonal entries are nonnegative and satisfy the divisibility chain; the
+    identity U*M*V == D holds exactly.
+    """
+    U, D, Vt = _smith(M, True, True)
+    return U, D, transpose(Vt)
 
 
 def invariant_factors(M):
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, D, _ = smith_normal_form(M)
+    _, D, _ = _smith(M, False, False)
     return [D[i][i] for i in range(min(shape(D))) if D[i][i] != 0]
 
 
@@ -259,10 +279,9 @@ def kernel_basis(M):
     r, c = shape(M)
     if c == 0:
         return []
-    _, D, V = smith_normal_form(M)
+    _, D, Vt = _smith(M, False, True)
     rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
-    cols = transpose(V)
-    return [list(cols[j]) for j in range(rank, c)]
+    return Vt[rank:]
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +290,27 @@ def kernel_basis(M):
 
 @dataclass
 class SkewNormalForm:
-    Q: list  # unimodular, Q^T H Q = diag(m1 S, ..., ml S, 0, ...)
+    R: list  # unimodular, H = R^T diag(m1 S, ..., ml S, 0, ...) R
     multipliers: list
     zero_dim: int
+
+    @property
+    def Q(self):
+        """Q = R^-1, so Q^T H Q = diag(m1 S, ..., ml S, 0, ...); from the
+        Smith form U R V = I as V U, checked by R Q = I."""
+        U, _, V = smith_normal_form(self.R)
+        Q = mat_mul(V, U)
+        if not mat_eq(mat_mul(self.R, Q), identity(len(Q))):
+            raise CrossCheckFailed("skew normal form inverse check failed")
+        return Q
 
 
 def skew_normal_form(H):
     """Congruence normal form of a skew-symmetric integer matrix.
 
     Finds unimodular Q with Q^T H Q = diag(m1*S, ..., ml*S, 0, ..., 0),
-    S = [[0,1],[-1,0]], and m1 | m2 | ... | ml positive.
+    S = [[0,1],[-1,0]], and m1 | m2 | ... | ml positive; it carries
+    R = Q^-1 and builds Q only when read.
     """
     n, c = shape(H)
     if n != c:
@@ -288,22 +318,21 @@ def skew_normal_form(H):
     if not is_skew_symmetric(H):
         raise NotSkewSymmetric("matrix is not skew-symmetric")
     A = copy_matrix(H)
-    Q = identity(n)
+    R = identity(n)
 
     def col_add(i, j, f):  # col_i += f*col_j, with the congruent row op
         for row in A:
             row[i] += f * row[j]
         A[i] = [a + f * b for a, b in zip(A[i], A[j])]
-        for row in Q:
-            row[i] += f * row[j]
+        R[j] = [a - f * b for a, b in zip(R[j], R[i])]
 
     def swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
         A[i], A[j] = A[j], A[i]
-        for row in Q:
-            row[i], row[j] = row[j], row[i]
+        R[i], R[j] = R[j], R[i]
 
+    mult = []
     s = 0
     while s + 1 < n:
         # minimal nonzero entry in the trailing block
@@ -316,45 +345,48 @@ def skew_normal_form(H):
         if j0 != s + 1:
             swap(s + 1, j0)
         while True:
-            dirty = False
-            p = A[s][s + 1]
-            # clear row s beyond s+1 (and by skew symmetry column s)
-            for j in range(s + 2, n):
-                if A[s][j] != 0:
-                    f = A[s][j] // p
-                    col_add(j, s + 1, -f)
-                    if A[s][j] != 0:
-                        swap(s + 1, j)
-                        dirty = True
+            p, u, v = A[s][s + 1], A[s][s + 2:], A[s + 1][s + 2:]
+            if abs(p) != 1 and any(x % p for x in u + v):
+                # clear row s, then row s+1 (A[s+1][s] = -p), column by
+                # column up to the first remainder, which becomes the smaller
+                # pivot of a new pass; clearing column t changes no other
+                # entry of the two rows
+                for r, k, sign in ((s, s + 1, -1), (s + 1, s, 1)):
+                    j = next((j for j in range(s + 2, n) if A[r][j] % p), n)
+                    for t in range(s + 2, min(j + 1, n)):
+                        if A[r][t]:
+                            col_add(t, k, sign * (A[r][t] // p))
+                    if j < n:
+                        swap(k, j)
                         break
-            if dirty:
                 continue
-            # clear row s+1 beyond s+1 (uses A[s+1][s] = -p)
-            for j in range(s + 2, n):
-                if A[s + 1][j] != 0:
-                    f = A[s + 1][j] // p
-                    col_add(j, s, f)
-                    if A[s + 1][j] != 0:
-                        swap(s, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
+            # p divides rows s and s+1, and the column sweeps would clear
+            # them without a swap, by operations that leave rows and columns
+            # s and s+1 to each other: one rank-2 pass applies them all
+            f, g = [x // p for x in u], [x // p for x in v]
+            head = [0] * (s + 2)  # the pass clears columns s and s+1
+            for t, ft, gt in zip(range(s + 2, n), f, g):
+                if ft or gt:
+                    A[t] = head + [a + gt * x - ft * y for a, x, y in zip(A[t][s + 2:], u, v)]
+            below = R[s + 2:]
+            R[s] = list(map(sub, R[s], _combine(g, below, n)))
+            R[s + 1] = list(map(add, R[s + 1], _combine(f, below, n)))
+            A[s], A[s + 1] = [0] * n, [0] * n
+            A[s][s + 1], A[s + 1][s] = p, -p
+            if abs(p) == 1:
+                break
             # divisibility: remaining entries must be multiples of the pivot
-            off = next(
-                ((i, j) for i in range(s + 2, n) for j in range(i + 1, n)
-                 if A[i][j] % p != 0),
-                None,
-            )
+            off = next(((i, j) for i in range(s + 2, n) for j in range(i + 1, n) if A[i][j] % p), None)
             if off is None:
                 break
             col_add(s, off[0], 1)  # pivot row regains a non-multiple
-        if A[s][s + 1] < 0:
-            swap(s, s + 1)
+        p = A[s][s + 1]
+        if p < 0:  # swapping s and s+1 negates the pivot block
+            R[s], R[s + 1] = R[s + 1], R[s]
+        mult.append(abs(p))
         s += 2
 
-    mult = [A[i][i + 1] for i in range(0, s, 2)]
-    nf = SkewNormalForm(Q=Q, multipliers=mult, zero_dim=n - s)
+    nf = SkewNormalForm(R=R, multipliers=mult, zero_dim=n - s)
     _verify_skew_form(H, nf)
     for a, b in zip(mult, mult[1:]):
         if b % a != 0:
@@ -363,17 +395,21 @@ def skew_normal_form(H):
 
 
 def _verify_skew_form(H, nf):
-    """Exact check of Q^T H Q = diag(m1 S, ..., ml S, 0) for a skew H.
+    """Exact check of H = R^T N R, N = diag(m1 S, ..., ml S, 0), for a skew H.
 
-    Q^T H Q is skew, so its strict upper triangle decides it.  Column j of
-    that triangle (rows i < j) is row j of (HQ)^T Q cut at column j.
+    R^T N R = sum_k m_k (r_{2k}^T r_{2k+1} - r_{2k+1}^T r_{2k}), r_a row a
+    of R, is skew, so its strict lower triangle decides it: row j of it cut
+    at column j is one combination of the rows r_a, in O(l n^2) in all.
     """
-    target = block_diag(*[[[0, m], [-m, 0]] for m in nf.multipliers],
-                        zeros(nf.zero_dim, nf.zero_dim))
-    HQ = mat_mul(H, nf.Q)
-    upper = [_combine(col, nf.Q, j) for j, col in enumerate(zip(*HQ))]
-    if not mat_eq(upper, [[target[i][j] for i in range(j)] for j in range(len(H))]):
-        raise CrossCheckFailed("skew normal form verification failed")
+    R = nf.R
+    scaled, rows = [], []  # row j of R^T N R = sum_a scaled[a][j] rows[a]
+    for k, m in enumerate(nf.multipliers):
+        a, b = R[2 * k], R[2 * k + 1]
+        scaled += [[m * x for x in a], [-m * x for x in b]]
+        rows += [b, a]
+    for j, (Hj, coeffs) in enumerate(zip(H, zip(*scaled) if scaled else [()] * len(H))):
+        if _combine(coeffs, rows, j) != Hj[:j]:
+            raise CrossCheckFailed("skew normal form verification failed")
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class StringMatrices:
 
     @functools.cached_property
     def H_form(self):
-        """The skew normal form of H, verified exactly by skew_normal_form."""
+        """The skew normal form of H, verified exactly (H = R^T N R) by skew_normal_form."""
         return intlinalg.skew_normal_form(self.H)
 
 
@@ -249,7 +249,8 @@ def cprime_multipliers(datum, word):
 
 def psi_check(datum, word):
     """(ok, invariant_factors): ok iff every nonzero Smith invariant factor of
-    the record's Psi is 1, and the same holds for its ReducedPsi."""
+    the record's Psi is 1, and the same holds for its ReducedPsi; both Smith
+    passes track neither transform."""
     ctx = _context(datum, tuple(word))
     factors = intlinalg.invariant_factors(ctx.Psi)
     ok = all(f == 1 for f in factors) and all(f == 1 for f in intlinalg.invariant_factors(ctx.ReducedPsi))

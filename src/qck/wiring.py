@@ -229,8 +229,8 @@ def minor_image_oracle(datum, word, A, B):
 #                     factor := atom ("^" integer)?;
 #                     atom := "x" digit digit | "minor(" digits "|" digits ")";
 # x_ij parses as minor(i|j).  A token is an integer (an optional "-" and
-# decimal digits), "minor", or one character; whitespace separates tokens.
-_TOKEN = re.compile(r"(-?\d+)|minor|\S")
+# ASCII digits), "minor", or one character; whitespace separates tokens.
+_TOKEN = re.compile(r"(-?[0-9]+)|minor|\S")
 
 
 def _tokenize(text):

@@ -609,15 +609,77 @@ def smith_sweep_matrix(r, c, b, seed):
 
 
 def full_skew_verification(H, nf):
-    """True iff Q^T H Q equals the normal form, with both products and the
-    comparison done in full (test oracle for the upper-triangle check of
-    intlinalg.skew_normal_form)."""
-    n = len(H)
-    mult = nf.multipliers
-    target = intlinalg.block_diag(*([[[0, m], [-m, 0]] for m in mult]
+    """True iff R^T N R equals H, N = diag(m1 S, ..., ml S, 0), with both
+    products and the comparison done in full (test oracle for the triangle
+    check of intlinalg.skew_normal_form)."""
+    R = nf.R
+    target = intlinalg.block_diag(*([[[0, m], [-m, 0]] for m in nf.multipliers]
                                     + [intlinalg.zeros(nf.zero_dim, nf.zero_dim)]))
-    Q = nf.Q
-    return not n or dense_mat_mul(intlinalg.transpose(Q), dense_mat_mul(H, Q)) == target
+    return not H or dense_mat_mul(intlinalg.transpose(R), dense_mat_mul(target, R)) == H
+
+
+def column_sweep_skew_normal_form(H):
+    """(Q, multipliers, zero_dim, nonunit) by the elimination that carries Q
+    itself, clears a pivot's two rows column by column and checks the dense
+    product Q^T H Q (test oracle for intlinalg.skew_normal_form, which
+    carries R = Q^-1 and clears a pivot that divides both rows in one rank-2
+    pass); nonunit counts the clearing sweeps made with a pivot other than
+    +-1."""
+    n = len(H)
+    A = intlinalg.copy_matrix(H)
+    Q = intlinalg.identity(n)
+
+    def col_add(i, j, f):  # col_i += f*col_j, with the congruent row op
+        for row in A:
+            row[i] += f * row[j]
+        A[i] = [a + f * b for a, b in zip(A[i], A[j])]
+        for row in Q:
+            row[i] += f * row[j]
+
+    def swap(i, j):
+        for row in A + Q:
+            row[i], row[j] = row[j], row[i]
+        A[i], A[j] = A[j], A[i]
+
+    s = nonunit = 0
+    while s + 1 < n:
+        best = full_scan_pivot(A, range(s, n), lambda i: i + 1)
+        if best is None:
+            break
+        if best[0] != s:
+            swap(s, best[0])
+        if best[1] != s + 1:
+            swap(s + 1, best[1])
+        while True:
+            p = A[s][s + 1]
+            nonunit += abs(p) != 1
+            restart = False
+            for r, k, sign in ((s, s + 1, -1), (s + 1, s, 1)):  # clear rows s, s+1 beyond s+1
+                for j in range(s + 2, n):
+                    if A[r][j] != 0:
+                        col_add(j, k, sign * (A[r][j] // p))
+                        if A[r][j] != 0:
+                            swap(k, j)
+                            restart = True
+                            break
+                if restart:
+                    break
+            if restart:
+                continue
+            off = next(((i, j) for i in range(s + 2, n) for j in range(i + 1, n)
+                        if A[i][j] % p != 0), None)
+            if off is None:
+                break
+            col_add(s, off[0], 1)
+        if A[s][s + 1] < 0:
+            swap(s, s + 1)
+        s += 2
+    mult = [A[i][i + 1] for i in range(0, s, 2)]
+    target = intlinalg.block_diag(*([[[0, m], [-m, 0]] for m in mult]
+                                    + [intlinalg.zeros(n - s, n - s)]))
+    if n and dense_mat_mul(intlinalg.transpose(Q), dense_mat_mul(H, Q)) != target:
+        raise AssertionError("column sweep: Q^T H Q is not the normal form")
+    return Q, mult, n - s, nonunit
 
 
 def enumerate_families(diagram, A, B):

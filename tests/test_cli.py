@@ -68,12 +68,13 @@ def test_image_minor_errors_name_the_fault(capsys, minor, named):
     assert named in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("expr, position", [("x1²", 2), ("minor(1²|12)", 7), ("x12^²", 4)])
+@pytest.mark.parametrize("expr, position", [("x1²", 2), ("minor(1²|12)", 7), ("x12^²", 4), ("x١٢", 1)])
 def test_superscript_digit_is_an_unexpected_character(capsys, expr, position):
-    # str.isdigit holds for '²', but int() rejects it
+    # str.isdigit holds for '²', but int() rejects it; int() accepts the
+    # Arabic-Indic '١٢', which is no list of levels either
     code, out, err = run(capsys, "image", "--rank", "2", "--word", "1,2", "--expr", expr)
     assert code == 2 and out == ""
-    assert err == f"error: unexpected character '²' (at position {position})\n"
+    assert err == f"error: unexpected character {expr[position]!r} (at position {position})\n"
 
 
 @pytest.mark.parametrize("argv, letter", [
@@ -410,8 +411,9 @@ def test_internal_cross_check_exit_code(monkeypatch, capsys):
         # a wrong Lambda inverse fails the Lambda * Lambda^-1 = I check
         (["analyze", "--rank", "2", "--word", "1,2,1,-1,-2"], "invert_unitriangular",
          lambda L: [[0] * len(L) for _ in L]),
-        # the Q^T H Q check of the skew normal form sees a mismatch
-        (["normal-form", "--kind", "skew", "--file", "{matrix}"], "mat_eq", lambda A, B: False),
+        # the H = R^T N R check of the skew normal form sees a mismatch
+        (["normal-form", "--kind", "skew", "--file", "{matrix}"], "_combine",
+         lambda coeffs, rows, width: [1] * width),
     ],
 )
 def test_failed_self_verification_exits_3(monkeypatch, tmp_path, capsys, argv, target, fake):

@@ -1,15 +1,18 @@
 import math
 import random
 import signal
+import sys
 from operator import mul
+from pathlib import Path
 
 import pytest
 
-from conftest import dense_mat_mul, full_scan_pivot, full_skew_verification
+from conftest import column_sweep_skew_normal_form, dense_mat_mul, full_scan_pivot, full_skew_verification
 from conftest import exact_det as _det
 from conftest import fraction_rank, hermite_column_basis, invert_rational, smith_sweep_matrix
 from conftest import solve_rational, sweeping_smith_normal_form
 from qck import intlinalg as la
+from qck import strings
 
 
 def _random_matrix(rng, r, c, lo=-5, hi=5):
@@ -171,13 +174,19 @@ def test_mat_mul_matches_triple_loop():
         la.mat_mul([[1, 2]], [[1, 2]])
 
 
-def test_normal_forms_match_full_scan_pivots(monkeypatch):
-    """Stopping the pivot search at the first unit picks the same pivots, so
-    Q, U, D and V are those of the full scan."""
+def _full_scan_cases():
+    """(skews, mats): 83 hostile skew matrices and 123 hostile matrices."""
     rng = random.Random(61)
     skews = [_hostile_skew(rng, n) for n in [0, 1, 2] + [rng.randint(2, 10) for _ in range(80)]]
     mats = [_hostile_matrix(rng, r, c) for r, c in [(0, 0), (3, 0), (1, 1)]]
     mats += [_hostile_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(120)]
+    return skews, mats
+
+
+def test_normal_forms_match_full_scan_pivots(monkeypatch):
+    """Stopping the pivot search at the first unit picks the same pivots, so
+    R, U, D and V are those of the full scan."""
+    skews, mats = _full_scan_cases()
     fast_skew = [la.skew_normal_form(H) for H in skews]
     fast_smith = [la.smith_normal_form(M) for M in mats]
     for H, nf in zip(skews, fast_skew):
@@ -189,6 +198,63 @@ def test_normal_forms_match_full_scan_pivots(monkeypatch):
         assert la.smith_normal_form(M) == udv, M
 
 
+def test_skew_normal_form_matches_the_column_sweep_oracle():
+    """Carrying R = Q^-1 and clearing a dividing pivot in one rank-2 pass
+    give the column sweep's Q, multipliers and radical, on the hostile skew
+    matrices and on 600 whose entries have no unit, so that every first
+    pivot is not a unit; the multipliers are every other Smith invariant
+    factor."""
+    skews, _ = _full_scan_cases()
+    rng = random.Random(64)
+    for _ in range(600):
+        n = rng.randint(2, 12)
+        H = la.zeros(n, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                H[i][j] = rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -6, 9, 10))
+                H[j][i] = -H[i][j]
+        skews.append(H)
+    nonunit = 0
+    for H in skews:
+        Q, mult, zero_dim, passes = column_sweep_skew_normal_form(H)
+        nf = la.skew_normal_form(H)
+        assert (nf.Q, nf.multipliers, nf.zero_dim) == (Q, mult, zero_dim), H
+        assert la.invariant_factors(H)[::2] == mult, H
+        nonunit += passes > 0
+    assert nonunit > 500
+
+
+def test_skew_multipliers_are_every_other_invariant_factor_on_the_cell_sweep(monkeypatch):
+    """The 646 skew normal forms of a seed-1 cell_sweep benchmark round: the
+    torus H, script-H and K^T S K of each of its 216 double words."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    forms, real = [], la.skew_normal_form
+    monkeypatch.setattr(la, "skew_normal_form", lambda H: forms.append((H, real(H))) or forms[-1][1])
+    strings._context.cache_clear()
+    sweep = workloads.CellSweep(1)
+    for op in sweep.ops:
+        sweep.run(op)
+    assert len(forms) == 646
+    for H, nf in forms:
+        assert la.invariant_factors(H)[::2] == nf.multipliers, H
+
+
+def test_trimmed_smith_matches_the_full_smith_form():
+    """invariant_factors tracks neither transform and kernel_basis only V;
+    both read what the full Smith form gives."""
+    _, mats = _full_scan_cases()
+    for M in mats[3:]:
+        _, D, V = la.smith_normal_form(M)
+        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+        assert la.invariant_factors(M) == [d for d in diag if d], M
+        rank = sum(1 for d in diag if d)
+        assert la.kernel_basis(M) == [list(col) for col in zip(*V)][rank:], M
+
+
 def test_half_check_rejects_what_the_full_check_rejects(monkeypatch):
     rng = random.Random(62)
     rejected = 0
@@ -196,9 +262,9 @@ def test_half_check_rejects_what_the_full_check_rejects(monkeypatch):
         n = rng.randint(2, 9)
         H = _hostile_skew(rng, n)
         nf = la.skew_normal_form(H)
-        Q = [row[:] for row in nf.Q]
-        Q[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 2, 10**30))
-        bad = la.SkewNormalForm(Q=Q, multipliers=nf.multipliers, zero_dim=nf.zero_dim)
+        R = [row[:] for row in nf.R]
+        R[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 2, 10**30))
+        bad = la.SkewNormalForm(R=R, multipliers=nf.multipliers, zero_dim=nf.zero_dim)
         if full_skew_verification(H, bad):
             la._verify_skew_form(H, bad)
         else:
@@ -206,7 +272,7 @@ def test_half_check_rejects_what_the_full_check_rejects(monkeypatch):
             with pytest.raises(la.CrossCheckFailed):
                 la._verify_skew_form(H, bad)
     assert rejected > 60
-    # a wrong starting Q inside skew_normal_form: diag(-1, 1) turns the
+    # a wrong starting R inside skew_normal_form: diag(-1, 1) turns the
     # pivot 3 into -3 and the result no longer matches its normal form
     monkeypatch.setattr(la, "identity", lambda n: [[-1, 0], [0, 1]])
     with pytest.raises(la.CrossCheckFailed):

@@ -530,6 +530,7 @@ def test_parse_expression_gives_minor_triples():
     ("x1", 1), ("x123", 1), ("x12^", 4), ("", 0), ("x12 * * x11", 6),
     ("minor(12|123)", 6), ("minor(112|121)", 6), ("x1 2", 1),
     ("x1²", 2), ("minor(1²|12)", 7), ("x12^²", 4),  # str.isdigit holds for '²', int() rejects it
+    ("x١٢", 1),  # int() reads the Arabic-Indic digits as 12
 ])
 def test_rejected_expressions_name_a_position(text, position):
     with pytest.raises(wiring.ParseError, match=f"at position {position}") as err:
