@@ -27,7 +27,7 @@ the commutation matrix of the word's localized torus.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import intlinalg, strings, weyl
 from .intlinalg import CrossCheckFailed
@@ -38,19 +38,8 @@ from .weyl import NonReducedWord
 # entries and stay integral for every symmetrizable datum
 
 
-@dataclass
-class ReducedWordMatrices:
-    word: tuple
-    beta: list  # roots in alpha-basis coordinates
-    B: list
-    Btilde: list
-    A: list
-    Atilde: list
-    C: list
-    Ctilde: list
-    D: list
-    P: list
-    Ptilde: list
+# beta holds the roots in alpha-basis coordinates
+ReducedWordMatrices = namedtuple("ReducedWordMatrices", "word beta B Btilde A Atilde C Ctilde D P Ptilde")
 
 
 def _root_inner(datum, c1, c2):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -184,6 +183,7 @@ def _parse_params(text, m):
 def _param(value, flag):
     """'rational:q-exponent' as the coefficient c q^e; flag names the option
     in error messages."""
+    from fractions import Fraction
     num, _, qexp = value.partition(":")
     try:
         c, e = Fraction(num), int(qexp or 0)

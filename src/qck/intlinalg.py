@@ -11,7 +11,8 @@ factor, skipping zero coefficients: the matrices here are block-sparse or
 unitriangular.  Both normal forms pick as pivot the first entry of least
 nonzero absolute value and stop looking at the first unit, which no later
 entry can beat.  One Smith core tracks only the transforms its caller
-reads: invariant_factors neither U nor V, kernel_basis only V.
+reads: invariant_factors neither U nor V, kernel_basis only V, and
+smith_normal_form, which tracks both, checks U M V = D.
 
 The skew normal form carries R = Q^-1, so a congruence step is one row
 operation on R, and a pivot that divides its two rows clears both in one
@@ -23,7 +24,7 @@ is built, and checked by R Q = I, only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 
@@ -258,10 +259,13 @@ def smith_normal_form(M):
     """(U, D, V) with U M V = D, U, V unimodular, D diagonal, d1 | d2 | ...
 
     Diagonal entries are nonnegative and satisfy the divisibility chain; the
-    identity U*M*V == D holds exactly.
+    identity U*M*V == D is checked exactly (CrossCheckFailed otherwise).
     """
     U, D, Vt = _smith(M, True, True)
-    return U, D, transpose(Vt)
+    V = transpose(Vt)
+    if not mat_eq(mat_mul(mat_mul(U, M), V), D):
+        raise CrossCheckFailed("Smith normal form verification failed")
+    return U, D, V
 
 
 def invariant_factors(M):
@@ -288,11 +292,11 @@ def kernel_basis(M):
 # skew-symmetric congruence normal form
 
 
-@dataclass
-class SkewNormalForm:
-    R: list  # unimodular, H = R^T diag(m1 S, ..., ml S, 0, ...) R
-    multipliers: list
-    zero_dim: int
+class SkewNormalForm(namedtuple("SkewNormalForm", "R multipliers zero_dim")):
+    """R unimodular with H = R^T diag(m1 S, ..., ml S, 0, ...) R, the
+    multipliers m1 | ... | ml, and zero_dim the size of the zero block."""
+
+    __slots__ = ()
 
     @property
     def Q(self):

@@ -14,7 +14,7 @@ constructions; the remaining cells follow from disjoint supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import weyl, wiring
 from .intlinalg import CrossCheckFailed
@@ -66,24 +66,19 @@ def is_pivot(u, a, I, k):
     return witnesses[0] if witnesses else None
 
 
-@dataclass(frozen=True)
-class PivotClaim:
-    a_expr: str
-    elem_expr: str
+PivotClaim = namedtuple("PivotClaim", "a_expr elem_expr")
 
 
-@dataclass(frozen=True)
-class PivotCertificate:
-    word: tuple
-    order: tuple
-    claims: tuple
+class PivotCertificate(namedtuple("PivotCertificate", "word order claims")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = len(self.word)
-        if sorted(self.order) != list(range(1, m + 1)):
-            raise InvalidType(f"order {self.order} is not a permutation of 1..{m}")
-        if len(self.claims) != m:
+    def __new__(cls, word, order, claims):
+        m = len(word)
+        if sorted(order) != list(range(1, m + 1)):
+            raise InvalidType(f"order {order} is not a permutation of 1..{m}")
+        if len(claims) != m:
             raise InvalidType("need exactly one claim per word letter")
+        return super().__new__(cls, word, order, claims)
 
     def claim_type(self, t):
         """(I, k) of the t-th claim (0-based), per the enough-pivots pattern."""
@@ -113,16 +108,8 @@ class PivotCertificate:
         )
 
 
-@dataclass
-class ClaimReport:
-    index: int
-    I: tuple
-    k: int
-    a: tuple = None
-    witness: tuple = None
-    supp_x: list = field(default_factory=list)
-    passed: bool = False
-    error: str = ""
+class ClaimReport(namedtuple("ClaimReport", "index I k a witness supp_x passed error")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -137,12 +124,8 @@ class ClaimReport:
         }
 
 
-@dataclass
-class CertificateReport:
-    word: tuple
-    order: tuple
-    claims: list
-    passed: bool
+class CertificateReport(namedtuple("CertificateReport", "word order claims passed")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -164,7 +147,8 @@ def check_certificate(datum, cert):
     reports = []
     for t, claim in enumerate(cert.claims):
         I, k = cert.claim_type(t)
-        rep = ClaimReport(index=t + 1, I=tuple(sorted(I)), k=k)
+        a = witness = None
+        supp_x, error = [], ""
         try:
             a_img = wiring.expression_image(datum, cert.word, claim.a_expr)
             unit = a_img.as_unit()
@@ -172,22 +156,21 @@ def check_certificate(datum, cert):
                 raise ExpressionNotUnit(
                     f"a_expr {claim.a_expr!r} does not evaluate to a unit"
                 )
-            (a, _b), _c = unit
-            if any(x == 0 for x in a):
+            (x_exp, _b), _c = unit
+            if any(x == 0 for x in x_exp):
                 raise ExpressionNotUnit(
-                    f"a_expr {claim.a_expr!r} has zero x-exponent entries: {a}"
+                    f"a_expr {claim.a_expr!r} has zero x-exponent entries: {x_exp}"
                 )
-            rep.a = a
+            a = x_exp
             u = wiring.expression_image(datum, cert.word, claim.elem_expr)
-            rep.supp_x = sorted(u.supp_x())
+            supp_x = sorted(u.supp_x())
             witness = is_pivot(u, a, I, k)
-            rep.witness = witness
-            rep.passed = witness is not None
             if witness is None:
-                rep.error = "no pivot witness"
+                error = "no pivot witness"
         except (ValueError, IndexError) as exc:  # CrossCheckFailed is neither
-            rep.error = str(exc)
-        reports.append(rep)
+            error = str(exc)
+        reports.append(ClaimReport(t + 1, tuple(sorted(I)), k, a, witness, supp_x,
+                                   witness is not None, error))
     return CertificateReport(
         word=cert.word,
         order=cert.order,

@@ -28,7 +28,7 @@ report's `checked` still counts the (2N+1)^m ball vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul, sub
 
 from . import weyl, wiring
@@ -50,20 +50,18 @@ def _formal(index, nslots):
     return {(0, tuple(int(k == index) for k in range(nslots))): 1}
 
 
-@dataclass(frozen=True)
-class TypicalModuleSpec:
+class TypicalModuleSpec(namedtuple("TypicalModuleSpec", "kind gamma eta")):
     """kind plus parameters; a parameter is None (formal) or a coefficient
     dict holding one exact rational * q-power monomial."""
 
-    kind: str
-    gamma: object = None
-    eta: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown module kind {self.kind!r}; the kinds are {', '.join(KINDS)}")
-        _check_param("gamma", self.gamma)
-        _check_param("eta", self.eta)
+    def __new__(cls, kind, gamma=None, eta=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown module kind {kind!r}; the kinds are {', '.join(KINDS)}")
+        _check_param("gamma", gamma)
+        _check_param("eta", eta)
+        return super().__new__(cls, kind, gamma, eta)
 
     def index_domain(self):
         """(lo, hi) bounds with None for unbounded."""

@@ -27,7 +27,7 @@ all read the record, so each of these is built, and H reduced, once per word.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul, sub
 
 from . import intlinalg, weyl
@@ -109,27 +109,23 @@ def _weyl_walk(datum, word):
     return W1, W2, psi, reduced
 
 
-@dataclass(frozen=True)
-class StringMatrices:
+class StringMatrices(namedtuple("StringMatrices", [
+        "word", "w1", "w2", "supp",
+        "W1",  # n x n, column s holds the omega-coordinates of w1(omega_s)
+        "W2",
+        "Psi",  # 2n x (n+m), [[W1^T, top], [-W2^T, bottom]]: see _weyl_walk
+        "ReducedPsi",  # n x m, (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
+        "rank_diff",  # rank over Q of W1 - W2
+        "D",  # diagonal of D_i~
+        "Omega",  # m x n
+        "Lambda",  # m x m, lower triangular, unimodular
+        "H",  # (n+m) x (n+m) skew, q-commute indices of the generators
+])):
     """What invariants, psi_check and congruence_check share for one double
     word: its split, W1, W2 and rank(W1 - W2), the Psi matrices, the torus
     matrices, and (built on first use) LambdaInv, OmegaTilde and H_form, the
     skew normal form of H.  Held in the one-entry memo of `_context`, so
     nothing in it may be mutated."""
-
-    word: tuple
-    w1: tuple
-    w2: tuple
-    supp: frozenset
-    W1: list  # n x n, column s holds the omega-coordinates of w1(omega_s)
-    W2: list
-    Psi: list  # 2n x (n+m), [[W1^T, top], [-W2^T, bottom]]: see _weyl_walk
-    ReducedPsi: list  # n x m, (omega_s, w_{<=t}^{sgn(i_t)}(alpha_{|i_t|}^vee))
-    rank_diff: int  # rank over Q of W1 - W2
-    D: tuple  # diagonal of D_i~
-    Omega: list  # m x n
-    Lambda: list  # m x m, lower triangular, unimodular
-    H: list  # (n+m) x (n+m) skew, q-commute indices of the generators
 
     @functools.cached_property
     def LambdaInv(self):
@@ -161,15 +157,20 @@ def _context(datum, word):
                           *_torus_matrices(datum, word))
 
 
-@dataclass
 class WordInvariants:
-    m: int
-    s: int
-    n_dim: int
-    d: int
-    k: int
-    rank_H: int
-    multipliers: list
+    """The invariants of one double word: a plain record, not a named tuple,
+    so that it equals no bare tuple and a copy can take a changed field
+    (perfbench's checker tests perturb one)."""
+
+    __slots__ = ("m", "s", "n_dim", "d", "k", "rank_H", "multipliers")
+
+    def __init__(self, m, s, n_dim, d, k, rank_H, multipliers):
+        self.m, self.s, self.n_dim, self.d = m, s, n_dim, d
+        self.k, self.rank_H, self.multipliers = k, rank_H, multipliers
+
+    def __eq__(self, other):
+        return type(other) is WordInvariants and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def invariants(datum, word):

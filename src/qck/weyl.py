@@ -12,41 +12,36 @@ along the prefixes w, and the letter i extends w iff mu_i > 0 (is_reduced).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class NonReducedWord(ValueError):
     """A word that should be reduced is not; carries the offending factor."""
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(namedtuple("RootDatum", "n cartan d")):
     """Symmetrizable Cartan datum: matrix c_ij = (alpha_i^vee, alpha_j) and
     symmetrizers d_i = (alpha_i, alpha_i)/2."""
 
-    n: int
-    cartan: tuple
-    d: tuple
-
-    def __post_init__(self):
+    def __new__(cls, n, cartan, d):
         # stored as tuples, so that equal data compare and hash equal (is_type_a, memos)
-        object.__setattr__(self, "cartan", tuple(map(tuple, self.cartan)))
-        object.__setattr__(self, "d", tuple(self.d))
-        n = self.n
-        if n <= 0 or len(self.cartan) != n or any(len(r) != n for r in self.cartan):
+        self = super().__new__(cls, n, tuple(map(tuple, cartan)), tuple(d))
+        cartan, d = self.cartan, self.d
+        if n <= 0 or len(cartan) != n or any(len(r) != n for r in cartan):
             raise ValueError("bad Cartan matrix shape")
-        if len(self.d) != n:
-            raise ValueError(f"{len(self.d)} symmetrizers for rank {n}")
+        if len(d) != n:
+            raise ValueError(f"{len(d)} symmetrizers for rank {n}")
         for i in range(n):
-            if self.cartan[i][i] != 2:
+            if cartan[i][i] != 2:
                 raise ValueError("Cartan diagonal must be 2")
-            if self.d[i] <= 0:
+            if d[i] <= 0:
                 raise ValueError("symmetrizers must be positive")
             for j in range(n):
-                if i != j and self.cartan[i][j] > 0:
+                if i != j and cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if self.d[i] * self.cartan[i][j] != self.d[j] * self.cartan[j][i]:
+                if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
                     raise ValueError("Cartan matrix is not symmetrizable")
+        return self
 
     @functools.cached_property
     def is_type_a(self):

@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import weyl
 from .qtorus import QTorusElement, add_scalars, coeff_qpow, from_flat, mul_into
@@ -48,15 +47,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class WiringDiagram:
-    levels: int  # n + 1
-    word: tuple
+class WiringDiagram(namedtuple("WiringDiagram", "levels word")):  # levels = n + 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for e in self.word:
-            if e == 0 or abs(e) >= self.levels:
-                raise IndexError(f"letter {e} out of range for rank {self.levels - 1}")
+    def __new__(cls, levels, word):
+        for e in word:
+            if e == 0 or abs(e) >= levels:
+                raise IndexError(f"letter {e} out of range for rank {levels - 1}")
+        return super().__new__(cls, levels, word)
 
     @property
     def columns(self):

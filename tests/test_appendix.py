@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -127,7 +126,7 @@ def _corrupt_word_matrices(monkeypatch, fields, scale):
 
     def corrupted(datum, word):
         mats = real(datum, word)
-        return dataclasses.replace(mats, **{
+        return mats._replace(**{
             name: [[scale * x for x in row] for row in getattr(mats, name)] for name in fields})
 
     monkeypatch.setattr(ac, "build_word_matrices", corrupted)

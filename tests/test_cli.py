@@ -414,6 +414,9 @@ def test_internal_cross_check_exit_code(monkeypatch, capsys):
         # the H = R^T N R check of the skew normal form sees a mismatch
         (["normal-form", "--kind", "skew", "--file", "{matrix}"], "_combine",
          lambda coeffs, rows, width: [1] * width),
+        # a wrong U fails the U M V = D check of the Smith form (U = diag(1, -1) is right)
+        (["normal-form", "--kind", "smith", "--file", "{matrix}"], "_smith",
+         lambda M, track_u, track_v: ([[1, 1], [0, -1]], [[2, 0], [0, 2]], [[0, 1], [1, 0]])),
     ],
 )
 def test_failed_self_verification_exits_3(monkeypatch, tmp_path, capsys, argv, target, fake):
@@ -667,15 +670,16 @@ FOOTPRINT = """
 import json, sys
 from qck import cli
 cli.main(json.loads(sys.argv[1]))
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("qck."))), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 QCK_MODULES = {f"qck.{name}" for name in qck.__all__} - {"qck.cli"}
 NUMERIC = {"qck.intlinalg", "qck.strings", "qck.appendix_congruence"}
-TORUS = {"qck.wiring", "qck.qtorus", "qck.slq2_tensor", "qck.pivots"}
+TORUS = {"qck.wiring", "qck.qtorus", "qck.slq2_tensor", "qck.pivots", "fractions"}
 
 
 @pytest.mark.parametrize("argv, not_loaded", [
-    (["normal-form", "--kind", "skew", "--file", "{matrix}"], QCK_MODULES - {"qck.intlinalg"}),
+    (["normal-form", "--kind", "skew", "--file", "{matrix}"],
+     QCK_MODULES - {"qck.intlinalg"} | {"fractions"}),
     (["diagram", "--rank", "2", "--word", "1,2"], NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
     (["image", "--rank", "2", "--word", "1,2", "--expr", "x12"],
      NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
@@ -685,6 +689,9 @@ TORUS = {"qck.wiring", "qck.qtorus", "qck.slq2_tensor", "qck.pivots"}
     (["verify", "--suite", "relations", "--rank", "1"], NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
     (["verify", "--suite", "psi", "--rank", "1"], TORUS | {"qck.appendix_congruence"}),
     (["verify", "--suite", "congruence", "--rank", "1"], TORUS),
+    (["verify", "--suite", "lemma", "--rank", "2"], TORUS),
+    (["normal-form", "--kind", "smith", "--file", "{matrix}"],
+     QCK_MODULES - {"qck.intlinalg"} | {"fractions"}),
 ])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, not_loaded):
     path = tmp_path / "m.json"
@@ -697,3 +704,4 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, not_loaded):
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "qck.cli" in loaded and not loaded & not_loaded
+    assert not loaded & {"dataclasses", "inspect"}  # no record is a dataclass
