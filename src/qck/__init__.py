@@ -22,3 +22,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+class CrossCheckFailed(RuntimeError):  # here, so qtorus raises it without intlinalg
+    """Internal consistency failure between two independent computations."""

@@ -396,7 +396,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except RuntimeError as exc:
-        from .intlinalg import CrossCheckFailed  # any raiser has loaded it already
+        from . import CrossCheckFailed
         if not isinstance(exc, CrossCheckFailed):
             raise
         print(f"internal cross-check failure: {exc}", file=sys.stderr)

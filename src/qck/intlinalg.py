@@ -27,13 +27,11 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add, sub
 
+from . import CrossCheckFailed
+
 
 class NotSkewSymmetric(ValueError):
     pass
-
-
-class CrossCheckFailed(RuntimeError):
-    """Internal consistency failure between two independent computations."""
 
 
 # ---------------------------------------------------------------------------

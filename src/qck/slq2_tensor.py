@@ -11,9 +11,13 @@ tensor factors), and may be specialized to exact scalar * q-power values.
 
 A module vector is one flat map {(n, q_exponent, gamma): rational}, no
 value 0 and an all-zero gamma spelled (), the shape of QTorusElement.flat;
-n is a tuple with one entry per torus factor.  torus_action adds into a
-given map, the shape of qtorus.mul_into; every other sum goes through
-qtorus.add_scalars, into a map that shares nothing with its operands.
+n has one entry per torus factor.  torus_action adds into a given map, the
+shape of qtorus.mul_into, with n packed like a (qtorus.layout): n - a is
+one subtraction and b^T D n the field m-1 of B n.  The suites, whose
+indices stay near 0, run on packed keys; at the edges n is a tuple, as
+basis_vector writes it and element_action takes and returns it.  Every
+other sum goes through qtorus.add_scalars, into a map that shares nothing
+with its operands.
 
 Both relation suites evaluate the table once, by wiring.relation_differences
 with torus_action on a formal basis vector, so one check covers every
@@ -29,10 +33,11 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from operator import add, mul, sub
+from operator import add, mul
 
 from . import weyl, wiring
-from .qtorus import add_scalars, coeff_invert, coeff_mul, coeff_qpow, coeff_str
+from .qtorus import (GuardExceeded, add_scalars, coeff_invert, coeff_mul, coeff_qpow, coeff_str,
+                     guard_for, layout, pack, unpack, unpack_b)
 
 KINDS = ("Mminus", "Mplus", "Laurent", "HighestWeight", "LowestWeight")
 
@@ -91,7 +96,8 @@ class TypicalModuleSpec(namedtuple("TypicalModuleSpec", "kind gamma eta")):
 def typical_images(spec, d=1):
     """The images {(i, j): flat term map} of the four generators in the
     one-factor torus x y = q^d y x, which acts by x e_i = e_{i-1} and
-    y e_i = q^{di} e_i.  A formal gamma or eta is gamma slot 0 or 1 of
+    y e_i = q^{di} e_i, keyed (a, b d, q_exp, gamma): one field is packed
+    alike at every width.  A formal gamma or eta is gamma slot 0 or 1 of
     three, slot 2 being left to Z.  The images are
       x11 = x + tau x y^2, tau = -1 (HighestWeight), gamma eta q^{-d}
             (Laurent), else 0;
@@ -116,22 +122,21 @@ def typical_images(spec, d=1):
         (2, 1): {(0, 1): x21},
         (2, 2): {(-1, 0): coeff_qpow(0), (-1, 2): x22},
     }
-    return {ij: {((a,), (b,), e, g): v for (a, b), c in terms.items() for (e, g), v in c.items()}
+    return {ij: {(a, b * d, e, g): v for (a, b), c in terms.items() for (e, g), v in c.items()}
             for ij, terms in images.items()}
 
 
-def torus_action(out, flat, vec, D, params):
-    """Add the torus element with flat term map flat acting on the flat
-    vector vec = {(n, q_exp, gamma): rational} into out and return out, the
-    shape of qtorus.mul_into: x^a y^b sends e_n to gamma^b q^{b^T D n} e_{n-a},
-    where gamma^b is prod_k gamma_k^{b_k} and params[k] is gamma_k, None for
-    a formal g{k+1}."""
-    m = len(D)
-    vec = vec.items()
+def with_gamma(flat, D, params, P):
+    """The flat term map, packed by the layout P, with each term's gamma^b
+    folded into its coefficient, the map torus_action reads: gamma^b is
+    prod_k gamma_k^{b_k}, and params[k] is gamma_k, None for a formal
+    g{k+1}.  For each b the fold is one shift of (q_exp, gamma) and one
+    nonzero factor, so no two terms meet."""
+    m, out = len(D), {}
     for (a, b, e1, g1), v1 in flat.items():
         # gamma^g1 gamma^b as one monomial: a specialised gamma_k is one (_check_param)
         gs = [g1, (0,) * m]
-        for k, (p, bk) in enumerate(zip(params, b)):
+        for k, (p, bk) in enumerate(zip(params, unpack_b(b, P, D))):
             if p is None:
                 gs.append((0,) * k + (bk,))
             elif bk:
@@ -140,8 +145,21 @@ def torus_action(out, flat, vec, D, params):
                 e1, v1 = e1 + bk * pe, v1 * pv ** bk
                 gs.append(tuple(bk * x for x in pg))
         g1 = tuple(map(sum, itertools.zip_longest(*gs, fillvalue=0)))
-        g1 = g1 if any(g1) else ()
-        bD = tuple(map(mul, b, D))
+        out[a, b, e1, g1 if any(g1) else ()] = v1
+    return out
+
+
+def torus_action(out, flat, vec, P):
+    """Add the torus element with flat term map flat, its gamma^b folded in
+    by with_gamma, acting on the flat vector vec = {(n, q_exp, gamma):
+    rational} into out and return out, both packed by the layout P, the
+    shape of qtorus.mul_into: x^a y^b sends e_n to gamma^b q^{b^T D n}
+    e_{n-a}.  An index outside the guard raises GuardExceeded, out then
+    half filled."""
+    shift, dot_off, mask, half, off, nlow = P.shift, P.dot_off, P.mask, P.half, P.off, P.nlow
+    vec = vec.items()
+    for (a, b, e1, g1), v1 in flat.items():
+        e1 -= half  # the dot product's field is read as b^T D n + half
         for (n, e2, g2), v2 in vec:
             if g1 and g2:
                 g = tuple(map(add, g1, g2))
@@ -149,7 +167,10 @@ def torus_action(out, flat, vec, D, params):
                     g = ()
             else:
                 g = g1 or g2
-            key = (tuple(map(sub, n, a)), e1 + e2 + sum(map(mul, bD, n)), g)
+            n2 = n - a
+            if n2 + off & nlow:
+                raise GuardExceeded(f"a module index left the guard 2^{P.guard}")
+            key = (n2, e1 + e2 + ((b * n + dot_off) >> shift & mask), g)
             v = out.get(key, 0) + v1 * v2
             if v:
                 out[key] = v
@@ -173,17 +194,19 @@ def verify_typical_relations(spec, N, d=1):
     For the Laurent kind with specialized parameters this also checks the
     nonvanishing of the x11 coefficients 1 + gamma eta q^{2i-1}, whose
     failure pins the excluded parameter values gamma eta = -q^{2k+1}.
-    Failures are listed by i, then in table order.
+    Failures are listed by i, then in table order.  The torus needs d != 0.
     """
-    if N < 0:
-        raise ValueError(f"truncation N = {N} is negative")
+    if N < 0 or not d:
+        raise ValueError(f"truncation N = {N} is negative" if N < 0 else "q^d needs d != 0")
     lo, hi = spec.index_domain()
     lo = -N if lo is None else max(lo, -N)
     hi = N if hi is None else min(hi, N)
-    params = [_formal(2, 3)]
+    P = layout(1, guard_for(2 * abs(d)))  # |b d| <= 2|d|
+    images = {ij: with_gamma(flat, (d,), [_formal(2, 3)], P)
+              for ij, flat in typical_images(spec, d).items()}
     diffs = wiring.relation_differences(
-        wiring.quantum_matrix_relations(2), typical_images(spec, d), {((0,), 0, ()): 1},
-        lambda out, image, vec: torus_action(out, image, vec, (d,), params), d)
+        wiring.quantum_matrix_relations(2), images, {(0, 0, ()): 1},
+        lambda out, image, vec: torus_action(out, image, vec, P), d)
     bad = [(name, diff) for name, diff in diffs if diff]
     excluded = spec.illegal_laurent_index(d=d, bound=N)
     failures = []
@@ -217,11 +240,21 @@ class TensorModule:
         self.params = list(params)
 
     def element_action(self, u, vec):
-        """u acting on the flat vector vec by torus_action with this
-        module's parameters."""
+        """u acting on the flat vector vec, its indices tuples, by
+        torus_action with this module's parameters: both packed in a guard
+        that holds them, and twice that while an index leaves it."""
         if u.m != self.m or u.D != self.D:
             raise ValueError("element lives in a different torus")
-        return torus_action({}, u.flat, vec, self.D, self.params)
+        bound = max((max(x, ~x) for n, _e, _g in vec for x in n), default=0)
+        P = layout(self.m, max(u.layout.guard, guard_for(bound)))
+        while True:
+            packed = {(pack(n, P), e, g): v for (n, e, g), v in vec.items()}
+            try:
+                out = torus_action({}, with_gamma(u.flat_at(P), self.D, self.params, P), packed, P)
+            except GuardExceeded:
+                P = layout(self.m, 2 * P.guard)
+                continue
+            return {(unpack(n, P), e, g): v for (n, e, g), v in out.items()}
 
     def basis_vector(self, n, coeff=None):
         """coeff e_n as a flat vector, by default e_n; a formal coeff carries
@@ -253,10 +286,12 @@ def verify_tensor_relations(datum, word, N, params=None):
     m = mod.m
     lifted = [coeff_mul(p or _formal(k, 2 * m), _formal(m + k, 2 * m))
               for k, p in enumerate(mod.params)]
-    g = {ij: e.flat for ij, e in wiring.generator_images(datum, word).items()}
+    gens = wiring.generator_images(datum, word)
+    P = gens[1, 1].layout
+    g = {ij: with_gamma(e.flat, mod.D, lifted, P) for ij, e in gens.items()}
     diffs = wiring.relation_differences(
-        wiring.quantum_matrix_relations(datum.n + 1), g, mod.basis_vector((0,) * m),
-        lambda out, image, vec: torus_action(out, image, vec, mod.D, lifted))
+        wiring.quantum_matrix_relations(datum.n + 1), g, {(0, 0, ()): 1},  # e_0, n packed
+        lambda out, image, vec: torus_action(out, image, vec, P))
     bad = [(name, diff) for name, diff in diffs if diff]
     ball = itertools.product(range(-N, N + 1), repeat=m) if bad else ()
     failures = list(itertools.islice(((name, n) for n in ball for name, diff in bad

@@ -13,7 +13,9 @@ the generator x_ij is the 1x1 minor ({i}|{j}), and so is the factor x_ij of
 an expression.  One left-to-right transfer pass over the columns from a
 start set A gives the images for every B at once (the planar-network view
 of Fomin-Zelevinsky), each column read from a move table keyed by level and
-column data only.  The passes are kept for the most recent (datum, word)
+column data only.  A pass writes packed exponent keys (qtorus.layout):
+column k adds x 2^{Wk} and y d_k 2^{W(m-1-k)} to a family's weight, no
+tuple rebuilt.  The passes are kept for the most recent (datum, word)
 only, each run on first use: a single query runs one pass, and a sweep over
 one word's minors and relations runs each start set once.  An independent
 oracle expands each minor along its first row in the generator images
@@ -23,7 +25,9 @@ type A only; every entry point that takes a datum rejects other data.
 The defining relations of C_q[SL_{n+1}] are data (quantum_matrix_relations),
 which one evaluator (relation_differences) turns into differences for the
 torus suite here and the module suites of slq2_tensor alike.  It and the
-oracle skip each product with a zero generator image.
+oracle skip each product with a zero generator image.  Their raw products
+on transfer-pass images keep far inside the guard; one that left it would
+raise GuardExceeded, an internal error, and return no value.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import re
 from collections import Counter, namedtuple
 
 from . import weyl
-from .qtorus import QTorusElement, add_scalars, coeff_qpow, from_flat, mul_into
+from .qtorus import QTorusElement, add_scalars, coeff_qpow, from_flat, layout, mul_into
 
 
 class SizeMismatch(ValueError):
@@ -116,10 +120,11 @@ def _levels(n1, A, B):
 
 @functools.lru_cache(maxsize=1)
 def _word_images(datum, word):
-    """(D, columns, {A: images}, {(A, B): oracle image}) of the most recent
-    (datum, word), the images of each start set A filled in on first use by
-    _transfer and the oracle's minors by _row_expansion."""
-    return torus_diagonal(datum, word), build_diagram(datum.n, word).columns, {}, {}
+    """(D, columns, {A: images}, {(A, B): oracle image}, layout) of the most
+    recent (datum, word), the images of each start set A filled in on first
+    use by _transfer and the oracle's minors by _row_expansion."""
+    D, columns = torus_diagonal(datum, word), build_diagram(datum.n, word).columns
+    return D, columns, {}, {}, layout(len(word))
 
 
 def _transfer(datum, word, A):
@@ -129,26 +134,28 @@ def _transfer(datum, word, A):
 
     The state is the sorted tuple of levels a family occupies: paths cannot
     swap, and vertex-disjoint means the levels stay distinct.  A partial
-    weight is a full-length exponent pair whose slots for the columns still
-    to come are 0, so column k only rewrites slot k.  Within one column two
-    paths' weights can only be x and x^{-1}, as a path taking the diagonal
-    leaves both crossing levels to itself; so a family weighs the sum of its
-    paths' exponent pairs, with coefficient 1.
+    weight is a packed exponent pair (qtorus.layout) whose slots for the
+    columns still to come are 0, so column k only adds x 2^{Wk} and
+    y d_k 2^{W(m-1-k)}.  Within one column two paths' weights can only be x
+    and x^{-1}, as a path taking the diagonal leaves both crossing levels
+    to itself; so a family weighs the sum of its paths' exponent pairs, with
+    coefficient 1, and each slot holds x in {-1, 0, 1} and y in {0, 1},
+    inside any guard.
     """
-    D, columns, images, _oracle = _word_images(datum, word)
+    D, columns, images, _oracle, P = _word_images(datum, word)
     if A in images:
         return images[A]
-    zero = (0,) * len(word)
-    ends = {A: [(zero, zero)]}  # levels -> weights (a, b) of the families ending there
+    m, W = len(word), P.width
+    ends = {A: [(0, 0)]}  # levels -> packed weights (a, b) of the families ending there
     for k, (crossing, sign) in enumerate(columns):
         step = {}
         for levels, weights in ends.items():
             for nxt, x, y in _column_steps(levels, crossing, sign):
-                step.setdefault(nxt, []).extend(
-                    [(a[:k] + (x,) + a[k + 1:], b[:k] + (y,) + b[k + 1:]) for a, b in weights]
-                    if x or y else weights)
+                x, y = x << W * k, y * D[k] << W * (m - 1 - k)
+                step.setdefault(nxt, []).extend([(a + x, b + y) for a, b in weights]
+                                                if x or y else weights)
         ends = step
-    images[A] = out = {B: from_flat(len(word), D, {})
+    images[A] = out = {B: from_flat(P, D, {})
                        for B in itertools.combinations(range(1, datum.n + 2), len(A))}
     for B, weights in ends.items():  # families of equal weight add up
         out[B].flat.update(Counter((a, b, 0, ()) for a, b in weights))
@@ -188,18 +195,18 @@ def minor_expansion(A, B):
 def _row_expansion(datum, word, ctx, A, B):
     """The oracle's image of minor(A|B) for sorted levels, from the 1-element
     passes and the memo of ctx = _word_images(datum, word); do not mutate it."""
-    D, _columns, images, memo = ctx
+    D, _columns, images, memo, P = ctx
     if (A, B) not in memo:
         row = A and (images.get(A[:1]) or _transfer(datum, word, A[:1]))  # {(b,): x_{a_1 b}}
         if len(A) == 1:
             return row[B]
-        flat = {} if A else dict(QTorusElement.one(len(word), D).flat)
+        flat = {} if A else {(0, 0, 0, ()): 1}  # the empty minor is 1, its exponents packed
         for t, bt in enumerate(B):
             x = row[bt,].flat
             rest = x and _row_expansion(datum, word, ctx, A[1:], B[:t] + B[t + 1:]).flat
             if rest:
-                mul_into(flat, _shifted(x, t, (-1) ** t), rest, D)  # add (-q)^t x rest
-        memo[A, B] = from_flat(len(word), D, flat)
+                mul_into(flat, _shifted(x, t, (-1) ** t), rest, P)  # add (-q)^t x rest
+        memo[A, B] = from_flat(P, D, flat)
     return memo[A, B]
 
 
@@ -355,18 +362,19 @@ def quantum_matrix_relations(n1):
     return tuple(rels)
 
 
-def relation_differences(rels, images, start, apply_into, d=1):
+def relation_differences(rels, images, start, apply_into, d=1, known=()):
     """(name, lhs - rhs) for each relation (name, lhs, rhs) of
     quantum_matrix_relations, the difference a flat map and q read as q^d:
     the one evaluator of the torus and module suites.  A word's value is its
     letters' flat images applied right to left to start by
-    apply_into(out, image, vec), which adds image vec into out.  A term's
-    coefficient is folded into its first letter's image, so the product goes
-    straight into the difference and only proper suffixes are memoised; a
-    word with a zero image is skipped, and the empty word is c start.  The
-    memo is a local map, not a closure, so it dies with the call.  images
-    and start are left as they are."""
-    acted = {(): start}
+    apply_into(out, image, vec), which adds image vec into out, unless
+    known, pairs (word, value), gives it.  A term's coefficient is folded
+    into its first letter's image, so the product goes straight into the
+    difference and only proper suffixes are memoised; a word with a zero
+    image is skipped, and the empty word is c start.  The memo is a local
+    map, not a closure, so it dies with the call.  images, start and the
+    known values are left as they are."""
+    acted = {(): start, **dict(known)}
     diffs = []
     for name, lhs, rhs in rels:
         diff = {}
@@ -391,17 +399,18 @@ def relation_differences(rels, images, start, apply_into, d=1):
 def verify_relations(datum, word):
     """Check the quantum-matrix relations and det_q = 1 on the generator
     images; returns a list of (description, ok) pairs.  The relations other
-    than det_q go through relation_differences with the torus product; det_q
-    is the full minor's one path family, not its expansion."""
+    than det_q go through relation_differences with the torus product, a
+    one-letter word's value being its image itself (start is 1); det_q is
+    the full minor's one path family, not its expansion."""
     word = tuple(word)
     g = {ij: e.flat for ij, e in _generators(datum, word).items()}
-    one = QTorusElement.one(len(word), torus_diagonal(datum, word))
+    P, one = _word_images(datum, word)[4], {(0, 0, 0, ()): 1}  # 1, its exponents packed
     *rels, (det_name, _, _) = quantum_matrix_relations(datum.n + 1)
-    diffs = relation_differences(rels, g, one.flat,
-                                 lambda out, image, vec: mul_into(out, image, vec, one.D))
+    diffs = relation_differences(rels, g, one, lambda out, image, vec: mul_into(out, image, vec, P),
+                                 known=(((ij,), image) for ij, image in g.items()))
     full = tuple(range(1, datum.n + 2))
     det = _transfer(datum, word, full)[full]
-    return [(name, not diff) for name, diff in diffs] + [(det_name, det == one)]
+    return [(name, not diff) for name, diff in diffs] + [(det_name, det.flat == one)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from operator import add, mul, sub
 
 import pytest
 
-from qck import appendix_congruence, intlinalg
+from qck import appendix_congruence, intlinalg, qtorus
 from qck import slq2_tensor as sq
 from qck import strings, weyl, wiring
 from qck.qtorus import (
@@ -427,6 +427,66 @@ def nested_to_json(m, D, terms):
                       for (a, b), c in sorted(terms.items())]}
 
 
+def torus_neg(u):
+    """-u, term by term through the nested view (no qck command negates or
+    subtracts torus elements)."""
+    return QTorusElement(u.m, u.D, {k: {t: -v for t, v in c.items()} for k, c in u.terms.items()})
+
+
+def torus_sub(u, v):
+    return u + torus_neg(v)
+
+
+def tuple_flat(e):
+    """The flat map of the element e keyed by (a, b, q_exp, gamma), a and b
+    tuples: its packed keys unpacked through the nested view."""
+    return {(a, b, qe, g): v for (a, b), c in e.terms.items() for (qe, g), v in c.items()}
+
+
+def tuple_mul_into(out, left, right, D):
+    """Add the product of the flat term maps left and right keyed by tuples
+    (a, b, q_exp, gamma), in the torus with diagonal D, into out and return
+    out (test oracle for the packed qtorus.mul_into): on monomials
+    (x^a y^b)(x^a' y^b') = q^{-b^T D a'} x^{a+a'} y^{b+b'}."""
+    right = right.items()
+    for (a1, b1, e1, g1), v1 in left.items():
+        bD = tuple(map(mul, b1, D))
+        for (a2, b2, e2, g2), v2 in right:
+            g = tuple(map(add, g1, g2)) if g1 and g2 else g1 or g2
+            key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)),
+                   e1 + e2 - sum(map(mul, bD, a2)), g if any(g) else ())
+            v = out.get(key, 0) + v1 * v2
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def unpack_flat(flat, D, P=None):
+    """The flat torus map with packed keys (A, B, q_exp, gamma) in the layout
+    P (by default qtorus.layout(len(D))) keyed by tuples a and b."""
+    P = P or qtorus.layout(len(D))
+    return {(qtorus.unpack(A, P), qtorus.unpack_b(B, P, D), e, g): v
+            for (A, B, e, g), v in flat.items()}
+
+
+def pack_flat(flat, D, P=None):
+    """The flat torus map keyed by tuples a and b, packed in the layout P."""
+    P = P or qtorus.layout(len(D))
+    return {(qtorus.pack(a, P), qtorus.pack(tuple(map(mul, b, D))[::-1], P), e, g): v
+            for (a, b, e, g), v in flat.items()}
+
+
+def pack_vector(vec, P):
+    """The flat module vector keyed by tuples n, n packed in the layout P."""
+    return {(qtorus.pack(n, P), e, g): v for (n, e, g), v in vec.items()}
+
+
+def unpack_vector(vec, P):
+    return {(qtorus.unpack(n, P), e, g): v for (n, e, g), v in vec.items()}
+
+
 def q_commute_index(mono_u, mono_v, D):
     """Exponent e with u v = q^e v u for monomials u = x^a y^b, v = x^a' y^b':
     e = a^T D b' - a'^T D b (test oracle for the matrix H)."""
@@ -797,10 +857,10 @@ def nested_monomial_action(mod, mono, vec):
 
 
 def nested_element_action(mod, u, vec):
-    """The torus element u acting on the nested vector vec, term by term
-    (test oracle for TensorModule.element_action)."""
+    """The torus element u, or its nested terms, acting on the nested vector
+    vec, term by term (test oracle for TensorModule.element_action)."""
     out = {}
-    for (a, b), c in u.terms.items():
+    for (a, b), c in (u.terms if isinstance(u, QTorusElement) else u).items():
         accumulate(out, [(key, coeff_mul(pc, c))
                          for key, pc in nested_monomial_action(mod, (a, b), vec).items()])
     return out
@@ -910,7 +970,7 @@ def ball_tensor_relations(datum, word, N, params=None):
     slq2_tensor.verify_tensor_relations)."""
     mod = sq.TensorModule(datum, word, params=params)
     n1 = datum.n + 1
-    g = wiring.generator_images(datum, word)
+    g = {ij: u.terms for ij, u in wiring.generator_images(datum, word).items()}  # unpacked once
     instances = []
     for i in range(1, n1 + 1):
         for j in range(1, n1 + 1):

@@ -657,6 +657,32 @@ def test_verify_congruence_cross_check_failure_exits_3(monkeypatch, capsys):
     assert code == 3 and out == "" and "cross-check" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("verify", "--suite", "relations", "--rank", "2", "--word", "1,2,1"), "torus exponent"),
+    (("module", "verify", "--tensor", "--rank", "2", "--word", "1,2,1", "--truncate", "1"),
+     "module index"),
+])
+def test_a_raw_product_past_the_packing_guard_exits_3(monkeypatch, capsys, argv, what):
+    # the suites' raw products on transfer-pass images have headroom at the
+    # real guard; at a guard of 1 a key leaves it, and the run stops with an
+    # internal error instead of a value
+    from qck import qtorus
+
+    monkeypatch.setattr(wiring, "layout", lambda m: qtorus.layout(m, 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"internal cross-check failure: a {what} left the guard 2^1\n"
+
+
+def test_module_act_lists_indices_in_tuple_order(capsys):
+    # packed, n = (1, 0) is 1, (0, 1) is 2^W and (-1, 2) is 2^(W+1) - 1: the
+    # output sorts the unpacked tuples
+    items = [{"n": n, "coeff": json.loads(ONE)} for n in ([1, 0], [0, 1], [-1, 2])]
+    code, out, _ = run(capsys, *MODULE_ACT[:-1], "minor(12|12)^0", "--vector", json.dumps(items))
+    assert code == 0
+    assert [item["n"] for item in json.loads(out)] == [[-1, 2], [0, 1], [1, 0]]
+
+
 def test_other_runtime_error_is_not_exit_3(monkeypatch):
     def boom(n, word):
         raise RuntimeError("not a cross-check")
@@ -680,7 +706,8 @@ TORUS = {"qck.wiring", "qck.qtorus", "qck.slq2_tensor", "qck.pivots", "fractions
 @pytest.mark.parametrize("argv, not_loaded", [
     (["normal-form", "--kind", "skew", "--file", "{matrix}"],
      QCK_MODULES - {"qck.intlinalg"} | {"fractions"}),
-    (["diagram", "--rank", "2", "--word", "1,2"], NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
+    (["diagram", "--rank", "2", "--word", "1,2"],
+     NUMERIC | {"qck.pivots", "qck.slq2_tensor", "fractions"}),
     (["image", "--rank", "2", "--word", "1,2", "--expr", "x12"],
      NUMERIC | {"qck.pivots", "qck.slq2_tensor"}),
     (["analyze", "--rank", "2", "--word", "1,2,1,-1,-2"], TORUS | {"qck.appendix_congruence"}),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import accumulate, nested_product, nested_to_json, q_commute_index, scaled
+from conftest import (accumulate, nested_product, nested_to_json, q_commute_index, scaled,
+                      torus_neg, torus_sub, tuple_flat, tuple_mul_into)
 from qck import intlinalg, qtorus
 from qck.qtorus import (
     QTorusElement,
@@ -280,7 +281,7 @@ def test_an_all_zero_gamma_is_spelled_empty():
     assert u * one == v * one
     assert u.to_json() == v.to_json()
     both = QTorusElement(1, (1,), {((1,), (0,)): {(0, (0, 0)): 1, (0, ()): 1}})
-    assert both.flat == {((1,), (0,), 0, ()): 2}
+    assert tuple_flat(both) == {((1,), (0,), 0, ()): 2} and len(both.flat) == 1
 
 
 def test_ring_laws_on_cancelling_elements():
@@ -290,13 +291,13 @@ def test_ring_laws_on_cancelling_elements():
         D = tuple(rng.randint(1, 2) for _ in range(m))
         u, v, w = (_cancelling_element(rng, m, D) for _ in range(3))
         zero = QTorusElement(m, D)
-        for x in (u + v, u * v, u - u, (u + v) * w, u * (v - w)):
+        for x in (u + v, u * v, torus_sub(u, u), (u + v) * w, u * torus_sub(v, w)):
             _assert_normal(x)
         assert (u + v) + w == u + (v + w)
         assert (u * v) * w == u * (v * w)
         assert u * (v + w) == u * v + u * w
         assert (u + v) * w == u * w + v * w
-        assert u + (-u) == zero and (u + (-u)).terms == {}
+        assert u + torus_neg(u) == zero and (u + torus_neg(u)).terms == {}
         a = tuple(rng.randint(-2, 2) for _ in range(m))
         b = tuple(rng.randint(-2, 2) for _ in range(m))
         unit = mono(m, D, a, b, rng.randint(-3, 3), rng.choice((3, Fraction(-2, 5))))
@@ -307,12 +308,12 @@ def _scribble(*maps):
     """Overwrite every value of the given flat term maps and add a term."""
     for flat in maps:
         flat.update(dict.fromkeys(flat, 7))
-        flat[(0, 0), (0, 0), 99, ()] = 7
+        flat[0, 0, 99, ()] = 7
 
 
 def test_sums_and_products_own_their_coefficients():
     D = (1, 2)
-    for op in (QTorusElement.__add__, QTorusElement.__mul__, QTorusElement.__sub__):
+    for op in (QTorusElement.__add__, QTorusElement.__mul__, torus_sub):
         rng = random.Random(5)
         u, v = _cancelling_element(rng, 2, D), _cancelling_element(rng, 2, D)
         result = op(u, v)
@@ -391,3 +392,159 @@ def test_elements_are_unhashable():
     # __eq__ without __hash__: an element's terms are mutable
     with pytest.raises(TypeError):
         hash(QTorusElement.one(1, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# packed keys: exact at the guard and past it
+
+G = qtorus.GUARD
+
+
+def _oracle_product(u, v):
+    """u * v by the tuple-key product of the tests, as a tuple-key flat map."""
+    return tuple_mul_into({}, tuple_flat(u), tuple_flat(v), u.D)
+
+
+def _monomial_power(m, D, a, b, e, c, k):
+    """(c q^e x^a y^b)^k in closed form: the q-exponent gains
+    -(k(k-1)/2) b^T D a from moving every y^b past the later x^a."""
+    bDa = sum(x * d * y for x, d, y in zip(b, D, a))
+    return {(tuple(k * x for x in a), tuple(k * y for y in b), k * e - k * (k - 1) // 2 * bDa, ()):
+            c ** k}
+
+
+@pytest.mark.parametrize("k", [2 ** G - 1, 2 ** G, 2 ** G + 1, 3 * 2 ** G, 10 ** 6])
+def test_monomial_powers_at_and_past_the_guard(k):
+    D = (1, 2, 1)
+    a, b = (1, 0, -1), (0, 1, 1)
+    u = mono(3, D, a, b, qexp=1, c=-2)
+    power = u ** k
+    assert tuple_flat(power) == _monomial_power(3, D, a, b, 1, -2, k)
+    # b d fills the fields of B, so 2k leaves the guard first
+    assert power.layout.guard == qtorus.guard_for(2 * k)
+    assert (u.inverse() ** k) * power == QTorusElement.one(3, D)
+    assert u ** -k == power.inverse()
+
+
+def test_x11_powers_on_one_letter_word(A1):
+    from qck import wiring
+    x11, x21 = (wiring.minor_image(A1, (-1,), (i,), (1,)) for i in (1, 2))  # x and y
+    for k in (2 ** G - 1, 2 ** G, 2 ** G + 1, 10 ** 6):
+        p = x11 ** k * x21 ** (k + 1)
+        assert p.terms == {((k,), (k + 1,)): {(0, ()): 1}}
+        assert x21 ** (k + 1) * x11 ** k == scaled(p, coeff_qpow(-k * (k + 1)))
+
+
+def test_multi_term_products_at_and_past_the_guard(A2):
+    from qck import wiring
+    word = (1, 2, 1, -1, -2)
+    x12 = wiring.minor_image(A2, word, (1,), (2,))  # three terms
+    unit = wiring.expression_image(A2, word, "x33 * minor(23|23)")  # x^(-1, ..., -1)
+    for k in (2 ** G - 2, 2 ** G - 1, 2 ** G, 2 ** G + 1):
+        big = unit ** k
+        for u, v in ((big, x12), (x12, big), (big.inverse(), x12), (x12 * big, x12 * big.inverse()),
+                     (x12 ** 3, big), (big * x12, big * x12)):
+            assert tuple_flat(u * v) == _oracle_product(u, v)
+    assert (x12 ** 5).terms == (x12 ** 2 * x12 ** 3).terms
+
+
+def test_inverse_at_the_lower_edge_of_the_guard():
+    D = (1, 3)
+    low = QTorusElement.monomial(2, D, (-2 ** G, 0), (0, 0))  # -2^G is inside the guard
+    assert low.layout.guard == G
+    high = low.inverse()  # 2^G is not
+    assert high.layout.guard == 2 * G
+    assert high.terms == {((2 ** G, 0), (0, 0)): {(0, ()): 1}}
+    assert low * high == high * low == QTorusElement.one(2, D)
+    edge = QTorusElement.monomial(2, D, (3, -1), (0, -2 ** G // 3))  # b d = -2^G - 2
+    assert edge.layout.guard == 2 * G and edge.inverse() * edge == QTorusElement.one(2, D)
+    assert (low ** -1) == high and (high ** -2) == low ** 2
+
+
+def test_long_words_and_the_empty_torus():
+    rng = random.Random(31)
+    for m in (40, 200):
+        D = tuple(rng.choice((1, 2, 3)) for _ in range(m))
+        u, v = (_random_element(rng, m, D, nterms=3, span=2) for _ in range(2))
+        assert tuple_flat(u * v) == _oracle_product(u, v)
+        assert (u * v) * u == u * (v * u)
+    one = QTorusElement.one(0, ())
+    two = QTorusElement(0, (), {((), ()): {(1, ()): 2}})
+    assert tuple_flat(two * two) == {((), (), 2, ()): 4}
+    assert two ** -3 == (two ** 3).inverse() and two * two.inverse() == one
+    assert one.to_json() == {"m": 0, "D": [], "terms": [{"a": [], "b": [], "coeff": [
+        {"q": 0, "gamma": [], "num": 1, "den": 1}]}]}
+    assert two.as_unit() == (((), ()), {(1, ()): 2}) and two.supp_x() == {()}
+
+
+def _sweep_element(rng, m, D, span):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        a = tuple(rng.randint(-span, span) for _ in range(m))
+        b = tuple(rng.randint(-span, span) for _ in range(m))
+        g = tuple(rng.randint(-1, 1) for _ in range(2))
+        accumulate(terms, [((a, b), {(rng.randint(-3, 3), g if any(g) else ()):
+                                     rng.choice((1, -1, 2, Fraction(-3, 2)))})])
+    return QTorusElement(m, D, terms)
+
+
+def _flat_sum(f1, f2):
+    out = dict(f1)
+    for key, v in f2.items():
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def test_products_match_the_tuple_oracle_on_a_seeded_sweep():
+    rng = random.Random(32)
+    widened = 0
+    for _ in range(400):
+        m = rng.randint(0, 6)
+        D = tuple(rng.choice((1, 2, 3, -1, -2)) for _ in range(m))
+        span = rng.choice((2, 2 ** (G - 1), 2 ** G // 3, 2 ** G + 5, 10 ** 30))
+        u, v = _sweep_element(rng, m, D, span), _sweep_element(rng, m, D, 2)
+        for x, y in ((u, v), (v, u), (u, u)):
+            prod = x * y
+            assert tuple_flat(prod) == _oracle_product(x, y)
+            widened += prod.layout.guard > max(x.layout.guard, y.layout.guard)
+        assert tuple_flat(u + v) == _flat_sum(tuple_flat(u), tuple_flat(v))
+    assert widened > 50
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 31, 64])
+def test_the_dot_product_is_exact_at_the_corners_of_the_guard(m):
+    # every field of B and A' at the guard's ends, |b_k d_k a'_k| about 2^(2G)
+    # in all m terms, while the sums a + a' and b + b' stay inside the guard
+    lo, hi = -2 ** G, 2 ** G - 1
+    for D in ((1,) * m, (2,) * m):
+        u = QTorusElement.monomial(m, D, (lo,) * m, (lo // D[0],) * m)
+        v = QTorusElement.monomial(m, D, (hi,) * m, (hi // D[0],) * m)
+        for x, y in ((u, v), (v, u)):
+            prod = x * y
+            assert tuple_flat(prod) == _oracle_product(x, y)
+            assert prod.layout.guard == G
+
+
+def test_a_raw_product_past_the_guard_raises():
+    u = QTorusElement.monomial(2, (1, 1), (2 ** G - 1, 0), (0, 0))
+    with pytest.raises(qtorus.GuardExceeded):
+        qtorus.mul_into({}, u.flat, u.flat, u.layout)
+    assert issubclass(qtorus.GuardExceeded, intlinalg.CrossCheckFailed)
+    assert tuple_flat(u * u) == {((2 ** G * 2 - 2, 0), (0, 0), 0, ()): 1}
+
+
+def test_json_lists_terms_in_tuple_order_not_integer_order():
+    # packed, a = (1, 0) is 1 and a = (0, 1) is 2^W, but (0, 1) < (1, 0)
+    D = (1, 1)
+    u = mono(2, D, (1, 0), (0, 0)) + mono(2, D, (0, 1), (0, 0), c=3)
+    low, high = sorted(A for A, _B, _e, _g in u.flat)
+    assert (low, high) == (1, 1 << u.layout.width)
+    assert [t["a"] for t in u.to_json()["terms"]] == [[0, 1], [1, 0]]
+    assert repr(u) == "(3)*(1 | x2) + (x1 | 1)"
+    v = mono(2, D, (0, 0), (1, 0)) + mono(2, D, (0, 0), (0, 1))  # B holds b reversed
+    assert [t["b"] for t in v.to_json()["terms"]] == [[0, 1], [1, 0]]
+
+
+def test_a_zero_diagonal_entry_is_refused():
+    with pytest.raises(ValueError, match="entry 0"):
+        QTorusElement(2, (1, 0))

@@ -19,12 +19,16 @@ from conftest import (
     nested_nonzero_at,
     nested_relation_difference,
     nested_word_action,
+    pack_flat,
+    pack_vector,
     random_double_word,
     scaled,
     typical_action,
+    unpack_flat,
+    unpack_vector,
 )
 from qck import slq2_tensor as sq
-from qck import weyl, wiring
+from qck import qtorus, weyl, wiring
 from qck.qtorus import QTorusElement, coeff_invert, coeff_mul, coeff_qpow, group_coefficients
 
 
@@ -32,8 +36,11 @@ def _image_action(spec, ij, vec, d=1):
     """The image of x_ij in typical_images acting on the nested rank-1
     vector vec = {i: coefficient}, gamma and eta in two gamma slots as in
     the oracle typical_action; the result is such a nested vector."""
-    flat = {((i,), e, g + (0,) if g else ()): v for i, c in vec.items() for (e, g), v in c.items()}
-    out = sq.torus_action({}, sq.typical_images(spec, d)[ij], flat, (d,), [coeff_qpow(0)])
+    P = qtorus.layout(1)
+    flat = {(qtorus.pack((i,), P), e, g + (0,) if g else ()): v
+            for i, c in vec.items() for (e, g), v in c.items()}
+    image = sq.with_gamma(sq.typical_images(spec, d)[ij], (d,), [coeff_qpow(0)], P)
+    out = unpack_vector(sq.torus_action({}, image, flat, P), P)
     return {i: c for ((i,),), c in group_coefficients({(n, e, g[:2]): v
                                                      for (n, e, g), v in out.items()}).items()}
 
@@ -51,10 +58,10 @@ def test_typical_action_examples():
     # x11 e_1 = (1 + gamma eta q) e_0
     assert _image_action(la, (1, 1), {1: coeff_qpow(0)}) == {0: {(0, ()): 1, (1, (1, 1)): 1}}
     # the images themselves, gamma and eta in slots 0 and 1 of three
-    assert sq.typical_images(la, 2)[(1, 1)] == {((1,), (0,), 0, ()): 1,
-                                                ((1,), (2,), -2, (1, 1, 0)): 1}
+    assert unpack_flat(sq.typical_images(la, 2)[(1, 1)], (2,)) == {
+        ((1,), (0,), 0, ()): 1, ((1,), (2,), -2, (1, 1, 0)): 1}
     lw = sq.TypicalModuleSpec("LowestWeight", gamma={(1, ()): 2})
-    assert sq.typical_images(lw)[(2, 1)] == {((0,), (1,), -2, ()): Fraction(-1, 2)}
+    assert unpack_flat(sq.typical_images(lw)[(2, 1)], (1,)) == {((0,), (1,), -2, ()): Fraction(-1, 2)}
 
 
 def test_index_domains():
@@ -74,6 +81,12 @@ def test_index_domains():
 def test_typical_relations_formal(kind):
     rep = sq.verify_typical_relations(sq.TypicalModuleSpec(kind=kind), 20)
     assert rep["ok"], rep["failures"][:3]
+
+
+def test_typical_relations_refuse_d_zero():
+    # x y = q^0 y x is no quantum torus, and a packed b d would lose b
+    with pytest.raises(ValueError, match="d != 0"):
+        sq.verify_typical_relations(sq.TypicalModuleSpec(kind="Mminus"), 2, d=0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -100,7 +113,8 @@ def test_corrupted_rank1_action_fails_the_named_relations(monkeypatch, generator
 
     def corrupted_images(spec, d=1):
         out = images(spec, d)
-        out[label] = {(a, (b + t,), e + s, g): v for (a, (b,), e, g), v in out[label].items()}
+        out[label] = pack_flat({(a, (b + t,), e + s, g): v
+                                for (a, (b,), e, g), v in unpack_flat(out[label], (d,)).items()}, (d,))
         return out
 
     def corrupted_action(spec, gen, i, d=1):
@@ -429,12 +443,14 @@ def _owns_its_terms(op, make_operands):
 def test_module_vectors_own_their_coefficients(A1):
     mod = sq.TensorModule(A1, (-1, 1))
     g = wiring.generator_images(A1, (-1, 1))
-    images = sq.typical_images(sq.TypicalModuleSpec(kind="Laurent"))
-    rank1 = functools.partial(sq.torus_action, D=(1,), params=[coeff_qpow(0)])
-    tensor = functools.partial(sq.torus_action, D=mod.D, params=mod.params)
+    P1, P = qtorus.layout(1), g[1, 1].layout
+    images = {ij: sq.with_gamma(flat, (1,), [coeff_qpow(0)], P1)
+              for ij, flat in sq.typical_images(sq.TypicalModuleSpec(kind="Laurent")).items()}
+    rank1 = functools.partial(sq.torus_action, P=P1)
+    tensor = functools.partial(sq.torus_action, P=P)
 
-    def vectors():
-        return ({((0,), 0, ()): 1, ((1,), 1, (1, 0, 0)): 2}, {((1,), 0, ()): 3, ((2,), 2, ()): -1})
+    def vectors():  # one factor: a packed index is the index itself
+        return ({(0, 0, ()): 1, (1, 1, (1, 0, 0)): 2}, {(1, 0, ()): 3, (2, 2, ()): -1})
 
     def module_vector():
         return ({((0, 0), 0, ()): 1, ((1, -1), 1, (1, 0)): 2},)
@@ -446,7 +462,9 @@ def test_module_vectors_own_their_coefficients(A1):
     # while a longer word reuses it
     one, q = coeff_qpow(0), coeff_qpow(1)
     rels = [("r", [(one, ("a",)), (one, ())], [(q, ("b", "a"))])]
-    for apply_into, start, a, b in ((tensor, module_vector()[0], g[(1, 1)].flat, g[(2, 2)].flat),
+    folded = {ij: sq.with_gamma(u.flat, mod.D, mod.params, P) for ij, u in g.items()}
+    for apply_into, start, a, b in ((tensor, pack_vector(module_vector()[0], P), folded[1, 1],
+                                     folded[2, 2]),
                                     (rank1, vectors()[0], images[1, 1], images[2, 1])):
         def evaluated(start, a, b):
             (_name, diff), = wiring.relation_differences(rels, {"a": a, "b": b}, start, apply_into)
@@ -592,9 +610,11 @@ def test_flat_relation_difference_and_substitution_match_the_nested_ones(A1, A2)
         start = _nested_vector(rng, lambda: tuple(rng.randint(-2, 2) for _ in range(m)), m)
         d = rng.randint(1, 2)
         rels = wiring.quantum_matrix_relations(datum.n + 1)
-        got = wiring.relation_differences(rels, {ij: u.flat for ij, u in images.items()},
-                                          flat_vector(start),
-                                          functools.partial(sq.torus_action, D=mod.D, params=mod.params), d)
+        P = qtorus.layout(m)
+        got = wiring.relation_differences(
+            rels, {ij: sq.with_gamma(u.flat, mod.D, mod.params, P) for ij, u in images.items()},
+            pack_vector(flat_vector(start), P), functools.partial(sq.torus_action, P=P), d)
+        got = [(name, unpack_vector(diff, P)) for name, diff in got]
         act = nested_word_action(start, lambda ij, vec: nested_element_action(mod, images[ij], vec))
         assert got == [(name, flat_vector(nested_relation_difference(lhs, rhs, act, d=d)))
                        for name, lhs, rhs in rels]
@@ -620,3 +640,18 @@ def test_flat_relation_difference_and_substitution_match_the_nested_ones(A1, A2)
         survived += not cancel
         cancelled += cancel and bool(diff)
     assert survived > 50 and cancelled > 50
+
+
+def test_element_action_is_exact_past_the_packing_guard(A1):
+    # indices and exponents at, across and far past the guard 2^G: the
+    # action packs both operands wide enough, and widens while n - a leaves it
+    G = qtorus.GUARD
+    for params in (None, [{(1, ()): 2}, None]):
+        mod = sq.TensorModule(A1, (-1, 1), params=params)
+        u = (QTorusElement.monomial(2, mod.D, (-1, 1), (2 ** G, 1), {(1, ()): -3})
+             + QTorusElement.monomial(2, mod.D, (2 ** G, 0), (0, -2 ** G - 1)))
+        vec = {(2 ** G - 1, -2 ** G): coeff_qpow(0), (10 ** 20, 5): {(2, (0, 1)): Fraction(1, 2)},
+               (0, 0): coeff_qpow(-1, 7)}
+        got = mod.element_action(u, flat_vector(vec))
+        assert got == flat_vector(nested_element_action(mod, u, vec))
+        assert (4096, -4097) in {n for n, _e, _g in got}  # (4095, -4096) - (-1, 1)

@@ -301,10 +301,10 @@ def test_relation_differences_leave_the_memo_images_as_they_are(A2):
     saved = {ij: dict(flat) for ij, flat in g.items()}
     one = QTorusElement.one(len(word), wiring.torus_diagonal(A2, word))
     diffs = wiring.relation_differences(wiring.quantum_matrix_relations(3), g, one.flat,
-                                        lambda out, image, vec: mul_into(out, image, vec, one.D))
+                                        lambda out, image, vec: mul_into(out, image, vec, one.layout))
     assert [diff for _name, diff in diffs] == [{}] * len(wiring.quantum_matrix_relations(3))
     for _name, diff in diffs:  # no difference shares a map with images or start
-        diff[(0,), (0,), 0, ()] = 7
+        diff[0, 0, 0, ()] = 7
     assert g == saved and one == QTorusElement.one(len(word), one.D)
     assert all(e.flat is g[ij] for ij, e in wiring._generators(A2, word).items())
 
